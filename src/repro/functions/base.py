@@ -26,7 +26,7 @@ from ..errors import ConfigError
 from ..obs import profile as profile_mod
 from ..trace import cache as trace_cache
 from ..trace.allocator import GuestAllocator
-from ..trace.events import AccessEpoch, InvocationTrace
+from ..trace.events import InvocationTrace
 from ..trace.synth import Band, banded_histogram
 
 __all__ = ["InputSpec", "FunctionModel", "INPUT_LABELS"]
@@ -210,10 +210,11 @@ class FunctionModel:
         scale = float(rng.lognormal(mean=0.0, sigma=spec.variability)) if spec.variability else 1.0
         cpu_time = spec.t_dram_s * (1.0 - spec.stall_share) * scale
 
-        epochs = self._split_epochs(pages, counts, cpu_time, rng)
-        return InvocationTrace(
-            n_pages=self.n_pages,
-            epochs=epochs,
+        return self._split_epochs(
+            pages,
+            counts,
+            cpu_time,
+            rng,
             label=f"{self.name}/input-{INPUT_LABELS[input_index]}",
         )
 
@@ -223,19 +224,27 @@ class FunctionModel:
         counts: np.ndarray,
         cpu_time: float,
         rng: np.random.Generator,
-    ) -> tuple[AccessEpoch, ...]:
+        *,
+        label: str,
+    ) -> InvocationTrace:
         """Distribute the invocation histogram over time slices.
 
         Counts are binomially thinned epoch by epoch so the per-epoch
         histograms sum exactly to the invocation histogram.  Epoch weights
         are near-even with mild noise — enough temporal texture for DAMON's
         aggregation windows without imposing artificial phases.
+
+        Each epoch keeps only its nonzero mask and its nonzero counts, so
+        the full per-epoch draws are freed as the loop goes.  The counts
+        are then joined into the trace's counts column and each mask
+        compresses the pages straight into its slice of the pages column.
         """
         n = self.n_epochs
         weights = rng.dirichlet(np.full(n, 20.0)) if n > 1 else np.ones(1)
         remaining = counts.copy()
         remaining_weight = 1.0
-        epochs: list[AccessEpoch] = []
+        masks: list[np.ndarray] = []
+        taken: list[np.ndarray] = []
         for e in range(n):
             if e == n - 1:
                 take = remaining
@@ -244,15 +253,24 @@ class FunctionModel:
                 take = rng.binomial(remaining, p)
                 remaining_weight -= weights[e]
             nz = take > 0
-            epochs.append(
-                AccessEpoch(
-                    cpu_time_s=cpu_time * float(weights[e]),
-                    pages=pages[nz],
-                    counts=take[nz],
-                    random_fraction=self.random_fraction,
-                    store_fraction=self.store_fraction,
-                )
-            )
+            masks.append(nz)
+            taken.append(take[nz])
             if e < n - 1:
                 remaining = remaining - take
-        return tuple(epochs)
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum([t.size for t in taken], out=ptr[1:])
+        flat_counts = np.concatenate(taken)
+        del taken
+        flat_pages = np.empty_like(flat_counts)
+        for nz, lo, hi in zip(masks, ptr[:-1], ptr[1:]):
+            np.compress(nz, pages, out=flat_pages[lo:hi])
+        return InvocationTrace._from_columns(
+            self.n_pages,
+            flat_pages,
+            flat_counts,
+            ptr,
+            cpu_time_s=[cpu_time * float(w) for w in weights],
+            random_fraction=[self.random_fraction] * n,
+            store_fraction=[self.store_fraction] * n,
+            label=label,
+        )

@@ -17,7 +17,10 @@ cohort at once.  :func:`execute_cohort` does exactly that and is
   order-independent and exact, so they use ``np.add.reduceat`` over the
   non-empty epoch segments (the empty ones contribute nothing and are
   masked out, as ``reduceat`` mishandles zero-length segments) and one
-  ``np.bincount`` over the cohort's first-touch pages.
+  ``np.bincount`` over each trace's first-touch pages.  Both run trace
+  by trace over the trace's own read-only columns
+  (:attr:`~repro.trace.events.InvocationTrace.pages`/``counts``), so the
+  engine never copies a trace or builds a cohort-wide page column.
 * An epoch with no pages contributes exact zeros everywhere, and
   ``x + 0.0 == x`` for the non-negative accumulators involved, so the
   scalar engine's ``if pages.size:`` guard needs no special-casing.
@@ -58,59 +61,56 @@ _N_BACKINGS = 6
 
 @dataclass(frozen=True)
 class _TraceFlat:
-    """One trace's epochs flattened into parallel columns (cached).
+    """Per-epoch columns and the first-touch census of one trace (cached).
 
-    ``first_pages``/``first_epoch`` locate each distinct page's first
-    occurrence: the scalar engine's sticky residency means a page can
-    fault only there, and only if its backing is not already resident.
-    ``tot_counts`` is the per-epoch total access count (exact int sum,
-    placement-independent, so it is computed once per trace).
+    Page-level data is never copied here: the engine reads the trace's
+    own ``pages``/``counts`` columns in place.  ``first_pages``/
+    ``first_epoch`` locate each distinct page's first occurrence: the
+    scalar engine's sticky residency means a page can fault only there,
+    and only if its backing is not already resident.  ``tot_counts`` is
+    the per-epoch total access count (exact int sum, placement-
+    independent, so it is computed once per trace).
     """
 
-    pages: npt.NDArray[np.int64]
-    counts: npt.NDArray[np.int64]
-    epoch_sizes: npt.NDArray[np.int64]
-    first_pages: npt.NDArray[np.int64]
-    first_epoch: npt.NDArray[np.int64]
+    first_pages: npt.NDArray[np.int32]
+    first_epoch: npt.NDArray[np.int32]
     tot_counts: npt.NDArray[np.int64]
     cpu: npt.NDArray[np.float64]
     rf: npt.NDArray[np.float64]
     sf: npt.NDArray[np.float64]
 
 
+def _first_touch(
+    trace: "InvocationTrace",
+) -> tuple[npt.NDArray[np.int32], npt.NDArray[np.int32]]:
+    """Each distinct page (ascending) and the epoch that first touches it.
+
+    A dense ``n_pages`` mark array is stamped epoch by epoch in reverse,
+    so the earliest epoch's stamp is the one left standing; pages are
+    unique within an epoch, so every stamp is well defined.  Both results
+    are kept for the trace's lifetime, so they are stored as int32 (half
+    the bytes of the trace's int64 columns per entry; guest page indices
+    stay far below 2**31).
+    """
+    mark = np.full(trace.n_pages, -1, dtype=np.int32)
+    for e in range(len(trace.epochs) - 1, -1, -1):
+        mark[trace.epochs[e].pages] = e
+    first_pages = np.flatnonzero(mark >= 0).astype(np.int32)
+    return first_pages, mark[first_pages]
+
+
 def _flat(trace: "InvocationTrace") -> _TraceFlat:
-    """Flatten (and memoize on the immutable trace) the epoch columns."""
+    """Build (and memoize on the immutable trace) the per-epoch columns."""
     cached = trace.__dict__.get(_FLAT_ATTR)
     if cached is not None:
         return cached  # type: ignore[no-any-return]
     epochs = trace.epochs
     n = len(epochs)
-    if n:
-        pages = np.concatenate([e.pages for e in epochs])
-        counts = np.concatenate([e.counts for e in epochs])
-        sizes = np.fromiter(
-            (e.pages.size for e in epochs), dtype=np.int64, count=n
-        )
-    else:  # pragma: no cover - traces always have epochs
-        pages = np.empty(0, dtype=np.int64)
-        counts = np.empty(0, dtype=np.int64)
-        sizes = np.empty(0, dtype=np.int64)
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(sizes, out=ptr[1:])
-    if pages.size:
-        _, first_idx = np.unique(pages, return_index=True)
-        first_pages = pages[first_idx]
-        first_epoch = np.searchsorted(ptr, first_idx, side="right") - 1
-    else:
-        first_pages = np.empty(0, dtype=np.int64)
-        first_epoch = np.empty(0, dtype=np.int64)
+    first_pages, first_epoch = _first_touch(trace)
     flat = _TraceFlat(
-        pages=pages,
-        counts=counts,
-        epoch_sizes=sizes,
         first_pages=first_pages,
         first_epoch=first_epoch,
-        tot_counts=segment_sums_int(counts, ptr),
+        tot_counts=segment_sums_int(trace.counts, trace.epoch_ptr),
         cpu=np.fromiter((e.cpu_time_s for e in epochs), dtype=np.float64, count=n),
         rf=np.fromiter(
             (e.random_fraction for e in epochs), dtype=np.float64, count=n
@@ -202,12 +202,9 @@ def _execute_cohort(
     fast = vm.memory.spec(Tier.FAST)
     slow = vm.memory.spec(Tier.SLOW)
 
-    # -- cohort-flat columns and their segmentations ------------------------
-    epoch_sizes = np.concatenate([f.epoch_sizes for f in flats])
-    page_ptr = np.zeros(epoch_sizes.size + 1, dtype=np.int64)
-    np.cumsum(epoch_sizes, out=page_ptr[1:])
+    # -- cohort-wide per-epoch columns and their segmentation --------------
     n_epochs = np.fromiter(
-        (f.epoch_sizes.size for f in flats), dtype=np.int64, count=len(flats)
+        (len(t.epochs) for t in traces), dtype=np.int64, count=len(traces)
     )
     inv_ptr = np.zeros(len(flats) + 1, dtype=np.int64)
     np.cumsum(n_epochs, out=inv_ptr[1:])
@@ -217,48 +214,39 @@ def _execute_cohort(
     sf_col = np.concatenate([f.sf for f in flats])
     tot_col = np.concatenate([f.tot_counts for f in flats])
 
-    # -- fault classification (first touch of a non-resident page) ---------
-    # Only first occurrences can fault, so the cohort's fault census is a
-    # single bincount over (first-touch epoch, backing kind) pairs.  A
-    # fully resident template (warm restores) faults nowhere, so the
-    # census short-circuits to exact zeros.
-    if vm.backing.any():
-        fp_pages = np.concatenate([f.first_pages for f in flats])
-        fp_epoch = np.concatenate(
-            [f.first_epoch + base for f, base in zip(flats, inv_ptr[:-1])]
-        )
-        fp_kinds = vm.backing[fp_pages].astype(np.int64)
-        faulted = fp_kinds != int(Backing.RESIDENT)
-        if np.any(fp_kinds[faulted] == int(Backing.SSD_FILE)):
-            raise VMError("batch execution cannot model the host page cache")
-        fault_table = np.bincount(
-            fp_epoch[faulted] * _N_BACKINGS + fp_kinds[faulted],
-            minlength=total_epochs * _N_BACKINGS,
-        ).reshape(total_epochs, _N_BACKINGS)
-        n_zero = fault_table[:, int(Backing.ZERO)]
-        n_dax = fault_table[:, int(Backing.DAX_SLOW)]
-        n_copy = fault_table[:, int(Backing.PMEM_COPY)]
-        n_uffd = fault_table[:, int(Backing.UFFD_SSD)]
-    else:
-        n_zero = n_dax = n_copy = n_uffd = np.zeros(
-            total_epochs, dtype=np.int64
-        )
-
-    # -- per-epoch access tallies (exact integer arithmetic) ----------------
-    # An all-fast placement (DRAM/REAP templates) makes every slow-tier
-    # tally an exact zero without touching the page-level columns — the
-    # dominant data volume for large cohorts.
-    if vm.placement.any():
-        pages_all = np.concatenate([f.pages for f in flats])
-        counts_all = np.concatenate([f.counts for f in flats])
-        slow_counts = np.where(
-            vm.placement[pages_all] == int(Tier.SLOW), counts_all, 0
-        )
-        n_slow = _segment_sums_nonempty(slow_counts, page_ptr)
-        n_fast = tot_col - n_slow
-    else:
-        n_slow = np.zeros(total_epochs, dtype=np.int64)
-        n_fast = tot_col
+    # -- fault census and access tallies, one trace at a time ---------------
+    # Only first occurrences can fault, so a trace's fault census is one
+    # bincount over its (first-touch epoch, backing kind) pairs.  Slow-tier
+    # tallies are exact integer segment sums over the trace's own columns,
+    # read in place, so no page-level column longer than one trace is ever
+    # built.  A fully resident template (warm restores) faults nowhere and
+    # an all-fast placement (DRAM/REAP templates) reads nothing slow, so
+    # either pass short-circuits to exact zeros.
+    fault_table = np.zeros((total_epochs, _N_BACKINGS), dtype=np.int64)
+    n_slow = np.zeros(total_epochs, dtype=np.int64)
+    census = bool(vm.backing.any())
+    tally = bool(vm.placement.any())
+    bounds = inv_ptr.tolist()
+    for trace, f, lo, hi in zip(traces, flats, bounds[:-1], bounds[1:]):
+        if census:
+            kinds = vm.backing[f.first_pages].astype(np.int64)
+            faulted = kinds != int(Backing.RESIDENT)
+            if np.any(kinds[faulted] == int(Backing.SSD_FILE)):
+                raise VMError("batch execution cannot model the host page cache")
+            fault_table[lo:hi] = np.bincount(
+                f.first_epoch[faulted] * _N_BACKINGS + kinds[faulted],
+                minlength=(hi - lo) * _N_BACKINGS,
+            ).reshape(hi - lo, _N_BACKINGS)
+        if tally:
+            slow_counts = np.where(
+                vm.placement[trace.pages] == int(Tier.SLOW), trace.counts, 0
+            )
+            n_slow[lo:hi] = _segment_sums_nonempty(slow_counts, trace.epoch_ptr)
+    n_zero = fault_table[:, int(Backing.ZERO)]
+    n_dax = fault_table[:, int(Backing.DAX_SLOW)]
+    n_copy = fault_table[:, int(Backing.PMEM_COPY)]
+    n_uffd = fault_table[:, int(Backing.UFFD_SSD)]
+    n_fast = tot_col - n_slow
 
     # -- per-epoch float costs: the scalar engine's ops, elementwise --------
     # _fault_in: soft = (n_zero + n_dax) * MINOR + n_copy * PMEM_COPY,

@@ -35,8 +35,8 @@ DEFAULT_BUDGET_BYTES = 1536 * 1024 * 1024
 
 
 def _trace_nbytes(trace: "InvocationTrace") -> int:
-    """Approximate retained size: the epoch arrays dominate."""
-    return sum(e.pages.nbytes + e.counts.nbytes for e in trace.epochs) or 1
+    """Approximate retained size: the flat page/count columns dominate."""
+    return trace.pages.nbytes + trace.counts.nbytes or 1
 
 
 class TraceCache:

@@ -5,12 +5,18 @@ billions); instead each invocation is a handful of *epochs*, each holding a
 sparse histogram of LLC-miss demand loads per page.  That is exactly the
 granularity DAMON aggregates at, and enough to compute execution time under
 any page placement: ``stall = sum(counts * latency(tier(page)))``.
+
+A trace stores every access exactly once, in one flat read-only column
+pair (``pages``/``counts``) segmented by ``epoch_ptr``; each epoch's
+arrays are views into those columns, so every consumer — the scalar
+engine, the batch engine, DAMON, the trace cache — reads the same memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -58,14 +64,40 @@ class AccessEpoch:
                 raise ConfigError("epoch pages must be strictly increasing")
             if counts.min() <= 0:
                 raise ConfigError("epoch counts must be positive")
+        self._check_scalars()
+        object.__setattr__(self, "pages", pages)
+        object.__setattr__(self, "counts", counts)
+
+    def _check_scalars(self) -> None:
         if self.cpu_time_s < 0:
             raise ConfigError("cpu_time_s must be non-negative")
         if not 0.0 <= self.random_fraction <= 1.0:
             raise ConfigError("random_fraction must lie in [0, 1]")
         if not 0.0 <= self.store_fraction <= 1.0:
             raise ConfigError("store_fraction must lie in [0, 1]")
-        object.__setattr__(self, "pages", pages)
-        object.__setattr__(self, "counts", counts)
+
+    @classmethod
+    def _view(
+        cls,
+        cpu_time_s: float,
+        pages: np.ndarray,
+        counts: np.ndarray,
+        random_fraction: float,
+        store_fraction: float,
+    ) -> "AccessEpoch":
+        """An epoch over a trace's column slices, taken as they are.
+
+        The page/count invariants are the caller's (already checked, or
+        true by construction); only the scalar fields are validated.
+        """
+        epoch = object.__new__(cls)
+        object.__setattr__(epoch, "cpu_time_s", cpu_time_s)
+        object.__setattr__(epoch, "pages", pages)
+        object.__setattr__(epoch, "counts", counts)
+        object.__setattr__(epoch, "random_fraction", random_fraction)
+        object.__setattr__(epoch, "store_fraction", store_fraction)
+        epoch._check_scalars()
+        return epoch
 
     @property
     def total_accesses(self) -> int:
@@ -84,23 +116,100 @@ class InvocationTrace:
 
     ``n_pages`` is the guest memory size in pages; epochs index into that
     space.  Traces are immutable; derived views are cached.
+
+    Attributes set at construction
+    ------------------------------
+    pages, counts:
+        Every epoch's pages and counts back to back, in epoch order.  The
+        trace owns these columns and they are read-only; each epoch's
+        ``pages``/``counts`` are views into them.  A trace built from
+        caller arrays copies them once, so later writes to those arrays
+        never reach the trace.
+    epoch_ptr:
+        Segment offsets, length ``len(epochs) + 1``: epoch ``i`` is
+        ``pages[epoch_ptr[i]:epoch_ptr[i + 1]]``.
     """
 
     n_pages: int
     epochs: tuple[AccessEpoch, ...]
     label: str = ""
+    pages: np.ndarray = field(init=False, repr=False, compare=False)
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    epoch_ptr: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        epochs = tuple(self.epochs)
+        ptr = np.zeros(len(epochs) + 1, dtype=np.int64)
+        np.cumsum([e.pages.size for e in epochs], out=ptr[1:])
+        pages = np.empty(int(ptr[-1]), dtype=np.int64)
+        counts = np.empty_like(pages)
+        for epoch, lo, hi in zip(epochs, ptr[:-1].tolist(), ptr[1:].tolist()):
+            pages[lo:hi] = epoch.pages
+            counts[lo:hi] = epoch.counts
+        self._set_columns(
+            pages,
+            counts,
+            ptr,
+            [e.cpu_time_s for e in epochs],
+            [e.random_fraction for e in epochs],
+            [e.store_fraction for e in epochs],
+        )
+
+    @classmethod
+    def _from_columns(
+        cls,
+        n_pages: int,
+        pages: np.ndarray,
+        counts: np.ndarray,
+        epoch_ptr: np.ndarray,
+        cpu_time_s: Sequence[float],
+        random_fraction: Sequence[float],
+        store_fraction: Sequence[float],
+        label: str = "",
+    ) -> "InvocationTrace":
+        """Adopt freshly built int64 columns without copying them.
+
+        For synthesis, which fills the columns itself: the trace takes
+        ownership (the arrays become read-only), and every segment must
+        already hold strictly increasing pages with positive counts.
+        """
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "n_pages", n_pages)
+        object.__setattr__(trace, "label", label)
+        trace._set_columns(
+            pages, counts, epoch_ptr, cpu_time_s, random_fraction, store_fraction
+        )
+        return trace
+
+    def _set_columns(
+        self,
+        pages: np.ndarray,
+        counts: np.ndarray,
+        ptr: np.ndarray,
+        cpu_time_s: Sequence[float],
+        random_fraction: Sequence[float],
+        store_fraction: Sequence[float],
+    ) -> None:
         if self.n_pages <= 0:
             raise AddressSpaceError("trace must cover at least one page")
-        epochs = tuple(self.epochs)
-        for epoch in epochs:
-            if epoch.pages.size and epoch.pages.max() >= self.n_pages:
-                raise AddressSpaceError(
-                    f"epoch touches page {int(epoch.pages.max())} outside a "
-                    f"{self.n_pages}-page guest"
-                )
+        if pages.size and pages.max() >= self.n_pages:
+            raise AddressSpaceError(
+                f"epoch touches page {int(pages.max())} outside a "
+                f"{self.n_pages}-page guest"
+            )
+        for column in (pages, counts, ptr):
+            column.flags.writeable = False
+        bounds = ptr.tolist()
+        epochs = tuple(
+            AccessEpoch._view(cpu, pages[lo:hi], counts[lo:hi], rf, sf)
+            for cpu, lo, hi, rf, sf in zip(
+                cpu_time_s, bounds[:-1], bounds[1:], random_fraction, store_fraction
+            )
+        )
         object.__setattr__(self, "epochs", epochs)
+        object.__setattr__(self, "pages", pages)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "epoch_ptr", ptr)
 
     # -- aggregate views ----------------------------------------------------
 
@@ -108,8 +217,7 @@ class InvocationTrace:
     def histogram(self) -> np.ndarray:
         """Dense per-page access-count histogram over the whole invocation."""
         hist = np.zeros(self.n_pages, dtype=np.int64)
-        for epoch in self.epochs:
-            hist[epoch.pages] += epoch.counts
+        np.add.at(hist, self.pages, self.counts)
         return hist
 
     @cached_property
@@ -130,7 +238,7 @@ class InvocationTrace:
     @property
     def total_accesses(self) -> int:
         """Total LLC-miss loads across all epochs."""
-        return sum(e.total_accesses for e in self.epochs)
+        return int(self.counts.sum())
 
     @property
     def cpu_time_s(self) -> float:
@@ -154,11 +262,5 @@ class InvocationTrace:
 
     def first_touch_order(self) -> np.ndarray:
         """Pages in order of first touch (drives demand-fault sequencing)."""
-        seen: set[int] = set()
-        order: list[int] = []
-        for epoch in self.epochs:
-            for page in epoch.pages.tolist():
-                if page not in seen:
-                    seen.add(page)
-                    order.append(page)
-        return np.asarray(order, dtype=np.int64)
+        _, first = np.unique(self.pages, return_index=True)
+        return self.pages[np.sort(first)]

@@ -21,7 +21,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
@@ -372,3 +372,120 @@ def test_invoke_batch_bit_identical(system_kind):
     tainted = system.invoke_batch(1, seeds)
     tainted[0].execution.counters.cpu_time_s = -1.0
     _assert_outcomes_identical(scalar, system.invoke_batch(1, seeds))
+
+
+# -- cohort census and tallies over the flat trace layout ----------------------
+
+CENSUS_PAGES = 48
+
+EPOCH_SETS = st.lists(
+    st.sets(st.integers(min_value=0, max_value=CENSUS_PAGES - 1), max_size=20),
+    min_size=1,
+    max_size=7,
+)
+
+
+def _trace_from_sets(epoch_sets, rf=0.0, sf=0.0):
+    from repro.trace.events import AccessEpoch, InvocationTrace
+
+    epochs = tuple(
+        AccessEpoch(
+            cpu_time_s=0.001 * (i + 1),
+            pages=np.array(sorted(pages), dtype=np.int64),
+            counts=np.array([1 + (p * 7 + i) % 13 for p in sorted(pages)],
+                            dtype=np.int64),
+            random_fraction=rf,
+            store_fraction=sf,
+        )
+        for i, pages in enumerate(epoch_sets)
+    )
+    return InvocationTrace(n_pages=CENSUS_PAGES, epochs=epochs)
+
+
+class TestFirstTouchCensus:
+    @given(EPOCH_SETS)
+    @example([set()])  # a single empty epoch
+    @example([{3, 9}])  # a single-epoch trace
+    @example([set(), {1}, set(), set()])  # empty epochs around a touch
+    @example([{1, 2}, {2}, {40, 1}])  # page 40 first touched in the last epoch
+    @settings(max_examples=150, deadline=None)
+    def test_dense_census_matches_unique_reference(self, epoch_sets):
+        from repro.sim.batchexec import _first_touch
+
+        trace = _trace_from_sets(epoch_sets)
+        _, first_idx = np.unique(trace.pages, return_index=True)
+        ref_pages = trace.pages[first_idx]
+        ref_epoch = np.searchsorted(trace.epoch_ptr, first_idx, side="right") - 1
+        pages, epochs = _first_touch(trace)
+        np.testing.assert_array_equal(pages, ref_pages)
+        np.testing.assert_array_equal(epochs, ref_epoch)
+
+
+BACKINGS = (0, 1, 3, 4, 5)  # every Backing the batch engine models
+
+
+class TestCohortTallies:
+    @given(
+        st.lists(EPOCH_SETS, min_size=1, max_size=4),
+        st.lists(st.integers(0, 1), min_size=CENSUS_PAGES,
+                 max_size=CENSUS_PAGES),
+        st.lists(st.sampled_from(BACKINGS), min_size=CENSUS_PAGES,
+                 max_size=CENSUS_PAGES),
+        st.sampled_from([0.0, 0.3]),
+        st.sampled_from([0.0, 0.25]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_execute_cohort_matches_scalar_execute(
+        self, cohort, placement, backing, rf, sf
+    ):
+        """Per-trace in-place tallies == the scalar engine, bit for bit,
+        for any placement and backing mix (one fresh VM per trace)."""
+        from repro.sim.batchexec import execute_cohort
+        from repro.vm.microvm import MicroVM
+
+        traces = [_trace_from_sets(sets, rf, sf) for sets in cohort]
+        placement = np.array(placement, dtype=np.uint8)
+        backing = np.array(backing, dtype=np.uint8)
+        template = MicroVM(CENSUS_PAGES, placement=placement, backing=backing)
+        batch = execute_cohort(template, traces)
+        for trace, got in zip(traces, batch):
+            vm = MicroVM(CENSUS_PAGES, placement=placement, backing=backing)
+            want = vm.execute(trace)
+            assert got.counters == want.counters
+            assert got.demand == want.demand
+            assert [r.duration_s for r in got.epoch_records] == [
+                r.duration_s for r in want.epoch_records
+            ]
+
+
+class TestCohortMemory:
+    def test_cohort_reads_trace_columns_without_copying(self, tiny_function):
+        """execute_cohort allocates well under the traces' own column
+        bytes: no cohort-wide page-level column is ever concatenated."""
+        import tracemalloc
+
+        from repro.memsim.tiers import Tier
+        from repro.sim.batchexec import _flat, execute_cohort
+        from repro.vm.microvm import Backing, MicroVM
+
+        traces = [tiny_function.trace(3, seed) for seed in range(50)]
+        column_bytes = sum(t.pages.nbytes + t.counts.nbytes for t in traces)
+        n = tiny_function.n_pages
+        template = MicroVM(
+            n,
+            placement=np.where(np.arange(n) % 2, int(Tier.SLOW), int(Tier.FAST)),
+            backing=np.full(n, int(Backing.DAX_SLOW)),
+        )
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            results = execute_cohort(template, traces)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 50
+        assert results[0].counters.slow_accesses > 0
+        assert peak < column_bytes / 2, (peak, column_bytes)
+        # The per-trace memo keeps no page-level copy of the columns.
+        fields = {f.name for f in dataclasses.fields(_flat(traces[0]))}
+        assert not fields & {"pages", "counts", "epoch_sizes"}

@@ -90,3 +90,142 @@ class TestInvocationTrace:
         e = AccessEpoch(0.1, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
         trace = InvocationTrace(n_pages=4, epochs=(e,))
         assert trace.mean_random_fraction == 0.0
+
+
+# -- flat column layout --------------------------------------------------------
+
+
+def _csv_trace():
+    from repro.trace.io import trace_from_csv
+
+    return trace_from_csv("0,3,5\n0,9,1\n2,3,2\n2,4,7\n", n_pages=16)
+
+
+def _npz_trace(tmp_path, source):
+    from repro.trace.io import load_trace, save_trace
+
+    path = tmp_path / "trace.npz"
+    save_trace(source, path)
+    return load_trace(path)
+
+
+@pytest.fixture(params=["synthesized", "hand-built", "csv", "npz"])
+def any_trace(request, tiny_function, tmp_path):
+    """One trace from each constructor the package offers."""
+    if request.param == "synthesized":
+        return tiny_function.trace(2, 5)
+    if request.param == "hand-built":
+        return make_trace(n_epochs=3, pages=(0, 1, 2, 100), counts=(5, 4, 3, 1))
+    if request.param == "csv":
+        return _csv_trace()
+    return _npz_trace(tmp_path, tiny_function.trace(1, 7))
+
+
+class TestFlatLayout:
+    def test_epochs_are_views_into_the_columns(self, any_trace):
+        for epoch in any_trace.epochs:
+            if epoch.pages.size:
+                assert np.shares_memory(epoch.pages, any_trace.pages)
+                assert np.shares_memory(epoch.counts, any_trace.counts)
+
+    def test_epoch_ptr_matches_epoch_sizes(self, any_trace):
+        ptr = any_trace.epoch_ptr
+        assert ptr.dtype == np.int64
+        assert ptr.size == len(any_trace.epochs) + 1
+        assert ptr[0] == 0 and ptr[-1] == any_trace.pages.size
+        np.testing.assert_array_equal(
+            np.diff(ptr), [e.pages.size for e in any_trace.epochs]
+        )
+
+    def test_columns_equal_concatenated_epochs(self, any_trace):
+        epochs = any_trace.epochs
+        assert any_trace.pages.dtype == any_trace.counts.dtype == np.int64
+        np.testing.assert_array_equal(
+            any_trace.pages, np.concatenate([e.pages for e in epochs])
+        )
+        np.testing.assert_array_equal(
+            any_trace.counts, np.concatenate([e.counts for e in epochs])
+        )
+        for epoch, lo, hi in zip(
+            epochs, any_trace.epoch_ptr[:-1], any_trace.epoch_ptr[1:]
+        ):
+            np.testing.assert_array_equal(epoch.pages, any_trace.pages[lo:hi])
+            np.testing.assert_array_equal(epoch.counts, any_trace.counts[lo:hi])
+
+    def test_column_views_match_per_epoch_reference(self, any_trace):
+        """total_accesses, histogram and first-touch order read the
+        columns; they must equal the per-epoch definitions."""
+        assert any_trace.total_accesses == sum(
+            int(e.counts.sum()) for e in any_trace.epochs
+        )
+        hist = np.zeros(any_trace.n_pages, dtype=np.int64)
+        seen: dict[int, None] = {}
+        for epoch in any_trace.epochs:
+            hist[epoch.pages] += epoch.counts
+            seen.update(dict.fromkeys(epoch.pages.tolist()))
+        assert any_trace.histogram.dtype == np.int64
+        np.testing.assert_array_equal(any_trace.histogram, hist)
+        np.testing.assert_array_equal(any_trace.first_touch_order(), list(seen))
+
+    def test_npz_round_trip_is_exact(self, any_trace, tmp_path):
+        loaded = _npz_trace(tmp_path, any_trace)
+        np.testing.assert_array_equal(loaded.pages, any_trace.pages)
+        np.testing.assert_array_equal(loaded.counts, any_trace.counts)
+        np.testing.assert_array_equal(loaded.epoch_ptr, any_trace.epoch_ptr)
+
+    def test_npz_format_is_per_epoch(self, tmp_path):
+        """The on-disk format keeps one array pair per epoch."""
+        from repro.trace.io import save_trace
+
+        trace = make_trace(n_epochs=2)
+        path = tmp_path / "trace.npz"
+        save_trace(trace, path)
+        with np.load(path) as data:
+            assert set(data.files) == {
+                "n_pages", "n_epochs", "label", "cpu_time_s",
+                "random_fraction", "store_fraction",
+                "pages_0", "counts_0", "pages_1", "counts_1",
+            }
+
+    def test_empty_trace_has_empty_columns(self):
+        trace = InvocationTrace(n_pages=4, epochs=())
+        assert trace.pages.size == trace.counts.size == 0
+        np.testing.assert_array_equal(trace.epoch_ptr, [0])
+        assert trace.total_accesses == 0
+        assert trace.first_touch_order().size == 0
+
+
+class TestImmutability:
+    def test_columns_and_epoch_views_reject_writes(self, any_trace):
+        with pytest.raises(ValueError):
+            any_trace.pages[0] = 1
+        with pytest.raises(ValueError):
+            any_trace.counts[0] = 1
+        with pytest.raises(ValueError):
+            any_trace.epoch_ptr[0] = 1
+        epoch = next(e for e in any_trace.epochs if e.pages.size)
+        with pytest.raises(ValueError):
+            epoch.pages[0] = 1
+        with pytest.raises(ValueError):
+            epoch.counts[0] = 1
+
+    def test_cached_trace_is_read_only(self, tiny_function):
+        """A synthesized trace is shared through the trace cache by every
+        system that replays the same seed, so no consumer may write it."""
+        trace = tiny_function.trace(0, 3)
+        assert tiny_function.trace(0, 3) is trace
+        for epoch in trace.epochs:
+            assert not epoch.pages.flags.writeable
+            assert not epoch.counts.flags.writeable
+
+    def test_source_arrays_are_not_aliased(self):
+        pages = np.array([1, 5, 9], dtype=np.int64)
+        counts = np.array([10, 20, 30], dtype=np.int64)
+        trace = InvocationTrace(
+            n_pages=16, epochs=(AccessEpoch(0.1, pages, counts),)
+        )
+        pages[:] = [2, 3, 4]
+        counts[:] = 99
+        np.testing.assert_array_equal(trace.epochs[0].pages, [1, 5, 9])
+        np.testing.assert_array_equal(trace.epochs[0].counts, [10, 20, 30])
+        assert trace.total_accesses == 60
