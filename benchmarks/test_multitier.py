@@ -1,20 +1,30 @@
-"""N-tier extension bench: what a third rung buys over the paper's two.
+"""N-tier extension bench: what a third tier buys over the paper's two.
 
 Not a paper figure — the future-work extension quantified: for a set of
 suite functions, compare the two-tier minimum cost (DRAM+PMEM, the
-paper's platform) against three-rung ladders.
+paper's platform) against three-tier chains searched by
+:func:`repro.core.tiering.search_tier_placement`.
 """
 
 import numpy as np
 
 from repro.core.analysis import ProfilingAnalyzer
+from repro.core.tiering import search_tier_placement
 from repro.functions import get_function
-from repro.multitier import DRAM_CXL_NVME, DRAM_PMEM_NVME, MultiTierAnalyzer
+from repro.memsim.presets import CXL_DDR4_SPEC, NVME_AS_MEMORY_SPEC
+from repro.memsim.tiers import DRAM_SPEC, PMEM_SPEC, MemorySystem
 from repro.profiling import DamonProfiler, UnifiedAccessPattern
 from repro.report import Table
 from repro.vm.vmm import VMM
 
 FUNCTIONS = ("matmul", "lr_serving", "json_load_dump", "image_processing")
+
+DRAM_CXL_NVME = MemorySystem(
+    fast=DRAM_SPEC, middle=(CXL_DDR4_SPEC,), slow=NVME_AS_MEMORY_SPEC
+)
+DRAM_PMEM_NVME = MemorySystem(
+    fast=DRAM_SPEC, middle=(PMEM_SPEC,), slow=NVME_AS_MEMORY_SPEC
+)
 
 
 def _pattern(func, seed=1, invocations=10):
@@ -41,15 +51,15 @@ def _run() -> Table:
         pattern = _pattern(func)
         trace = func.trace(3, 999)
         two = ProfilingAnalyzer().analyze(pattern, trace)
-        pmem3 = MultiTierAnalyzer(DRAM_PMEM_NVME).analyze(pattern, trace)
-        cxl3 = MultiTierAnalyzer(DRAM_CXL_NVME).analyze(pattern, trace)
+        pmem3 = search_tier_placement(pattern, trace, DRAM_PMEM_NVME)
+        cxl3 = search_tier_placement(pattern, trace, DRAM_CXL_NVME)
         table.add_row(
             name,
             two.cost,
             pmem3.cost,
             cxl3.cost,
             cxl3.slowdown,
-            100.0 * cxl3.top_tier_fraction,
+            100.0 * cxl3.tier_fractions[0],
         )
     return table
 
@@ -60,7 +70,7 @@ def test_multitier_extension(benchmark, emit):
 
     for row in table.rows:
         two_tier, pmem3, cxl3 = row[1], row[2], row[3]
-        # A richer ladder never costs more than the paper's two tiers.
+        # A richer chain never costs more than the paper's two tiers.
         assert pmem3 <= two_tier + 1e-9
         assert cxl3 <= two_tier + 1e-9
         # And the slowdown stays in the acceptable band.

@@ -8,9 +8,11 @@ The all-DRAM configuration anchors the frontier at cost 1.0 / slowdown
 1.0; every other point trades slowdown for TCO.
 
 Each compressed configuration's search is *seeded* with the two-tier
-optimum projected onto its chain, so (per the hill-climbing guarantee in
-:class:`repro.multitier.MultiTierAnalyzer`) adding a compressed tier can
-never report a higher cost than the two-tier point at the same budget.
+optimum, which is valid on every chain because tier ids are stable; per
+the hill-climbing guarantee of
+:func:`repro.core.tiering.search_tier_placement`, adding a compressed
+tier can never report a higher cost than the two-tier point at the same
+budget.
 """
 
 from __future__ import annotations
@@ -108,18 +110,6 @@ class TcoFrontierResult:
         return self.best_compressed_cost < self.best_two_tier_cost
 
 
-def _project(placement: np.ndarray, n_tiers: int) -> np.ndarray:
-    """Project a two-tier placement onto an N-rung ladder.
-
-    Rung 0 stays; the two-tier slow rung maps to the terminal rung, so
-    the seed occupies the same chain endpoints the two-tier optimum
-    used (latency/price no worse there — see module docstring).
-    """
-    seed = placement.astype(np.uint8).copy()
-    seed[seed > 0] = n_tiers - 1
-    return seed
-
-
 def run(
     *,
     function_names: list[str] | None = None,
@@ -130,9 +120,11 @@ def run(
     """Sweep the TCO-vs-slowdown frontier.
 
     For every function the converged unified access pattern and a fixed
-    evaluation trace drive one :class:`MultiTierAnalyzer` search per
-    (configuration, budget); compressed configurations are seeded with
-    the two-tier result so the frontier is monotone by construction.
+    evaluation trace drive one
+    :func:`~repro.core.tiering.search_tier_placement` per (configuration,
+    budget), called as :meth:`MultiTierAnalyzer.analyze`; compressed
+    configurations are seeded with the two-tier result so the frontier is
+    monotone by construction.
     """
     names = function_names or ["float_operation", "json_load_dump", "pyaes"]
     swept = configs if configs is not None else default_configs()
@@ -153,23 +145,19 @@ def run(
 
     points: list[FrontierPoint] = []
     for threshold in slowdown_thresholds:
-        # Two-tier searches first: their placements seed every
-        # compressed configuration at this budget.
+        # Two-tier searches first: they run unseeded and their
+        # placements seed every later configuration at this budget.
         two_tier: dict[str, np.ndarray] = {}
         for cfg_name, memory in swept:
-            ladder = memory.ladder()
-            analyzer = MultiTierAnalyzer(ladder)
+            analyzer = MultiTierAnalyzer(memory)
             costs: dict[str, float] = {}
             slowdowns: list[float] = []
             for name, pattern, trace in prepared:
-                seed = None
-                if cfg_name != TWO_TIER_NAME and name in two_tier:
-                    seed = _project(two_tier[name], ladder.n_tiers)
                 result = analyzer.analyze(
                     pattern,
                     trace,
                     slowdown_threshold=threshold,
-                    seed_placement=seed,
+                    seed_placement=two_tier.get(name),
                 )
                 if cfg_name == TWO_TIER_NAME:
                     two_tier[name] = result.placement

@@ -1,9 +1,10 @@
-"""Memory tiers: device characteristics and the two-tier memory system.
+"""Memory tiers: device characteristics and the tiered memory system.
 
 The paper's cost formula (Equation 1) and all timing results depend only on
 each tier's load/store latency, shared throughput, and price per MB.
-``TierSpec`` captures those; :class:`MemorySystem` bundles a fast and a slow
-tier and answers the latency/cost queries the rest of the simulator needs.
+``TierSpec`` captures those; :class:`MemorySystem` chains a fast tier,
+optional middle tiers and a slow tier and answers the latency/cost queries
+the rest of the simulator needs.
 """
 
 from __future__ import annotations
@@ -218,17 +219,6 @@ class MemorySystem:
             int(Tier.SLOW),
         )
 
-    def chain_index(self, tier: Tier | int) -> int:
-        """Position of a tier id within :attr:`chain`."""
-        t = int(tier)
-        if t == int(Tier.FAST):
-            return 0
-        if t == int(Tier.SLOW):
-            return 1 + len(self.middle)
-        if 2 <= t < 2 + len(self.middle):
-            return t - 1
-        raise ConfigError(f"unknown tier id {t}")
-
     def with_fault_hook(self, hook: object | None) -> "MemorySystem":
         """A copy of this system wired to a fault hook (or unwired)."""
         return dataclasses.replace(self, fault_hook=hook)
@@ -319,27 +309,15 @@ class MemorySystem:
             return 1.0 / self.cost_ratio
         return min(t.cost_per_mb for t in self.chain) / self.fast.cost_per_mb
 
-    def access_latencies(
-        self, random_fraction: float = 0.0, store_fraction: float = 0.0
-    ) -> np.ndarray:
-        """Per-tier effective access latency, indexable by :class:`Tier`."""
-        slow = self.spec(Tier.SLOW)
-        return np.array(
-            [
-                self.fast.effective_access_latency_s(random_fraction, store_fraction),
-                slow.effective_access_latency_s(random_fraction, store_fraction),
-            ]
-        )
-
     def access_latency_by_id(
         self, random_fraction: float = 0.0, store_fraction: float = 0.0
     ) -> np.ndarray:
         """Per-tier effective access latency, indexable by *tier id*.
 
-        Index 0 is the fast tier, 1 the slow tier (through :meth:`spec`,
-        so backpressure applies) and ``2 + i`` middle tier ``i`` — the
-        N-tier companion of :meth:`access_latencies` for vectorised
-        per-id bincounts.
+        Index 0 is the fast tier (:attr:`Tier.FAST`), 1 the slow tier
+        (:attr:`Tier.SLOW`, through :meth:`spec`, so backpressure applies)
+        and ``2 + i`` middle tier ``i``, ready for vectorised per-id
+        bincounts; ``[tier_ids]`` reorders it into chain order.
         """
         slow = self.spec(Tier.SLOW)
         return np.array(
@@ -355,18 +333,11 @@ class MemorySystem:
             ]
         )
 
-    def ladder(self):
-        """This chain as a :class:`repro.multitier.TierLadder` (chain
-        order, fastest first) for the N-tier placement machinery."""
-        from ..multitier.system import TierLadder
-
-        return TierLadder(tiers=self.chain)
-
     def latency_ratio(
         self, random_fraction: float = 0.0, store_fraction: float = 0.0
     ) -> float:
         """Slow/fast access-latency ratio (~3.75 for loads on DRAM/Optane)."""
-        lat = self.access_latencies(random_fraction, store_fraction)
+        lat = self.access_latency_by_id(random_fraction, store_fraction)
         return float(lat[Tier.SLOW] / lat[Tier.FAST])
 
 

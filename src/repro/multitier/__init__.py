@@ -1,33 +1,2 @@
-"""N-tier generalisation of TOSS (future-work extension).
-
-The paper's mechanism is two-tier, but nothing in its cost formula is:
-Equation 1 is a capacity-weighted price times a slowdown, which extends
-verbatim to any number of tiers.  This subpackage generalises the
-analysis side of TOSS to arbitrary tier ladders (e.g. DRAM -> CXL DDR4 ->
-NVMe far memory):
-
-* :mod:`~repro.multitier.system` — an ordered ladder of
-  :class:`~repro.memsim.tiers.TierSpec` with monotone latency/price.
-* :mod:`~repro.multitier.vm` — a placement-evaluation VM that executes
-  traces against an N-tier placement (no restore path: this extension is
-  about *where pages live*, the 2-tier snapshot machinery still handles
-  restore).
-* :mod:`~repro.multitier.cost` — Equation 1 over N tiers.
-* :mod:`~repro.multitier.analysis` — a greedy bin-to-tier optimizer on
-  top of the standard profiling pipeline.
-"""
-
-from .system import TierLadder, DRAM_CXL_NVME, DRAM_PMEM_NVME
-from .cost import multi_tier_cost
-from .vm import MultiTierVM
-from .analysis import MultiTierPlacement, MultiTierAnalyzer
-
-__all__ = [
-    "TierLadder",
-    "DRAM_CXL_NVME",
-    "DRAM_PMEM_NVME",
-    "multi_tier_cost",
-    "MultiTierVM",
-    "MultiTierPlacement",
-    "MultiTierAnalyzer",
-]
+"""Named entry point of the measured N-tier placement search
+(:mod:`repro.multitier.analysis`)."""

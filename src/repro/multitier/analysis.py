@@ -1,175 +1,25 @@
-"""Greedy bin-to-rung placement over an N-tier ladder.
+"""``MultiTierAnalyzer.analyze``: the named entry point of the measured
+N-tier placement search, :func:`repro.core.tiering.search_tier_placement`.
 
-Reuses the standard profiling pipeline (unified DAMON pattern ->
-zero-page offload -> equal-access bins) and then, instead of the binary
-fast/slow decision, assigns each bin to the rung that minimises total
-Equation-1 cost:
-
-1. start with every bin on rung 0 and all zero-accessed pages on the
-   cheapest rung;
-2. repeatedly evaluate every (bin, rung) move and apply the single move
-   with the largest cost reduction;
-3. stop when no move helps (hill climbing on a product-form objective —
-   each evaluation is a measured execution, not an estimate, mirroring
-   the paper's bin profiling).
-
-An optional slowdown threshold bounds the search exactly like
-Section V-C's client knob.
+The outside-in benchmark (``bench/tracing.py``) times the search as its
+``multitier.analyze`` layer through this method.  The class goes once
+that layer names the function.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ..core.tiering import TierPlacement, search_tier_placement
+from ..memsim.tiers import MemorySystem
 
-import numpy as np
-
-from .. import config
-from ..core.analysis import ProfilingAnalyzer
-from ..errors import AnalysisError
-from ..profiling.unified import UnifiedAccessPattern
-from ..regions import Region
-from ..sim.timing import normalized_slowdown
-from ..trace.events import InvocationTrace
-from .cost import multi_tier_cost
-from .system import TierLadder
-from .vm import MultiTierVM
-
-__all__ = ["MultiTierPlacement", "MultiTierAnalyzer"]
-
-
-@dataclass(frozen=True)
-class MultiTierPlacement:
-    """Outcome of the N-tier analysis."""
-
-    n_pages: int
-    placement: np.ndarray
-    slowdown: float
-    cost: float
-    tier_fractions: tuple[float, ...]
-    moves: int
-
-    @property
-    def top_tier_fraction(self) -> float:
-        """Share of guest memory still on the fastest rung."""
-        return self.tier_fractions[0]
+__all__ = ["MultiTierAnalyzer"]
 
 
 class MultiTierAnalyzer:
-    """N-tier placement search on top of the standard profiling output."""
+    """:func:`search_tier_placement` bound to one memory system."""
 
-    def __init__(
-        self,
-        ladder: TierLadder,
-        *,
-        n_bins: int = config.NUM_BINS,
-        max_rounds: int = 200,
-    ) -> None:
-        if max_rounds < 1:
-            raise AnalysisError("need at least one optimization round")
-        self.ladder = ladder
-        self.n_bins = n_bins
-        self.max_rounds = max_rounds
-        # Reuse the 2-tier analyzer purely for its region/bin machinery.
-        self._binner = ProfilingAnalyzer(n_bins=n_bins)
+    def __init__(self, memory: MemorySystem) -> None:
+        self.memory = memory
 
-    def _bins(self, pattern: UnifiedAccessPattern) -> tuple[list[list[Region]], list[Region]]:
-        regions = pattern.regions(
-            merge_tolerance=self._binner.merge_tolerance,
-            min_region_pages=self._binner.min_region_pages,
-        )
-        zero = [r for r in regions if r.value <= 0]
-        live = [r for r in regions if r.value > 0]
-        return self._binner._pack_bins(live), zero
-
-    def analyze(
-        self,
-        pattern: UnifiedAccessPattern,
-        profile_trace: InvocationTrace,
-        *,
-        slowdown_threshold: float | None = None,
-        seed_placement: np.ndarray | None = None,
-    ) -> MultiTierPlacement:
-        """Search for the minimum-cost N-tier placement.
-
-        ``seed_placement`` starts the hill climb from a known-good
-        placement instead of all-rung-0 — e.g. the two-tier result
-        projected onto this ladder.  Because every applied move strictly
-        reduces cost (within the slowdown threshold), the result can
-        never cost more than the seed: seeding with the projected
-        two-tier placement guarantees that adding rungs never raises the
-        optimizer's cost at a fixed slowdown budget.
-        """
-        if pattern.n_pages != profile_trace.n_pages:
-            raise AnalysisError("pattern and profiling trace cover different guests")
-        n_pages = pattern.n_pages
-        bins, zero_regions = self._bins(pattern)
-        bottom = self.ladder.n_tiers - 1
-
-        if seed_placement is not None:
-            placement = np.asarray(seed_placement, dtype=np.uint8).copy()
-            if placement.shape != (n_pages,):
-                raise AnalysisError("seed placement shape does not match guest")
-            if placement.size and int(placement.max()) >= self.ladder.n_tiers:
-                raise AnalysisError(
-                    f"seed placement references tier {int(placement.max())}, "
-                    f"ladder has {self.ladder.n_tiers}"
-                )
-        else:
-            placement = np.zeros(n_pages, dtype=np.uint8)
-            for region in zero_regions:
-                placement[region.start_page : region.end_page] = bottom
-
-        base_time = MultiTierVM(n_pages, self.ladder).execute_time_s(
-            profile_trace
-        )
-        if base_time <= 0:
-            raise AnalysisError("profiling trace has zero duration")
-
-        def evaluate(pl: np.ndarray) -> tuple[float, float]:
-            vm = MultiTierVM(n_pages, self.ladder, pl)
-            sd = normalized_slowdown(vm.execute_time_s(profile_trace), base_time)
-            return sd, multi_tier_cost(sd, vm.tier_fractions(), self.ladder)
-
-        # A bin's starting rung comes from the (possibly seeded) placement
-        # so the "skip the current rung" test stays truthful.
-        assignment = [
-            int(placement[regions[0].start_page]) if regions else 0
-            for regions in bins
-        ]
-        current_sd, current_cost = evaluate(placement)
-        moves = 0
-        for _ in range(self.max_rounds):
-            best: tuple[float, int, int, float] | None = None
-            for b, regions in enumerate(bins):
-                for rung in range(self.ladder.n_tiers):
-                    if rung == assignment[b]:
-                        continue
-                    trial = placement.copy()
-                    for region in regions:
-                        trial[region.start_page : region.end_page] = rung
-                    sd, cost = evaluate(trial)
-                    if slowdown_threshold is not None and (
-                        sd - 1.0 > slowdown_threshold
-                    ):
-                        continue
-                    if cost < current_cost - 1e-12 and (
-                        best is None or cost < best[0]
-                    ):
-                        best = (cost, b, rung, sd)
-            if best is None:
-                break
-            current_cost, b, rung, current_sd = best
-            for region in bins[b]:
-                placement[region.start_page : region.end_page] = rung
-            assignment[b] = rung
-            moves += 1
-
-        fractions = MultiTierVM(n_pages, self.ladder, placement).tier_fractions()
-        return MultiTierPlacement(
-            n_pages=n_pages,
-            placement=placement,
-            slowdown=current_sd,
-            cost=current_cost,
-            tier_fractions=tuple(float(f) for f in fractions),
-            moves=moves,
-        )
+    def analyze(self, pattern, profile_trace, **options) -> TierPlacement:
+        """``search_tier_placement(pattern, profile_trace, memory, **options)``."""
+        return search_tier_placement(pattern, profile_trace, self.memory, **options)

@@ -75,6 +75,8 @@ def bill_invocation(
                 f"need one fraction per tier ({len(chain)}), got "
                 f"{len(tier_fractions)}"
             )
+        if not all(0.0 <= f <= 1.0 for f in tier_fractions):
+            raise ConfigError("tier_fractions must each lie in [0, 1]")
         if abs(sum(tier_fractions) - 1.0) > 1e-6:
             raise ConfigError("tier_fractions must sum to 1")
         blend = sum(

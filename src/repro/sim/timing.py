@@ -1,9 +1,9 @@
 """Shared setup/execution timing bookkeeping.
 
-Before the event kernel existed, ``baselines.base.SystemOutcome`` and
-``multitier.vm.MultiTierVM`` each kept their own setup/exec arithmetic
-(totals and baseline-normalised slowdowns).  Both now route through this
-one helper so a timing convention changes in exactly one place.
+``baselines.base.SystemOutcome`` and the measured tier-placement search
+(:func:`repro.core.tiering.search_tier_placement`) both normalise times
+against an all-fast baseline through this one helper, so a timing
+convention changes in exactly one place.
 """
 
 from __future__ import annotations

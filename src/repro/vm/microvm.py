@@ -108,6 +108,11 @@ class MicroVM:
         self.memory = memory
         self.label = label
         self.placement = self._own(placement, np.uint8, int(Tier.FAST))
+        top = int(self.placement.max())
+        if top >= memory.n_tiers:
+            raise VMError(
+                f"placement references tier {top}, chain has {memory.n_tiers}"
+            )
         self.backing = self._own(backing, np.uint8, int(Backing.RESIDENT))
         self.page_versions = self._own(page_versions, np.uint64, 0)
         self._resident = self.backing == int(Backing.RESIDENT)
@@ -162,23 +167,33 @@ class MicroVM:
 
         Residency is sticky across calls (a second execute on the same VM
         runs warm); use :meth:`reset_residency` between cold runs.
+
+        One loop serves every chain: each epoch's accesses are tallied per
+        tier id (0 fast, 1 slow, ``2 + i`` middle tier ``i``), and a
+        two-tier system is simply the chain without middle tiers.  Middle
+        tiers are software pools resident in the fast tier's silicon, so
+        their stall time and (ratio-scaled) physical bytes are charged to
+        the fast resource for contention purposes, while the slow tier
+        keeps its own read/write operation accounting.
         """
         if trace.n_pages != self.n_pages:
             raise VMError(
                 f"trace for {trace.n_pages}-page guest executed on "
                 f"{self.n_pages}-page VM"
             )
-        if self.memory.middle:
-            # N-tier chains (compressed pools) take the generalized path;
-            # the two-tier loop below stays verbatim so every existing
-            # configuration remains bit-identical.
-            return self._execute_ntier(trace)
         counters = PerfCounters()
         records: list[EpochRecord] = []
         # Resolve tier specs through the memory system so an active fault
         # hook (slow-tier backpressure) is reflected in this execution.
         slow = self.memory.spec(Tier.SLOW)
         fast = self.memory.spec(Tier.FAST)
+        middle = self.memory.middle
+        # Physical bytes moved per logical access on each middle tier:
+        # compressed pools move access_bytes / ratio over the DRAM bus.
+        mid_bytes = [
+            m.access_bytes / getattr(m, "effective_capacity_multiplier", 1.0)
+            for m in middle
+        ]
 
         fast_bytes = 0.0
         slow_read_ops = 0.0
@@ -204,143 +219,14 @@ class MicroVM:
                 uffd_ops += faults["uffd_ops"]
                 duration += faults["soft_s"] + faults["ssd_s"] + faults["uffd_s"]
 
+                # Exact integer access tallies per tier id; the fast tier
+                # takes whatever no other tier claims.
                 tiers = self.placement[pages]
-                slow_mask = tiers == int(Tier.SLOW)
-                n_slow = int(counts[slow_mask].sum())
-                n_fast = int(counts.sum()) - n_slow
-
-                lat_fast = fast.effective_access_latency_s(
-                    epoch.random_fraction, epoch.store_fraction
-                )
-                lat_slow_read = slow.effective_load_latency_s(epoch.random_fraction)
-                reads = n_slow * (1.0 - epoch.store_fraction)
-                writes = n_slow * epoch.store_fraction
-
-                e_fast_stall = n_fast * lat_fast
-                e_read_stall = reads * lat_slow_read
-                e_write_stall = writes * slow.store_latency_s
-                duration += e_fast_stall + e_read_stall + e_write_stall
-
-                counters.fast_accesses += n_fast
-                counters.slow_accesses += n_slow
-                counters.fast_stall_s += e_fast_stall
-                counters.slow_stall_s += e_read_stall + e_write_stall
-                fast_bytes += n_fast * fast.access_bytes
-                slow_read_ops += reads
-                slow_write_ops += writes
-                slow_read_stall += e_read_stall
-                slow_write_stall += e_write_stall
-
-                # Stores dirty the touched pages (content versioning).
-                if epoch.store_fraction > 0:
-                    self.page_versions[pages] += 1
-
-            records.append(EpochRecord(duration, pages, counts))
-
-        demand = TierDemand(
-            cpu_time_s=counters.cpu_time_s + soft_fault,
-            fast_stall_s=counters.fast_stall_s,
-            fast_bytes=fast_bytes,
-            slow_read_stall_s=slow_read_stall,
-            slow_read_ops=slow_read_ops,
-            slow_write_stall_s=slow_write_stall,
-            slow_write_ops=slow_write_ops,
-            ssd_stall_s=ssd_stall,
-            ssd_ops=ssd_ops,
-            uffd_stall_s=uffd_stall,
-            uffd_ops=uffd_ops,
-        )
-        result = ExecutionResult(
-            counters=counters,
-            demand=demand,
-            epoch_records=tuple(records),
-            label=trace.label,
-        )
-        obs = obs_runtime.active()
-        if obs is not None:
-            obs.tracer.record(
-                "execute",
-                result.time_s,
-                attrs={
-                    "vm": self.label,
-                    "trace": trace.label,
-                    "fast_accesses": counters.fast_accesses,
-                    "slow_accesses": counters.slow_accesses,
-                },
-            )
-            obs.metrics.histogram(
-                "toss_execute_seconds",
-                "Uncontended guest execution time per invocation",
-            ).observe(result.time_s)
-        return result
-
-    def _execute_ntier(self, trace: InvocationTrace) -> ExecutionResult:
-        """Generalized execute over the full tier chain (middle tiers).
-
-        Identical in structure to the two-tier loop, with the per-epoch
-        tally vectorised over tier ids: id 0 is the fast tier, id 1 the
-        slow tier, ``2 + i`` middle tier ``i``.  Middle tiers are
-        software pools resident in the fast tier's silicon, so their
-        stall time and (ratio-scaled) physical bytes are charged to the
-        fast resource for contention purposes, while the slow tier keeps
-        its own read/write operation accounting unchanged.
-        """
-        counters = PerfCounters()
-        records: list[EpochRecord] = []
-        slow = self.memory.spec(Tier.SLOW)
-        fast = self.memory.spec(Tier.FAST)
-        middle = self.memory.middle
-        n_ids = 2 + len(middle)
-        # Physical bytes moved per logical access on each middle tier:
-        # compressed pools move access_bytes / ratio over the DRAM bus.
-        mid_bytes = [
-            m.access_bytes / getattr(m, "effective_capacity_multiplier", 1.0)
-            for m in middle
-        ]
-
-        fast_bytes = 0.0
-        slow_read_ops = 0.0
-        slow_write_ops = 0.0
-        slow_read_stall = 0.0
-        slow_write_stall = 0.0
-        ssd_ops = 0.0
-        uffd_ops = 0.0
-        ssd_stall = 0.0
-        uffd_stall = 0.0
-        soft_fault = 0.0
-
-        for epoch in trace.epochs:
-            pages, counts = epoch.pages, epoch.counts
-            duration = epoch.cpu_time_s
-            counters.cpu_time_s += epoch.cpu_time_s
-            if pages.size:
-                faults = self._fault_in(pages, counters)
-                soft_fault += faults["soft_s"]
-                ssd_stall += faults["ssd_s"]
-                uffd_stall += faults["uffd_s"]
-                ssd_ops += faults["ssd_ops"]
-                uffd_ops += faults["uffd_ops"]
-                duration += faults["soft_s"] + faults["ssd_s"] + faults["uffd_s"]
-
-                tiers = self.placement[pages]
-                per_id = np.bincount(tiers, weights=counts, minlength=n_ids)
-                n_fast = float(per_id[int(Tier.FAST)])
-                n_slow = float(per_id[int(Tier.SLOW)])
-
-                lat_fast = fast.effective_access_latency_s(
-                    epoch.random_fraction, epoch.store_fraction
-                )
-                lat_slow_read = slow.effective_load_latency_s(epoch.random_fraction)
-                reads = n_slow * (1.0 - epoch.store_fraction)
-                writes = n_slow * epoch.store_fraction
-
-                e_fast_stall = n_fast * lat_fast
-                e_read_stall = reads * lat_slow_read
-                e_write_stall = writes * slow.store_latency_s
+                n_slow = int(counts[tiers == int(Tier.SLOW)].sum())
                 e_mid_stall = 0.0
-                n_mid = 0.0
+                n_mid = 0
                 for i, spec in enumerate(middle):
-                    n_i = float(per_id[2 + i])
+                    n_i = int(counts[tiers == 2 + i].sum())
                     if not n_i:
                         continue
                     n_mid += n_i
@@ -348,11 +234,23 @@ class MicroVM:
                         epoch.random_fraction, epoch.store_fraction
                     )
                     fast_bytes += n_i * mid_bytes[i]
+                n_fast = int(counts.sum()) - n_slow - n_mid
+
+                lat_fast = fast.effective_access_latency_s(
+                    epoch.random_fraction, epoch.store_fraction
+                )
+                lat_slow_read = slow.effective_load_latency_s(epoch.random_fraction)
+                reads = n_slow * (1.0 - epoch.store_fraction)
+                writes = n_slow * epoch.store_fraction
+
+                e_fast_stall = n_fast * lat_fast
+                e_read_stall = reads * lat_slow_read
+                e_write_stall = writes * slow.store_latency_s
                 duration += e_fast_stall + e_read_stall + e_write_stall
                 duration += e_mid_stall
 
-                counters.fast_accesses += int(n_fast + n_mid)
-                counters.slow_accesses += int(n_slow)
+                counters.fast_accesses += n_fast + n_mid
+                counters.slow_accesses += n_slow
                 counters.fast_stall_s += e_fast_stall + e_mid_stall
                 counters.slow_stall_s += e_read_stall + e_write_stall
                 fast_bytes += n_fast * fast.access_bytes
@@ -361,6 +259,7 @@ class MicroVM:
                 slow_read_stall += e_read_stall
                 slow_write_stall += e_write_stall
 
+                # Stores dirty the touched pages (content versioning).
                 if epoch.store_fraction > 0:
                     self.page_versions[pages] += 1
 

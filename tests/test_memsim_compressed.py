@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro import config
 from repro.core.analysis import ProfilingAnalyzer
+from repro.core.tiering import search_tier_placement
 from repro.errors import ConfigError
 from repro.functions.base import FunctionModel, InputSpec
 from repro.memsim.compressed import (
@@ -27,10 +28,8 @@ from repro.memsim.tiers import (
     DEFAULT_MEMORY_SYSTEM,
     DRAM_SPEC,
     PMEM_SPEC,
-    MemorySystem,
     Tier,
 )
-from repro.multitier.analysis import MultiTierAnalyzer
 from repro.trace.synth import Band
 from repro.vm.microvm import Backing, MicroVM
 
@@ -282,22 +281,20 @@ class TestMonotonicityProperty:
     ):
         """At a fixed slowdown budget, a richer chain can't cost more."""
         pattern, trace = _tiny_pattern_and_trace()
-        two_ladder = DEFAULT_MEMORY_SYSTEM.ladder()
-        two = MultiTierAnalyzer(two_ladder).analyze(
-            pattern, trace, slowdown_threshold=threshold
+        two = search_tier_placement(
+            pattern, trace, DEFAULT_MEMORY_SYSTEM, slowdown_threshold=threshold
         )
         if point.ratio > DEFAULT_MEMORY_SYSTEM.cost_ratio:
             memory = compressed_memory_system((point,), slow=None)
         else:
             memory = compressed_memory_system((point,))
-        ladder = memory.ladder()
-        seed = two.placement.copy()
-        seed[seed > 0] = ladder.n_tiers - 1
-        richer = MultiTierAnalyzer(ladder).analyze(
+        # Tier ids are stable, so the two-tier placement seeds verbatim.
+        richer = search_tier_placement(
             pattern,
             trace,
+            memory,
             slowdown_threshold=threshold,
-            seed_placement=seed,
+            seed_placement=two.placement,
         )
         assert richer.cost <= two.cost + 1e-9
 
@@ -306,9 +303,7 @@ class TestMonotonicityProperty:
         pattern, trace = _tiny_pattern_and_trace()
         analysis = ProfilingAnalyzer().analyze(pattern, trace)
         memory = compressed_memory_system((LZ4_POINT,))
-        seed = analysis.placement.copy()
-        seed[seed > 0] = memory.n_tiers - 1
-        result = MultiTierAnalyzer(memory.ladder()).analyze(
-            pattern, trace, seed_placement=seed
+        result = search_tier_placement(
+            pattern, trace, memory, seed_placement=analysis.placement
         )
         assert result.cost <= analysis.cost + 1e-9

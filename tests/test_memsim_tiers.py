@@ -105,7 +105,7 @@ class TestMemorySystem:
         assert DEFAULT_MEMORY_SYSTEM.spec(1) is PMEM_SPEC
 
     def test_access_latencies_indexable_by_tier(self):
-        lat = DEFAULT_MEMORY_SYSTEM.access_latencies()
+        lat = DEFAULT_MEMORY_SYSTEM.access_latency_by_id()
         assert lat[Tier.FAST] < lat[Tier.SLOW]
 
     def test_slow_faster_than_fast_rejected(self):
@@ -226,9 +226,3 @@ class TestNTierChain:
         assert DEFAULT_MEMORY_SYSTEM.middle == ()
         assert DEFAULT_MEMORY_SYSTEM.n_tiers == 2
         assert DEFAULT_MEMORY_SYSTEM.tier_ids == (0, 1)
-
-    def test_ladder_projection(self):
-        memory = MemorySystem(fast=DRAM_SPEC, slow=PMEM_SPEC, middle=(self._mid(),))
-        ladder = memory.ladder()
-        assert ladder.n_tiers == 3
-        assert ladder.tiers == memory.chain

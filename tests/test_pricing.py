@@ -121,6 +121,16 @@ class TestTieredBilling:
                 tier_fractions=(0.5, 0.4),
             )
 
+    @pytest.mark.parametrize("fractions", [(1.5, -0.5), (-0.5, 1.5)])
+    def test_tier_fraction_outside_unit_interval_rejected(self, fractions):
+        # Sums to 1 with the right length, so only a per-entry check
+        # stops it billing 1.3x the DRAM plan with slow_fraction -0.5.
+        with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+            bill_invocation(
+                guest_mb=128, duration_s=0.1, slow_fraction=0.0,
+                tier_fractions=fractions,
+            )
+
     def test_invalid_inputs(self):
         with pytest.raises(ConfigError):
             bill_invocation(

@@ -6,6 +6,52 @@ import pytest
 
 from repro.experiments import tco_frontier
 
+FLOAT_PIN = {
+    ("dram+pmem", 0.05): (
+        "0x1.c144b190fcd0ap-2",
+        "0x1.0acbf0276c8e8p+0",
+        {"float_operation": "0x1.c144b190fcd0ap-2"},
+    ),
+    ("dram+lz4+pmem", 0.05): (
+        "0x1.9c94091f78ad0p-2",
+        "0x1.01dc85b3ab6c2p+0",
+        {"float_operation": "0x1.9c94091f78ad0p-2"},
+    ),
+    ("dram+zstd", 0.05): (
+        "0x1.2a587a2d57ad4p-2",
+        "0x1.050d6ae7acb7ap+0",
+        {"float_operation": "0x1.2a587a2d57ad4p-2"},
+    ),
+    ("dram+lz4+zstd", 0.05): (
+        "0x1.2a2375111497ep-2",
+        "0x1.0472c6babf9a1p+0",
+        {"float_operation": "0x1.2a2375111497ep-2"},
+    ),
+    ("dram+pmem", 0.3): (
+        "0x1.bab4761958830p-2",
+        "0x1.10346ca57d29dp+0",
+        {"float_operation": "0x1.bab4761958830p-2"},
+    ),
+    ("dram+lz4+pmem", 0.3): (
+        "0x1.9c94091f78ad0p-2",
+        "0x1.01dc85b3ab6c2p+0",
+        {"float_operation": "0x1.9c94091f78ad0p-2"},
+    ),
+    ("dram+zstd", 0.3): (
+        "0x1.2a587a2d57ad4p-2",
+        "0x1.050d6ae7acb7ap+0",
+        {"float_operation": "0x1.2a587a2d57ad4p-2"},
+    ),
+    ("dram+lz4+zstd", 0.3): (
+        "0x1.2a2375111497ep-2",
+        "0x1.0472c6babf9a1p+0",
+        {"float_operation": "0x1.2a2375111497ep-2"},
+    ),
+}
+"""``float.hex`` of every small-grid point's (cost, slowdown, per-function
+costs), keyed by (config, budget).  The golden table renders three
+decimals; this pin catches last-bit drift in the search or Equation 1."""
+
 
 @pytest.fixture(scope="module")
 def result():
@@ -68,3 +114,16 @@ class TestDeterminism:
         assert [(p.config, p.threshold, p.cost, p.slowdown) for p in again.points] == [
             (p.config, p.threshold, p.cost, p.slowdown) for p in result.points
         ]
+
+
+class TestFloatExactPin:
+    def test_points_match_float_hex_pin(self, result):
+        got = {
+            (p.config, p.threshold): (
+                p.cost.hex(),
+                p.slowdown.hex(),
+                {name: cost.hex() for name, cost in p.costs.items()},
+            )
+            for p in result.points
+        }
+        assert got == FLOAT_PIN
