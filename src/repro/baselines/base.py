@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .. import config
 from ..functions.base import FunctionModel
 from ..memsim.accounting import PerfCounters
 from ..memsim.tiers import DEFAULT_MEMORY_SYSTEM, MemorySystem
+from ..obs import runtime as obs_runtime
 from ..sim.batchexec import cohort_eligible, execute_cohort
 from ..sim.timing import InvocationTiming
-from ..vm.microvm import ExecutionResult
-from ..vm.restore import RestoreResult
+from ..vm.microvm import ExecutionResult, _observe_execute
+from ..vm.restore import RestoreResult, _observe_restore
 from ..vm.vmm import VMM
 
 __all__ = ["SystemOutcome", "ServerlessSystem"]
@@ -49,9 +50,11 @@ class ServerlessSystem(abc.ABC):
     """A system that serves invocations of one function.
 
     Subclasses set up their snapshot machinery in ``__init__`` (that is
-    the offline/recording part) and serve cold invocations in
-    :meth:`invoke` — each invocation restores fresh with a dropped page
-    cache, as the evaluation methodology prescribes (Section VI-A).
+    the offline/recording part) and name the restore each cold
+    invocation performs in :meth:`_invoke_restore`.  :meth:`invoke`
+    serves one invocation as that restore followed by an execute — each
+    invocation restores fresh with a dropped page cache, as the
+    evaluation methodology prescribes (Section VI-A).
     """
 
     name: str = "abstract"
@@ -73,23 +76,25 @@ class ServerlessSystem(abc.ABC):
         # Figure 9 sweep re-runs identical waves through fresh Schedulers
         # — rebuild their outcomes from stored values instead of
         # re-executing.  Only the batch fast path reads or writes it, so
-        # entries exist only for fault-free, unobserved invocations.
+        # entries exist only for fault-free invocations; observed or not,
+        # they hold the same values.
         self._cohort_memo: dict[tuple[int, int], tuple] = {}
-        self._cohort_setup_s: float | None = None
+        # The batch path's restore with its VM dropped (``vm=None``; the
+        # per-page arrays are dead once the cohort ran) and the VM's
+        # label: memo hits need the setup time and, under observation,
+        # the phases and bytes for the restore span and the label for
+        # the execute span.
+        self._cohort_restore: tuple[RestoreResult, str] | None = None
 
     @abc.abstractmethod
+    def _invoke_restore(self) -> RestoreResult:
+        """The fresh restore every cold invocation starts from."""
+
     def invoke(self, input_index: int, seed: int = 0) -> SystemOutcome:
-        """Serve one cold invocation."""
-
-    def _invoke_restore(self) -> RestoreResult | None:
-        """The restore :meth:`invoke` performs, or ``None``.
-
-        Systems whose invoke is exactly ``restore fresh, execute trace``
-        return that restore here to unlock :meth:`invoke_batch`'s
-        vectorized fast path; the default ``None`` keeps the scalar
-        per-invocation loop.
-        """
-        return None
+        """Serve one cold invocation: restore fresh, execute the trace."""
+        restore = self._invoke_restore()
+        execution = restore.vm.execute(self._trace(input_index, seed))
+        return self._outcome(input_index, seed, restore.setup_time_s, execution)
 
     def invoke_batch(
         self, input_index: int, seeds: Sequence[int]
@@ -97,33 +102,39 @@ class ServerlessSystem(abc.ABC):
         """Serve a synchronized cohort of cold invocations.
 
         Bit-identical to ``[self.invoke(input_index, s) for s in seeds]``
-        — the contract every caller relies on.  When the system exposes
-        its restore (:meth:`_invoke_restore`) and the process state is
-        pure (no fault injector, no observation runtime, no slow-tier
-        backpressure hook, no host page cache), the cohort restores once
-        and executes through the vectorized batch engine
+        — outcomes, spans and metrics — the contract every caller relies
+        on.  When the process state is pure (no fault injector, no
+        slow-tier backpressure hook) and the restored VM needs no host
+        page cache, the cohort restores once and executes through the
+        vectorized batch engine
         (:func:`repro.sim.batchexec.execute_cohort`); otherwise it falls
-        back to the scalar loop.
+        back to the scalar loop.  The one restore runs with observation
+        suspended, so a restore that forces the fallback emits nothing;
+        under an active observation the cohort then emits, seed by seed,
+        the restore span and the execute span the scalar loop would
+        have (:func:`repro.vm.restore._observe_restore`,
+        :func:`repro.vm.microvm._observe_execute`).
 
         On the fast path, execution values are memoized per
         ``(input_index, seed)``: cold invocations are fully deterministic
         in that key once the system's snapshot state is frozen (true for
         every concrete system after ``__init__``), so replayed cohorts
-        skip both the restore and the execution.  Outcomes are still
-        rebuilt fresh — :class:`~repro.memsim.accounting.PerfCounters` is
-        mutable, so only its field values are cached; the frozen demand
-        vectors and epoch records are shared, exactly as the scalar
-        engine shares trace arrays between results.
+        skip both the restore and the execution, and emit from the memo.
+        Outcomes are still rebuilt fresh —
+        :class:`~repro.memsim.accounting.PerfCounters` is mutable, so
+        only its field values are cached; the frozen demand vectors and
+        epoch records are shared, exactly as the scalar engine shares
+        trace arrays between results.
         """
         if not cohort_eligible(self.memory):
             return [self.invoke(input_index, s) for s in seeds]
         memo = self._cohort_memo
         missing = [s for s in seeds if (input_index, s) not in memo]
-        if missing or self._cohort_setup_s is None:
-            restore = self._invoke_restore()
-            if restore is None or restore.vm.page_cache is not None:
+        if missing or self._cohort_restore is None:
+            with obs_runtime.suspended():
+                restore = self._invoke_restore()
+            if restore.vm.page_cache is not None:
                 return [self.invoke(input_index, s) for s in seeds]
-            self._cohort_setup_s = restore.setup_time_s
             traces = [self._trace(input_index, s) for s in missing]
             executions = execute_cohort(restore.vm, traces)
             for seed, execution in zip(missing, executions):
@@ -143,8 +154,8 @@ class ServerlessSystem(abc.ABC):
                     execution.epoch_records,
                     execution.label,
                 )
-        setup_s = self._cohort_setup_s
-        assert setup_s is not None  # set alongside every memo entry
+            self._cohort_restore = (replace(restore, vm=None), restore.vm.label)
+        restore, vm_label = self._cohort_restore
         outcomes: list[SystemOutcome] = []
         for seed in seeds:
             values, demand, records, label = memo[(input_index, seed)]
@@ -154,7 +165,11 @@ class ServerlessSystem(abc.ABC):
                 epoch_records=records,
                 label=label,
             )
-            outcomes.append(self._outcome(input_index, seed, setup_s, execution))
+            _observe_restore(restore)
+            _observe_execute(vm_label, execution)
+            outcomes.append(
+                self._outcome(input_index, seed, restore.setup_time_s, execution)
+            )
         return outcomes
 
     def _trace(self, input_index: int, seed: int):

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from ..functions.base import FunctionModel
-from .base import ServerlessSystem, SystemOutcome
+from ..vm.restore import RestoreResult
+from .base import ServerlessSystem
 
 __all__ = ["DramBaseline"]
 
@@ -22,11 +23,6 @@ class DramBaseline(ServerlessSystem):
         boot = self.vmm.boot_and_run(function, 0, 0)
         self._snapshot = self.vmm.capture_snapshot(boot.vm, label=function.name)
 
-    def invoke(self, input_index: int, seed: int = 0) -> SystemOutcome:
-        """Warm execution of one invocation."""
-        restore = self._invoke_restore()
-        execution = restore.vm.execute(self._trace(input_index, seed))
-        return self._outcome(input_index, seed, restore.setup_time_s, execution)
-
-    def _invoke_restore(self):
+    def _invoke_restore(self) -> RestoreResult:
+        """Warm restore: everything resident in DRAM, no setup."""
         return self.vmm.restore(self._snapshot, "warm")

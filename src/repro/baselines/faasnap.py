@@ -15,8 +15,9 @@ import numpy as np
 from ..errors import SnapshotError
 from ..functions.base import FunctionModel
 from ..profiling.mincore import mincore_working_set
+from ..vm.restore import RestoreResult
 from ..vm.snapshot import ReapSnapshot
-from .base import ServerlessSystem, SystemOutcome
+from .base import ServerlessSystem
 
 __all__ = ["FaasnapSystem"]
 
@@ -68,8 +69,6 @@ class FaasnapSystem(ServerlessSystem):
             return 1.0
         return self._snapshot.ws_pages / self.true_ws_pages
 
-    def invoke(self, input_index: int, seed: int = 0) -> SystemOutcome:
-        """One cold invocation with the inflated prefetch set."""
-        restore = self.vmm.restore(self._snapshot, "reap")
-        execution = restore.vm.execute(self._trace(input_index, seed))
-        return self._outcome(input_index, seed, restore.setup_time_s, execution)
+    def _invoke_restore(self) -> RestoreResult:
+        """REAP-strategy restore with the inflated prefetch set."""
+        return self.vmm.restore(self._snapshot, "reap")

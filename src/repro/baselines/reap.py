@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from ..errors import SnapshotError
 from ..functions.base import FunctionModel
+from ..vm.restore import RestoreResult
 from ..vm.snapshot import ReapSnapshot
-from .base import ServerlessSystem, SystemOutcome
+from .base import ServerlessSystem
 
 __all__ = ["ReapSystem"]
 
@@ -51,11 +52,6 @@ class ReapSystem(ServerlessSystem):
         """Recorded working-set size (drives REAP's setup time)."""
         return self._snapshot.ws_pages
 
-    def invoke(self, input_index: int, seed: int = 0) -> SystemOutcome:
-        """One cold REAP invocation: WS prefetch + uffd for the rest."""
-        restore = self._invoke_restore()
-        execution = restore.vm.execute(self._trace(input_index, seed))
-        return self._outcome(input_index, seed, restore.setup_time_s, execution)
-
-    def _invoke_restore(self):
+    def _invoke_restore(self) -> RestoreResult:
+        """REAP restore: WS prefetch now, uffd for the rest on first touch."""
         return self.vmm.restore(self._snapshot, "reap")

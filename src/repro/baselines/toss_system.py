@@ -17,7 +17,8 @@ import itertools
 from ..core.toss import Phase, TossConfig, TossController
 from ..errors import AnalysisError
 from ..functions.base import FunctionModel
-from .base import ServerlessSystem, SystemOutcome
+from ..vm.restore import RestoreResult
+from .base import ServerlessSystem
 
 __all__ = ["TossSystem"]
 
@@ -76,16 +77,11 @@ class TossSystem(ServerlessSystem):
 
     # -- serving ----------------------------------------------------------------
 
-    def invoke(self, input_index: int, seed: int = 0) -> SystemOutcome:
-        """One cold invocation from the tiered snapshot.
+    def _invoke_restore(self) -> RestoreResult:
+        """Tiered restore from the generated snapshot.
 
         Bypasses the controller's re-profiling bookkeeping so sweeps see a
         fixed snapshot; use the controller directly to exercise Section
         V-E's adaptation.
         """
-        restore = self._invoke_restore()
-        execution = restore.vm.execute(self._trace(input_index, seed))
-        return self._outcome(input_index, seed, restore.setup_time_s, execution)
-
-    def _invoke_restore(self):
         return self.vmm.restore(self.tiered_snapshot, "toss")

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from ..functions.base import FunctionModel
-from .base import ServerlessSystem, SystemOutcome
+from ..vm.restore import RestoreResult
+from .base import ServerlessSystem
 
 __all__ = ["VanillaLazy"]
 
@@ -24,8 +25,6 @@ class VanillaLazy(ServerlessSystem):
         boot = self.vmm.boot_and_run(function, 0, 0)
         self._snapshot = self.vmm.capture_snapshot(boot.vm, label=function.name)
 
-    def invoke(self, input_index: int, seed: int = 0) -> SystemOutcome:
-        """One cold lazy-restore invocation."""
-        restore = self.vmm.restore(self._snapshot, "lazy")
-        execution = restore.vm.execute(self._trace(input_index, seed))
-        return self._outcome(input_index, seed, restore.setup_time_s, execution)
+    def _invoke_restore(self) -> RestoreResult:
+        """Lazy restore: pages come in through the host page cache."""
+        return self.vmm.restore(self._snapshot, "lazy")

@@ -12,8 +12,8 @@ which is exactly the collapsed-stack format flamegraph tooling eats;
 :meth:`PhaseProfiler.collapsed` renders it directly.
 
 The activation gate mirrors :mod:`repro.obs.runtime` but is deliberately
-separate: the bench harness profiles with *observation off* so the
-vectorised batch fast path (which observation disables) stays measured.
+separate: the bench harness profiles with *observation off*, so what it
+times carries no span or metric emission.
 """
 
 from __future__ import annotations

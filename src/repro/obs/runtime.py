@@ -27,7 +27,14 @@ if TYPE_CHECKING:
     from ..sim.loop import EventLoop
     from .fleet import FleetAggregator
 
-__all__ = ["Observation", "activate", "active", "deactivate", "observing"]
+__all__ = [
+    "Observation",
+    "activate",
+    "active",
+    "deactivate",
+    "observing",
+    "suspended",
+]
 
 
 @dataclass
@@ -104,4 +111,20 @@ def observing(obs: Observation | None = None) -> Iterator[Observation]:
         if previous is None:
             deactivate()
         else:
+            activate(previous)
+
+
+@contextmanager
+def suspended() -> Iterator[None]:
+    """Switch observation off for a ``with`` block, then restore it.
+
+    For work whose spans and metrics the caller emits itself afterwards
+    (the batch path's one restore per cohort), or that must emit nothing
+    at all (a restore that turns out to need the scalar fallback)."""
+    previous = active()
+    deactivate()
+    try:
+        yield
+    finally:
+        if previous is not None:
             activate(previous)

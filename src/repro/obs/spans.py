@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Union
@@ -75,6 +76,16 @@ class Span:
         return self.end_s - self.start_s
 
 
+def _finite(value: float, what: str, span: str | None = None) -> float:
+    """``value`` as a float, or :class:`ConfigError` if NaN or infinite:
+    a non-finite time would export as invalid JSON."""
+    value = float(value)
+    if not math.isfinite(value):
+        where = "" if span is None else f" of span {span!r}"
+        raise ConfigError(f"{what}{where} must be finite, got {value}")
+    return value
+
+
 class Tracer:
     """Collects spans with parent/child links on simulated time.
 
@@ -103,7 +114,7 @@ class Tracer:
     def seek(self, at_s: float) -> None:
         """Re-anchor the cursor (callers that know simulated time, e.g.
         the platform anchoring a request's spans at its start instant)."""
-        self._cursor = float(at_s)
+        self._cursor = _finite(at_s, "seek time")
 
     # -- spans -----------------------------------------------------------------
 
@@ -120,7 +131,7 @@ class Tracer:
         attrs: dict[str, AttrValue] | None = None,
     ) -> Span:
         """Open a span (child of the current one) and make it current."""
-        start = self.now() if start_s is None else float(start_s)
+        start = self.now() if start_s is None else _finite(start_s, "start", name)
         parent = self._stack[-1].span_id if self._stack else None
         span = Span(next(self._ids), parent, name, start, start)
         if attrs:
@@ -141,8 +152,8 @@ class Tracer:
             raise ConfigError(
                 f"span {span.name!r} is not the innermost open span"
             )
+        end = self.now() if end_s is None else _finite(end_s, "end", span.name)
         self._stack.pop()
-        end = self.now() if end_s is None else float(end_s)
         span.end_s = max(end, span.start_s)
         if status is not None:
             span.status = status
@@ -184,9 +195,9 @@ class Tracer:
         so their durations sum exactly like the formula that produced
         them.
         """
-        if duration_s < 0:
+        if _finite(duration_s, "duration", name) < 0:
             raise ConfigError(f"span {name!r} cannot last {duration_s} s")
-        start = self.now() if start_s is None else float(start_s)
+        start = self.now() if start_s is None else _finite(start_s, "start", name)
         parent = self._stack[-1].span_id if self._stack else None
         span = Span(
             next(self._ids), parent, name, start, start + duration_s, status

@@ -88,6 +88,35 @@ class ExecutionResult:
         return self.counters.total_time_s
 
 
+def _observe_execute(vm_label: str, result: ExecutionResult) -> None:
+    """Trace and meter one execution when observation is active.
+
+    The execution becomes an ``execute`` span of its uncontended time at
+    the tracer's cursor, plus one sample of the execute-time histogram.
+    Shared by both engines: :meth:`MicroVM.execute` calls it as it
+    returns, and the batch path calls it per invocation from the cohort's
+    results, so the emitted spans and metrics do not depend on which
+    engine ran.  A no-op unless an observation is activated.
+    """
+    obs = obs_runtime.active()
+    if obs is None:
+        return
+    obs.tracer.record(
+        "execute",
+        result.time_s,
+        attrs={
+            "vm": vm_label,
+            "trace": result.label,
+            "fast_accesses": result.counters.fast_accesses,
+            "slow_accesses": result.counters.slow_accesses,
+        },
+    )
+    obs.metrics.histogram(
+        "toss_execute_seconds",
+        "Uncontended guest execution time per invocation",
+    ).observe(result.time_s)
+
+
 class MicroVM:
     """A Firecracker-style guest with page-granular tiering state."""
 
@@ -284,22 +313,7 @@ class MicroVM:
             epoch_records=tuple(records),
             label=trace.label,
         )
-        obs = obs_runtime.active()
-        if obs is not None:
-            obs.tracer.record(
-                "execute",
-                result.time_s,
-                attrs={
-                    "vm": self.label,
-                    "trace": trace.label,
-                    "fast_accesses": counters.fast_accesses,
-                    "slow_accesses": counters.slow_accesses,
-                },
-            )
-            obs.metrics.histogram(
-                "toss_execute_seconds",
-                "Uncontended guest execution time per invocation",
-            ).observe(result.time_s)
+        _observe_execute(self.label, result)
         return result
 
     # -- fault handling -----------------------------------------------------------

@@ -79,7 +79,9 @@ class RestoreResult:
     strategy failed unrecoverably; ``backpressure`` is the slow-tier
     latency multiplier in force when the restore happened;
     ``phases`` is the setup bill decomposed into the ordered
-    :class:`RestorePhase` steps the event kernel replays."""
+    :class:`RestorePhase` steps the event kernel replays;
+    ``bytes_by_tier`` is what the restore mapped or streamed per memory
+    tier, as ``(tier, bytes)`` pairs for the restore-bytes counter."""
 
     vm: MicroVM
     setup_time_s: float
@@ -90,20 +92,22 @@ class RestoreResult:
     fallback: bool = False
     backpressure: float = 1.0
     phases: tuple[RestorePhase, ...] = ()
+    bytes_by_tier: tuple[tuple[str, float], ...] = ()
 
 
-def _observe_restore(
-    result: RestoreResult, bytes_by_tier: dict[str, float] | None = None
-) -> RestoreResult:
+def _observe_restore(result: RestoreResult) -> RestoreResult:
     """Trace and meter one restore when observation is active.
 
     The restore becomes a ``restore/<strategy>`` span whose children are
     the :class:`RestorePhase` steps laid out left-to-right with their
     analytic durations, so the children's durations sum to
     ``setup_time_s`` exactly (same IEEE-754 addition order as
-    :func:`_total_seconds`).  ``bytes_by_tier`` feeds the
-    restore-bytes-by-tier counter.  A no-op — returning the result
-    untouched — unless an observation is activated.
+    :func:`_total_seconds`).  ``result.bytes_by_tier`` feeds the
+    restore-bytes-by-tier counter.  Every strategy calls it as it
+    returns, and the batch path calls it again per invocation it
+    serves from one restore, so both engines emit the same spans and
+    metrics.  A no-op — returning the result untouched — unless an
+    observation is activated.
     """
     obs = obs_runtime.active()
     if obs is None:
@@ -129,12 +133,12 @@ def _observe_restore(
         "toss_restore_setup_seconds",
         "Simulated restore setup time by strategy",
     ).observe(result.setup_time_s, strategy=result.strategy)
-    if bytes_by_tier:
+    if result.bytes_by_tier:
         counter = obs.metrics.counter(
             "toss_restore_bytes_total",
             "Bytes mapped or streamed at restore, by memory tier",
         )
-        for tier, n_bytes in bytes_by_tier.items():
+        for tier, n_bytes in result.bytes_by_tier:
             counter.inc(n_bytes, strategy=result.strategy, tier=tier)
     if result.retries:
         obs.metrics.counter(
@@ -289,8 +293,8 @@ def lazy_restore(
             setup_time_s=_total_seconds(phases),
             strategy="lazy",
             phases=phases,
-        ),
-        {"ssd": float(snapshot.n_pages * config.PAGE_SIZE)},
+            bytes_by_tier=(("ssd", float(snapshot.n_pages * config.PAGE_SIZE)),),
+        )
     )
 
 
@@ -362,8 +366,8 @@ def reap_restore(
             retries=retries,
             fault_stall_s=fault_stall_s,
             phases=phases,
-        ),
-        {"ssd": float(snapshot.ws_bytes)},
+            bytes_by_tier=(("ssd", float(snapshot.ws_bytes)),),
+        )
     )
 
 
@@ -443,32 +447,27 @@ def tiered_restore(
         ),
         RestorePhase("fault-backoff", fault_stall_s),
     )
-    result = RestoreResult(
-        vm=vm,
-        setup_time_s=_total_seconds(phases),
-        strategy="toss",
-        n_mappings=snapshot.layout.n_mappings,
-        retries=retries,
-        fault_stall_s=fault_stall_s,
-        backpressure=backpressure,
-        phases=phases,
+    n_slow = int(np.count_nonzero(placement == int(Tier.SLOW)))
+    n_mid = int(np.count_nonzero(placement > int(Tier.SLOW))) if memory.middle else 0
+    bytes_by_tier = (
+        ("slow", float(n_slow * config.PAGE_SIZE)),
+        ("fast", float((snapshot.n_pages - n_slow - n_mid) * config.PAGE_SIZE)),
     )
-    if obs_runtime.active() is not None:
-        # The per-tier page count is a numpy scan; only pay it when an
-        # observation will consume it.
-        n_slow = int((placement == int(Tier.SLOW)).sum())
-        tier_bytes = {
-            "slow": float(n_slow * config.PAGE_SIZE),
-            "fast": float((snapshot.n_pages - n_slow) * config.PAGE_SIZE),
-        }
-        if memory.middle:
-            n_mid = int((placement > int(Tier.SLOW)).sum())
-            tier_bytes["fast"] = float(
-                (snapshot.n_pages - n_slow - n_mid) * config.PAGE_SIZE
-            )
-            tier_bytes["compressed"] = float(n_mid * config.PAGE_SIZE)
-        _observe_restore(result, tier_bytes)
-    return result
+    if memory.middle:
+        bytes_by_tier += (("compressed", float(n_mid * config.PAGE_SIZE)),)
+    return _observe_restore(
+        RestoreResult(
+            vm=vm,
+            setup_time_s=_total_seconds(phases),
+            strategy="toss",
+            n_mappings=snapshot.layout.n_mappings,
+            retries=retries,
+            fault_stall_s=fault_stall_s,
+            backpressure=backpressure,
+            phases=phases,
+            bytes_by_tier=bytes_by_tier,
+        )
+    )
 
 
 def recovering_restore(

@@ -7,6 +7,8 @@ import pytest
 
 from repro import faults
 from repro.functions.base import FunctionModel, InputSpec
+from repro.obs import profile as obs_profile
+from repro.obs import runtime as obs_runtime
 from repro.trace.events import AccessEpoch, InvocationTrace
 from repro.trace.synth import Band
 
@@ -33,6 +35,29 @@ def _no_leaked_fault_injector():
     assert not leaked, (
         "test leaked an installed fault injector: call faults.uninstall() "
         "or use the faults.injected() context manager"
+    )
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_observation():
+    """Fail any test that leaves an observation or a phase profiler active.
+
+    Both are process-wide switches: a leaked observation makes every later
+    test emit spans and metrics into it, and a leaked profiler times every
+    later phase.  The guard fails the *leaking* test and switches both off
+    so the rest of the session runs unobserved.
+    """
+    assert obs_runtime.active() is None and obs_profile.active() is None, (
+        "an observation or profiler is already active at test start "
+        "(leaked by earlier setup?)"
+    )
+    yield
+    leaked = obs_runtime.active() is not None or obs_profile.active() is not None
+    obs_runtime.deactivate()
+    obs_profile.deactivate()
+    assert not leaked, (
+        "test leaked an active observation or profiler: use the "
+        "observing()/profiling() context managers or deactivate()"
     )
 
 

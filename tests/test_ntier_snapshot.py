@@ -129,8 +129,10 @@ class TestBatchGate:
     def test_two_tier_default_is_eligible(self):
         assert cohort_eligible(DEFAULT_MEMORY_SYSTEM)
 
-    def test_middle_tiers_fall_back_to_scalar_engine(self):
-        assert not cohort_eligible(compressed_memory_system((LZ4_POINT,)))
+    def test_middle_tiers_are_eligible(self):
+        # The batch engine tallies every tier id of the chain, so
+        # compressed middle tiers no longer force the scalar engine.
+        assert cohort_eligible(compressed_memory_system((LZ4_POINT,)))
 
     def test_terminal_compressed_tier_without_middle_is_eligible(self):
         # A compressed *slow* tier is still a plain two-tier system: its

@@ -45,6 +45,27 @@ class TestTracerTime:
         with pytest.raises(ConfigError):
             Tracer().record("a", -0.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_times_rejected(self, bad):
+        """NaN/inf would export as invalid JSON (``"dur":NaN``), so every
+        entry point that takes a time refuses them and records nothing."""
+        tracer = Tracer()
+        with pytest.raises(ConfigError):
+            tracer.record("a", bad)
+        with pytest.raises(ConfigError):
+            tracer.record("a", 1.0, start_s=bad)
+        with pytest.raises(ConfigError):
+            tracer.start_span("a", start_s=bad)
+        with pytest.raises(ConfigError):
+            tracer.seek(bad)
+        span = tracer.start_span("open")
+        with pytest.raises(ConfigError):
+            tracer.end_span(span, end_s=bad)
+        assert tracer.current is span
+        tracer.end_span(span)
+        assert [s.name for s in tracer.spans] == ["open"]
+        assert tracer.now() == 0.0
+
 
 class TestNesting:
     def test_parent_child_links(self):

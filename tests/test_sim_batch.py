@@ -10,14 +10,16 @@ coroutine/scalar code it shortcuts.  These tests pin that contract:
   and require identical drain orders and identical floats;
 * the pre-change scalar replay loop is pinned verbatim as a reference
   and the vectorized replay must reproduce its samples exactly;
-* ``invoke_batch`` on real systems must reproduce the scalar
-  ``invoke`` loop field for field, including when answered from the
-  per-system cohort memo.
+* ``invoke_batch`` on real systems, two-tier and compressed-chain,
+  must reproduce the scalar ``invoke`` loop field for field — and,
+  under an observation, its Perfetto and Prometheus exports byte for
+  byte — including when answered from the per-system cohort memo.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -26,6 +28,12 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.memsim.bandwidth import RESOURCES, ContentionModel, TierDemand
+from repro.memsim.compressed import (
+    DEFLATE_POINT,
+    LZ4_POINT,
+    ZSTD_POINT,
+    compressed_memory_system,
+)
 from repro.memsim.storage import OPTANE_SSD_SPEC
 from repro.memsim.tiers import DEFAULT_MEMORY_SYSTEM
 from repro.sim.batch import (
@@ -352,26 +360,121 @@ def _assert_outcomes_identical(scalar, batch):
             assert (ra.counts == rb.counts).all()
 
 
-@pytest.mark.parametrize("system_kind", ["dram", "toss", "reap"])
-def test_invoke_batch_bit_identical(system_kind):
-    """invoke_batch == the scalar invoke loop, twice (second from memo)."""
-    from repro.experiments.common import dram_cached, reap_cached, toss_cached
+LZ4_CHAIN = compressed_memory_system((LZ4_POINT,))
 
-    if system_kind == "dram":
-        system = dram_cached("float_operation")
-    elif system_kind == "toss":
-        system = toss_cached("float_operation")
+# The two-tier, unobserved cases keep their historical ids.
+BATCH_CASES = [
+    pytest.param(kind, chain, observed, id=(
+        kind if (chain, observed) == ("two-tier", False)
+        else f"{kind}-{chain}-{'observed' if observed else 'unobserved'}"
+    ))
+    for chain in ("two-tier", "lz4")
+    for observed in (False, True)
+    for kind in ("dram", "toss", "reap", "faasnap")
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _batch_system(kind: str, chain: str):
+    from repro.baselines import FaasnapSystem
+    from repro.experiments.common import (
+        CONVERGENCE_WINDOW,
+        dram_cached,
+        reap_cached,
+        toss_cached,
+    )
+    from repro.functions import get_function
+
+    name = "float_operation"
+    if chain == "two-tier":
+        if kind == "dram":
+            return dram_cached(name)
+        if kind == "toss":
+            return toss_cached(name)
+        if kind == "reap":
+            return reap_cached(name, 3)
+        return FaasnapSystem(get_function(name), snapshot_input=3)
+    from repro.baselines import DramBaseline, ReapSystem, TossSystem
+
+    function = get_function(name)
+    if kind == "dram":
+        return DramBaseline(function, memory=LZ4_CHAIN)
+    if kind == "toss":
+        return TossSystem(
+            function, convergence_window=CONVERGENCE_WINDOW, memory=LZ4_CHAIN
+        )
+    if kind == "reap":
+        return ReapSystem(function, snapshot_input=3, memory=LZ4_CHAIN)
+    return FaasnapSystem(function, snapshot_input=3, memory=LZ4_CHAIN)
+
+
+def _exports(obs):
+    from repro.obs import perfetto_json, prometheus_text
+
+    return (
+        perfetto_json(obs.tracer),
+        prometheus_text(obs.metrics),
+        len(obs.tracer.spans),
+    )
+
+
+@pytest.mark.parametrize("system_kind, chain, observed", BATCH_CASES)
+def test_invoke_batch_bit_identical(system_kind, chain, observed, monkeypatch):
+    """invoke_batch == the scalar invoke loop — outcomes and, under an
+    observation, the Perfetto trace, the Prometheus text and the span
+    count — on the batch engine (no scalar execute), twice (the second
+    from the cohort memo)."""
+    from repro.obs.runtime import observing
+    from repro.vm.microvm import MicroVM
+
+    system = _batch_system(system_kind, chain)
+    # Observed cases use their own seeds, so their first batch call
+    # executes rather than answering from the unobserved case's memo.
+    seeds = list(range(40, 44) if observed else range(4))
+
+    def batch():
+        with monkeypatch.context() as m:
+            m.setattr(MicroVM, "execute", _no_scalar_execute)
+            if not observed:
+                return system.invoke_batch(1, seeds), None
+            with observing() as obs:
+                return system.invoke_batch(1, seeds), _exports(obs)
+
+    if observed:
+        with observing() as obs:
+            scalar = [system.invoke(1, s) for s in seeds]
+        want = _exports(obs)
     else:
-        system = reap_cached("float_operation", 3)
-    seeds = list(range(4))
-    scalar = [system.invoke(1, s) for s in seeds]
-    _assert_outcomes_identical(scalar, system.invoke_batch(1, seeds))
-    # Second call answers from the per-system cohort memo.
-    _assert_outcomes_identical(scalar, system.invoke_batch(1, seeds))
+        scalar, want = [system.invoke(1, s) for s in seeds], None
+    for _ in range(2):  # the second call answers from the cohort memo
+        outcomes, got = batch()
+        _assert_outcomes_identical(scalar, outcomes)
+        assert got == want
     # Mutating a returned counters object must not poison the memo.
-    tainted = system.invoke_batch(1, seeds)
-    tainted[0].execution.counters.cpu_time_s = -1.0
-    _assert_outcomes_identical(scalar, system.invoke_batch(1, seeds))
+    outcomes[0].execution.counters.cpu_time_s = -1.0
+    _assert_outcomes_identical(scalar, batch()[0])
+
+
+def _no_scalar_execute(vm, trace):
+    raise AssertionError("invoke_batch fell back to the scalar engine")
+
+
+def test_invoke_batch_page_cache_probe_emits_nothing():
+    """A lazy restore needs the host page cache, so the cohort falls back
+    to the scalar loop; the restore that found out must add no spans or
+    metrics of its own."""
+    from repro.experiments.common import vanilla_cached
+    from repro.obs.runtime import observing
+
+    system = vanilla_cached("float_operation")
+    seeds = [0, 1, 2]
+    with observing() as obs:
+        scalar = [system.invoke(1, s) for s in seeds]
+    want = _exports(obs)
+    with observing() as obs:
+        batch = system.invoke_batch(1, seeds)
+    _assert_outcomes_identical(scalar, batch)
+    assert _exports(obs) == want
 
 
 # -- cohort census and tallies over the flat trace layout ----------------------
@@ -421,35 +524,56 @@ class TestFirstTouchCensus:
         np.testing.assert_array_equal(epochs, ref_epoch)
 
 
-BACKINGS = (0, 1, 3, 4, 5)  # every Backing the batch engine models
+BACKINGS = (0, 1, 3, 4, 5, 6)  # every Backing the batch engine models
+
+TALLY_MEMORIES = (
+    DEFAULT_MEMORY_SYSTEM,
+    LZ4_CHAIN,
+    # Two middle tiers over a compressed terminal tier: pool pages placed on the slow tier id
+    # pay its codec too.
+    compressed_memory_system((LZ4_POINT, ZSTD_POINT, DEFLATE_POINT), slow=None),
+)
 
 
 class TestCohortTallies:
     @given(
+        st.sampled_from(TALLY_MEMORIES),
         st.lists(EPOCH_SETS, min_size=1, max_size=4),
-        st.lists(st.integers(0, 1), min_size=CENSUS_PAGES,
-                 max_size=CENSUS_PAGES),
-        st.lists(st.sampled_from(BACKINGS), min_size=CENSUS_PAGES,
-                 max_size=CENSUS_PAGES),
+        st.data(),
         st.sampled_from([0.0, 0.3]),
         st.sampled_from([0.0, 0.25]),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_execute_cohort_matches_scalar_execute(
-        self, cohort, placement, backing, rf, sf
+        self, memory, cohort, data, rf, sf
     ):
         """Per-trace in-place tallies == the scalar engine, bit for bit,
-        for any placement and backing mix (one fresh VM per trace)."""
+        on any chain, for any placement over its tier ids and any backing
+        mix, compressed-pool pages on any tier included (one fresh VM per
+        trace)."""
         from repro.sim.batchexec import execute_cohort
         from repro.vm.microvm import MicroVM
 
+        pages = st.lists(
+            st.integers(0, memory.n_tiers - 1),
+            min_size=CENSUS_PAGES,
+            max_size=CENSUS_PAGES,
+        )
+        placement = np.array(data.draw(pages), dtype=np.uint8)
+        backing = np.array(
+            data.draw(st.lists(st.sampled_from(BACKINGS), min_size=CENSUS_PAGES,
+                               max_size=CENSUS_PAGES)),
+            dtype=np.uint8,
+        )
         traces = [_trace_from_sets(sets, rf, sf) for sets in cohort]
-        placement = np.array(placement, dtype=np.uint8)
-        backing = np.array(backing, dtype=np.uint8)
-        template = MicroVM(CENSUS_PAGES, placement=placement, backing=backing)
+        template = MicroVM(
+            CENSUS_PAGES, memory=memory, placement=placement, backing=backing
+        )
         batch = execute_cohort(template, traces)
         for trace, got in zip(traces, batch):
-            vm = MicroVM(CENSUS_PAGES, placement=placement, backing=backing)
+            vm = MicroVM(
+                CENSUS_PAGES, memory=memory, placement=placement, backing=backing
+            )
             want = vm.execute(trace)
             assert got.counters == want.counters
             assert got.demand == want.demand
@@ -489,3 +613,7 @@ class TestCohortMemory:
         # The per-trace memo keeps no page-level copy of the columns.
         fields = {f.name for f in dataclasses.fields(_flat(traces[0]))}
         assert not fields & {"pages", "counts", "epoch_sizes"}
+        # ... and its first-touch census in the narrowest types that fit.
+        flat = _flat(traces[0])
+        assert flat.first_pages.dtype == np.uint16  # 32768-page guest
+        assert flat.first_epoch.dtype == np.uint8
