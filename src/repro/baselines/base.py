@@ -6,12 +6,12 @@ import abc
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .. import config
+from .. import config, faults
 from ..functions.base import FunctionModel
 from ..memsim.accounting import PerfCounters
 from ..memsim.tiers import DEFAULT_MEMORY_SYSTEM, MemorySystem
 from ..obs import runtime as obs_runtime
-from ..sim.batchexec import cohort_eligible, execute_cohort
+from ..sim.batchexec import execute_cohort
 from ..sim.timing import InvocationTiming
 from ..vm.microvm import ExecutionResult, _observe_execute
 from ..vm.restore import RestoreResult, _observe_restore
@@ -75,9 +75,10 @@ class ServerlessSystem(abc.ABC):
         # the system's frozen snapshot state), so replayed cohorts — the
         # Figure 9 sweep re-runs identical waves through fresh Schedulers
         # — rebuild their outcomes from stored values instead of
-        # re-executing.  Only the batch fast path reads or writes it, so
-        # entries exist only for fault-free invocations; observed or not,
-        # they hold the same values.
+        # re-executing.  Only the one-restore path of invoke_batch reads
+        # or writes it, so entries exist only for invocations with no
+        # fault injector and no fault hook; observed or not, they hold
+        # the same values.
         self._cohort_memo: dict[tuple[int, int], tuple] = {}
         # The batch path's restore with its VM dropped (``vm=None``; the
         # per-page arrays are dead once the cohort ran) and the VM's
@@ -103,19 +104,22 @@ class ServerlessSystem(abc.ABC):
 
         Bit-identical to ``[self.invoke(input_index, s) for s in seeds]``
         — outcomes, spans and metrics — the contract every caller relies
-        on.  When the process state is pure (no fault injector, no
-        slow-tier backpressure hook) and the restored VM needs no host
-        page cache, the cohort restores once and executes through the
-        vectorized batch engine
-        (:func:`repro.sim.batchexec.execute_cohort`); otherwise it falls
-        back to the scalar loop.  The one restore runs with observation
-        suspended, so a restore that forces the fallback emits nothing;
-        under an active observation the cohort then emits, seed by seed,
-        the restore span and the execute span the scalar loop would
-        have (:func:`repro.vm.restore._observe_restore`,
+        on.  Both run the same execute engine
+        (:func:`repro.sim.batchexec.execute_cohort`); what differs is
+        whether one restore may serve the whole cohort.  It may when no
+        fault injector is installed (restores draw from it) and the
+        memory system carries no fault hook (slow-tier backpressure):
+        the cohort then restores once and executes in one kernel call,
+        each member on its own copy of the restored VM's state.
+        Otherwise every seed restores and executes in turn, in the
+        scalar loop's RNG order.  The one restore runs with observation
+        suspended; under an active observation the cohort then emits,
+        seed by seed, the restore span and the execute span the
+        per-seed loop would have
+        (:func:`repro.vm.restore._observe_restore`,
         :func:`repro.vm.microvm._observe_execute`).
 
-        On the fast path, execution values are memoized per
+        On the one-restore path, execution values are memoized per
         ``(input_index, seed)``: cold invocations are fully deterministic
         in that key once the system's snapshot state is frozen (true for
         every concrete system after ``__init__``), so replayed cohorts
@@ -123,18 +127,16 @@ class ServerlessSystem(abc.ABC):
         Outcomes are still rebuilt fresh —
         :class:`~repro.memsim.accounting.PerfCounters` is mutable, so
         only its field values are cached; the frozen demand vectors and
-        epoch records are shared, exactly as the scalar engine shares
-        trace arrays between results.
+        epoch records are shared, exactly as one execution's results
+        share trace arrays.
         """
-        if not cohort_eligible(self.memory):
+        if faults.get_default() is not None or self.memory.fault_hook is not None:
             return [self.invoke(input_index, s) for s in seeds]
         memo = self._cohort_memo
         missing = [s for s in seeds if (input_index, s) not in memo]
         if missing or self._cohort_restore is None:
             with obs_runtime.suspended():
                 restore = self._invoke_restore()
-            if restore.vm.page_cache is not None:
-                return [self.invoke(input_index, s) for s in seeds]
             traces = [self._trace(input_index, s) for s in missing]
             executions = execute_cohort(restore.vm, traces)
             for seed, execution in zip(missing, executions):

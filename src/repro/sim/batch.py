@@ -84,11 +84,22 @@ def segment_fold_left(
     IEEE-754 additions the scalar loops perform, in the same order.
     Pairwise-summing reductions (``np.add.reduce``/``reduceat``) would
     *not* reproduce the scalar totals; this fold does.
+
+    ``values`` may also be 2-D, ``(n, k)``: ``ptr`` then segments its
+    rows, and every column is folded in the same pass (result
+    ``(n_segments, k)``), each with exactly the additions a 1-D fold of
+    that column performs.
     """
     n = ptr.size - 1
-    acc = np.zeros(n, dtype=np.float64)
+    acc = np.zeros((n, *values.shape[1:]), dtype=np.float64)
     if not values.size:
         return acc
+    if n == 1:
+        # ``np.add.accumulate`` is itself a sequential left fold; seeded
+        # with the 0.0 row it performs the loop's additions exactly.
+        seq = np.concatenate((acc, values[ptr[0] : ptr[1]]))
+        out: npt.NDArray[np.float64] = np.add.accumulate(seq, axis=0)[-1:]
+        return out
     lengths = ptr[1:] - ptr[:-1]
     alive = np.flatnonzero(lengths > 0)
     k = 0

@@ -1,66 +1,83 @@
-"""Vectorized cohort execution: many invocations, one restored template.
+"""The execute engine: traces replayed against a restored VM's state.
 
-:meth:`repro.vm.microvm.MicroVM.execute` replays one trace epoch by
-epoch.  A synchronized arrival cohort (Figure 9's C concurrent cold
-starts) replays *C* traces against *identical* restored state — same
-placement, same backing, fresh residency each — so the per-epoch scalar
-arithmetic can be laid out flat and computed with NumPy over the whole
-cohort at once.  :func:`execute_cohort` does exactly that, for any
+Every guest execution in the simulator runs through
+:func:`execute_cohort`.  :meth:`repro.vm.microvm.MicroVM.execute` is its
+one-trace case, which runs on the VM it is given and leaves the
+execution's effects there; a synchronized arrival cohort (Figure 9's C
+concurrent cold starts) replays *C* traces against *identical* restored
+state — same placement, same backing, every member after the first on
+its own copy of the VM's residency and host page cache — and
+:meth:`ServerlessSystem.invoke_batch
+<repro.baselines.base.ServerlessSystem.invoke_batch>` runs it as one
+call.  The per-epoch arithmetic is laid out flat and computed with
+NumPy over the whole cohort at once, for any
 :class:`~repro.memsim.tiers.MemorySystem` chain, and is **bit-identical**
-to the scalar loop:
+to the epoch-by-epoch scalar loop it replaced (kept under ``tests/`` as
+the reference every bit-identity property compares against):
 
 * Every float is produced by the same IEEE-754 operation sequence the
-  scalar engine performs — elementwise vectorized ops replicate scalar
+  scalar loop performs — elementwise vectorized ops replicate scalar
   ops exactly, and the per-invocation accumulators are folded with
   :func:`~repro.sim.batch.segment_fold_left` (a true sequential left
-  fold, not a pairwise reduction).  That includes ``fast_bytes`` on a
-  chain with middle tiers, whose per-epoch terms (middle tiers in chain
-  order, then the fast tier) are not integers.
+  fold, not a pairwise reduction), all columns in one pass.  That
+  includes ``fast_bytes`` on a chain with middle tiers, whose per-epoch
+  terms (middle tiers in chain order, then the fast tier) are not
+  integers.
 * Per-epoch integer tallies (accesses per tier id, fault-kind counts,
   compressed-pool faults per tier id) are order-independent and exact,
   so they use ``np.add.reduceat`` over the non-empty epoch segments (the
   empty ones contribute nothing and are masked out, as ``reduceat``
-  mishandles zero-length segments) and one ``np.bincount`` over each
-  trace's first-touch pages.  Both run trace by trace over the trace's
-  own read-only columns
+  mishandles zero-length segments) and one ``np.bincount`` per epoch
+  over its faulting pages.  Both run trace by trace over the trace's own
+  read-only columns
   (:attr:`~repro.trace.events.InvocationTrace.pages`/``counts``), so the
   engine never copies a trace or builds a cohort-wide page column.
+  Their per-invocation totals ride the float fold as integer-valued
+  floats, which stay exact below 2**53.
+* A page faults only where a trace first touches it, and only if the
+  VM's residency says it is not yet resident; a warm re-execute on the
+  same VM therefore faults nowhere.
+* SSD-backed first touches go through the host page cache epoch by
+  epoch, in epoch order, so its readahead carries across epochs exactly
+  as in the scalar loop (:meth:`HostPageCache.fault_in
+  <repro.memsim.page_cache.HostPageCache.fault_in>` keeps its run
+  recurrence).
 * An epoch with no pages contributes exact zeros everywhere, and
   ``x + 0.0 == x`` for the non-negative accumulators involved, so the
-  scalar engine's ``if pages.size:`` and ``if count:`` guards need no
+  scalar loop's ``if pages.size:`` and ``if count:`` guards need no
   special-casing.
 
-The engine emits no spans or metrics: callers that run it under an
-active observation emit each invocation's execute span from its result
-with the scalar engine's own emitter
-(:func:`repro.vm.microvm._observe_execute`).  The fast path excludes
-what makes execution stateful or impure — SSD-backed pages (host page
-cache with readahead carry, refused here), an installed fault injector
-and slow-tier backpressure hooks (:func:`cohort_eligible`); callers fall
-back to the scalar engine there.
+The engine resolves the slow tier's spec once per call, as the scalar
+loop did, so a slow-tier backpressure hook is read once per execution.
+It emits no spans or metrics: :meth:`MicroVM.execute` and
+``invoke_batch`` emit each invocation's execute span from its result
+(:func:`repro.vm.microvm._observe_execute`).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
-from .. import config, faults
+from .. import config
 from ..errors import VMError
 from ..memsim.accounting import PerfCounters
 from ..memsim.bandwidth import TierDemand
-from ..memsim.tiers import MemorySystem, Tier, TierSpec
+from ..memsim.page_cache import HostPageCache
+from ..memsim.tiers import Tier, TierSpec
 from ..obs import profile as profile_mod
-from .batch import segment_fold_left, segment_sums_int
+from .batch import segment_fold_left
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..trace.events import InvocationTrace
     from ..vm.microvm import ExecutionResult, MicroVM
 
-__all__ = ["cohort_eligible", "execute_cohort"]
+__all__ = ["execute_cohort"]
 
 _FLAT_ATTR = "_batch_flat"
 _N_BACKINGS = 7
@@ -70,49 +87,18 @@ compressed-pool faults are counted per tier id in the columns after."""
 
 @dataclass(frozen=True)
 class _TraceFlat:
-    """Per-epoch columns and the first-touch census of one trace (cached).
+    """Per-epoch columns of one trace (cached on the trace).
 
     Page-level data is never copied here: the engine reads the trace's
-    own ``pages``/``counts`` columns in place.  ``first_pages``/
-    ``first_epoch`` locate each distinct page's first occurrence: the
-    scalar engine's sticky residency means a page can fault only there,
-    and only if its backing is not already resident.  ``tot_counts`` is
-    the per-epoch total access count (exact int sum, placement-
-    independent, so it is computed once per trace).
+    own ``pages``/``counts`` columns in place.  ``tot_counts`` is the
+    per-epoch total access count (exact int sum, placement-independent,
+    so it is computed once per trace).
     """
 
-    first_pages: npt.NDArray[np.unsignedinteger[Any]]
-    first_epoch: npt.NDArray[np.unsignedinteger[Any]]
     tot_counts: npt.NDArray[np.int64]
     cpu: npt.NDArray[np.float64]
     rf: npt.NDArray[np.float64]
     sf: npt.NDArray[np.float64]
-
-
-def _first_touch(
-    trace: "InvocationTrace",
-) -> tuple[
-    npt.NDArray[np.unsignedinteger[Any]], npt.NDArray[np.unsignedinteger[Any]]
-]:
-    """Each distinct page (ascending) and the epoch that first touches it.
-
-    A dense ``n_pages`` mark array is stamped epoch by epoch in reverse,
-    so the earliest epoch's stamp is the one left standing; pages are
-    unique within an epoch, so every stamp is well defined.  Both results
-    are kept for the trace's lifetime, so each is stored in the smallest
-    unsigned type that holds its largest possible value (``uint16``
-    pages for guests of up to 2**16 pages, ``uint8`` epochs for traces
-    of up to 256 epochs).
-    """
-    n_epochs = len(trace.epochs)
-    mark = np.full(trace.n_pages, -1, dtype=np.int32)
-    for e in range(n_epochs - 1, -1, -1):
-        mark[trace.epochs[e].pages] = e
-    first_pages = np.flatnonzero(mark >= 0)
-    return (
-        first_pages.astype(np.min_scalar_type(trace.n_pages - 1)),
-        mark[first_pages].astype(np.min_scalar_type(max(n_epochs - 1, 0))),
-    )
 
 
 def _flat(trace: "InvocationTrace") -> _TraceFlat:
@@ -122,11 +108,8 @@ def _flat(trace: "InvocationTrace") -> _TraceFlat:
         return cached  # type: ignore[no-any-return]
     epochs = trace.epochs
     n = len(epochs)
-    first_pages, first_epoch = _first_touch(trace)
     flat = _TraceFlat(
-        first_pages=first_pages,
-        first_epoch=first_epoch,
-        tot_counts=segment_sums_int(trace.counts, trace.epoch_ptr),
+        tot_counts=_segment_sums_nonempty(trace.counts, trace.epoch_ptr),
         cpu=np.fromiter((e.cpu_time_s for e in epochs), dtype=np.float64, count=n),
         rf=np.fromiter(
             (e.random_fraction for e in epochs), dtype=np.float64, count=n
@@ -137,6 +120,24 @@ def _flat(trace: "InvocationTrace") -> _TraceFlat:
     )
     object.__setattr__(trace, _FLAT_ATTR, flat)
     return flat
+
+
+def _cold_touches(
+    trace: "InvocationTrace", seen: npt.NDArray[np.bool_]
+) -> list[npt.NDArray[np.int64]]:
+    """Each epoch's pages not yet ``seen``, which this marks seen.
+
+    This is the scalar loop's fault rule: an epoch faults on its pages
+    not yet resident, and they become resident.  Pages are unique within
+    an epoch, so every page shows up once at most, ascending within the
+    epoch that first touches it.
+    """
+    cold: list[npt.NDArray[np.int64]] = []
+    for epoch in trace.epochs:
+        new = epoch.pages[~seen[epoch.pages]]
+        seen[new] = True
+        cold.append(new)
+    return cold
 
 
 def _segment_sums_nonempty(
@@ -151,10 +152,13 @@ def _segment_sums_nonempty(
     the true segment end because the skipped segments contribute no
     elements (same pattern as the DAMON aggregator).
     """
-    out = np.zeros(ptr.size - 1, dtype=np.int64)
     starts = ptr[:-1]
     nonempty = starts < ptr[1:]
-    if values.size and nonempty.any():
+    if nonempty.all():
+        sums: npt.NDArray[np.int64] = np.add.reduceat(values, starts)
+        return sums
+    out = np.zeros(ptr.size - 1, dtype=np.int64)
+    if nonempty.any():
         out[nonempty] = np.add.reduceat(values, starts[nonempty])
     return out
 
@@ -170,32 +174,37 @@ def _access_latency(
     return (1.0 - sf) * load + sf * spec.store_latency_s
 
 
-def cohort_eligible(memory: MemorySystem) -> bool:
-    """Whether the batch fast path is exact for the current process state.
+def _member_cache(vm: "MicroVM", first: bool) -> HostPageCache:
+    """The host page cache one member's SSD-backed faults go through.
 
-    The scalar engine must be used instead when either of these holds:
-
-    * a process-wide fault injector is installed (restores draw from it);
-    * the memory system carries a fault hook (slow-tier specs become
-      time-dependent).
-
-    Per-cohort conditions (SSD-backed pages needing the host page cache)
-    are checked by the caller against the restored template VM.
+    The first member runs on ``vm``'s own cache (made on first use);
+    every other member on a copy of it, taken before the first member
+    touches it, so all start from the cache state ``vm`` held when the
+    call began (a fresh restore's is empty).
     """
-    return faults.resolve(None) is None and memory.fault_hook is None
+    if vm.page_cache is None:
+        cache = HostPageCache(vm.n_pages, readahead_pages=config.READAHEAD_PAGES)
+        if first:
+            vm.page_cache = cache
+        return cache
+    return vm.page_cache if first else copy.deepcopy(vm.page_cache)
 
 
 def execute_cohort(
     vm: "MicroVM", traces: Sequence["InvocationTrace"]
 ) -> "list[ExecutionResult]":
-    """Execute each trace against a fresh copy of ``vm``'s restored state.
+    """Execute each trace against ``vm``'s placement, backing and state.
 
-    Equivalent to restoring the same snapshot once per trace and calling
-    ``restore.vm.execute(trace)`` — every counter, demand vector and
-    epoch record is bit-for-bit what the scalar engine returns.  ``vm``
-    itself is never mutated (the scalar path's per-VM residency and
-    page-version writes are unobservable: each scalar invocation's VM is
-    discarded after its one execute).
+    Equivalent to restoring the same snapshot once per trace and
+    executing each trace on its own VM, the first of them being ``vm``:
+    every counter, demand vector and epoch record is bit-for-bit what the
+    epoch-by-epoch scalar loop returns.  The first trace runs on ``vm``
+    itself — its touched pages become resident, every page gains one
+    version per store epoch that touches it, and its SSD-backed faults
+    fill ``vm.page_cache`` — which makes :meth:`MicroVM.execute
+    <repro.vm.microvm.MicroVM.execute>` the one-trace case.  Every other
+    trace runs on its own copy of the residency and host page cache
+    ``vm`` held when the call began.
     """
     with profile_mod.phase("sim/execute_cohort"):
         return _execute_cohort(vm, traces)
@@ -206,8 +215,6 @@ def _execute_cohort(
 ) -> "list[ExecutionResult]":
     from ..vm.microvm import Backing, EpochRecord, ExecutionResult
 
-    if vm.page_cache is not None:
-        raise VMError("batch execution cannot model the host page cache")
     if not traces:
         return []
     for trace in traces:
@@ -219,90 +226,106 @@ def _execute_cohort(
     flats = [_flat(t) for t in traces]
     memory = vm.memory
     n_tiers = memory.n_tiers
-    fast = memory.spec(Tier.FAST)
+    # The slow spec is resolved once per call, so an active fault hook
+    # (slow-tier backpressure) is read once and holds for the execution.
     slow = memory.spec(Tier.SLOW)
+    fast = memory.spec(Tier.FAST)
+    by_id: tuple[TierSpec, ...] = (fast, slow, *memory.middle)
 
     # -- cohort-wide per-epoch columns and their segmentation --------------
-    n_epochs = np.fromiter(
-        (len(t.epochs) for t in traces), dtype=np.int64, count=len(traces)
-    )
-    inv_ptr = np.zeros(len(flats) + 1, dtype=np.int64)
-    np.cumsum(n_epochs, out=inv_ptr[1:])
-    total_epochs = int(inv_ptr[-1])
+    bounds = [0, *accumulate(len(t.epochs) for t in traces)]
+    inv_ptr = np.array(bounds, dtype=np.int64)
+    total_epochs = bounds[-1]
     cpu_col = np.concatenate([f.cpu for f in flats])
     rf_col = np.concatenate([f.rf for f in flats])
     sf_col = np.concatenate([f.sf for f in flats])
     tot_col = np.concatenate([f.tot_counts for f in flats])
 
     # -- fault census and access tallies, one trace at a time ---------------
-    # Only first occurrences can fault, so a trace's fault census is one
-    # bincount over its (first-touch epoch, census column) pairs; a
+    # A page faults only where its trace first touches it, and only if the
+    # VM does not hold it resident already, so an epoch's census is one
+    # bincount over its cold first touches' census columns; a
     # compressed-pool page's column is its tier id's, because its codec
-    # is the placed tier's.  Per-tier tallies are exact integer segment
+    # is the placed tier's.  SSD-backed ones go through the member's host
+    # page cache epoch by epoch, ascending within each epoch, as the
+    # scalar loop served them.  Per-tier tallies are exact integer segment
     # sums over the trace's own columns, read in place, so no page-level
-    # column longer than one trace is ever built.  A fully resident
-    # template (warm restores) faults nowhere, and a tier no page is
-    # placed in (every tier but the fast one, for DRAM/REAP templates) is
-    # never read, so those passes short-circuit to exact zeros.
+    # column longer than one trace is ever built.  A fully resident VM
+    # (warm restores, warm re-executes) faults nowhere, and a tier the
+    # trace never touches (every tier but the fast one, for DRAM/REAP
+    # templates) is not summed, so those passes short-circuit to exact
+    # zeros.
     width = _N_BACKINGS + n_tiers
     pool = int(Backing.COMPRESSED_POOL)
-    census = bool(vm.backing.any())
-    pooled = census and bool(np.any(vm.backing == pool))
-    placed = np.bincount(vm.placement, minlength=n_tiers)
-    tallied = [t for t in range(1, n_tiers) if placed[t]]
+    ssd = int(Backing.SSD_FILE)
+    resident = vm._resident
+    census = not bool(resident.all())
     fault_table = np.zeros((total_epochs, width), dtype=np.int64)
+    misses = np.zeros(total_epochs, dtype=np.int64)
     n_tier = np.zeros((n_tiers, total_epochs), dtype=np.int64)
-    bounds = inv_ptr.tolist()
-    for trace, f, lo, hi in zip(traces, flats, bounds[:-1], bounds[1:]):
-        if census:
-            kinds = vm.backing[f.first_pages].astype(np.int64)
-            if pooled:
-                in_pool = kinds == pool
-                kinds[in_pool] = _N_BACKINGS + vm.placement[f.first_pages[in_pool]]
-            faulted = kinds != int(Backing.RESIDENT)
-            if np.any(kinds[faulted] == int(Backing.SSD_FILE)):
-                raise VMError("batch execution cannot model the host page cache")
-            fault_table[lo:hi] = np.bincount(
-                f.first_epoch[faulted].astype(np.int64) * width + kinds[faulted],
-                minlength=(hi - lo) * width,
-            ).reshape(hi - lo, width)
-        if tallied:
-            tiers = vm.placement[trace.pages]
-            for t in tallied:
+    # The first member runs on vm itself (its residency and page cache),
+    # so it runs last: every other member copies vm's state untouched.
+    for i in range(len(traces) - 1, -1, -1):
+        trace, lo, hi = traces[i], bounds[i], bounds[i + 1]
+        if census and hi > lo:
+            cold = _cold_touches(trace, resident if i == 0 else resident.copy())
+            pages = np.concatenate(cold)
+            kinds = vm.backing[pages].astype(np.int64)
+            in_pool = kinds == pool
+            if in_pool.any():
+                kinds[in_pool] = _N_BACKINGS + vm.placement[pages[in_pool]]
+            cache: HostPageCache | None = None
+            a = 0
+            for e, new in enumerate(cold, start=lo):
+                epoch_kinds = kinds[a : a + new.size]
+                a += new.size
+                fault_table[e] = np.bincount(epoch_kinds, minlength=width)
+                if fault_table[e, ssd]:
+                    # Through the member's host page cache, epoch by epoch.
+                    if cache is None:
+                        cache = _member_cache(vm, i == 0)
+                    misses[e] = cache.fault_in(new[epoch_kinds == ssd])
+        tiers = vm.placement[trace.pages]
+        for t in range(1, n_tiers):
+            on_t = tiers == t
+            if on_t.any():
                 n_tier[t, lo:hi] = _segment_sums_nonempty(
-                    np.where(tiers == t, trace.counts, 0), trace.epoch_ptr
+                    trace.counts * on_t, trace.epoch_ptr
                 )
     n_zero = fault_table[:, int(Backing.ZERO)]
     n_dax = fault_table[:, int(Backing.DAX_SLOW)]
     n_copy = fault_table[:, int(Backing.PMEM_COPY)]
     n_uffd = fault_table[:, int(Backing.UFFD_SSD)]
+    hits = fault_table[:, ssd] - misses
     pool_faults = fault_table[:, _N_BACKINGS:]
     n_slow = n_tier[int(Tier.SLOW)]
-    mid_ids = [t for t in tallied if t != int(Tier.SLOW)]
+    mid_ids = [t for t in range(2, n_tiers) if n_tier[t].any()]
     n_fast: npt.NDArray[Any] = tot_col - n_slow
     for t in mid_ids:
         n_fast = n_fast - n_tier[t]
 
-    # -- per-epoch float costs: the scalar engine's ops, elementwise --------
-    # _fault_in: soft = (n_zero + n_dax) * MINOR + n_copy * PMEM_COPY, then
-    # the pool's minor faults and each compressed tier's codec in tier-id
-    # order; uffd = n_uffd * UFFD (all left-associated, all starting from
-    # 0.0, which is an exact no-op for these non-negative terms).
-    soft_e: npt.NDArray[Any] = (n_zero + n_dax) * config.MINOR_FAULT_LATENCY_S + (
-        n_copy * config.PMEM_COPY_FAULT_LATENCY_S
-    )
+    # -- per-epoch float costs: the scalar loop's ops, elementwise ----------
+    # Fault costs: soft = (n_zero + n_dax) * MINOR + n_copy * PMEM_COPY,
+    # then the pool's minor faults and each compressed tier's codec in
+    # tier-id order, then the page-cache hits' minor faults; ssd = misses
+    # * MAJOR; uffd = n_uffd * UFFD; fault = (soft + ssd) + uffd.  All are
+    # left-associated and start from 0.0, and adding a zero term is exact
+    # for these non-negative sums, so every term is added whether or not
+    # a fault of its kind happened.
     n_pool = pool_faults.sum(axis=1)
-    if pooled:
-        soft_e = soft_e + n_pool * config.MINOR_FAULT_LATENCY_S
-        for tid in range(n_tiers):
-            point = getattr(memory.spec(tid), "compression", None)
-            if point is not None:
-                soft_e = soft_e + pool_faults[:, tid] * point.decompress_page_latency_s
+    soft_e: npt.NDArray[Any] = (
+        (n_zero + n_dax) * config.MINOR_FAULT_LATENCY_S
+        + n_copy * config.PMEM_COPY_FAULT_LATENCY_S
+    ) + n_pool * config.MINOR_FAULT_LATENCY_S
+    for tid, spec in enumerate(by_id):
+        point = getattr(spec, "compression", None)
+        if point is not None:
+            soft_e = soft_e + pool_faults[:, tid] * point.decompress_page_latency_s
+    soft_e = soft_e + hits * config.MINOR_FAULT_LATENCY_S
+    ssd_e = misses * config.MAJOR_FAULT_LATENCY_S
     uffd_e = n_uffd * config.UFFD_FAULT_LATENCY_S
-    # fault_stall contribution: (soft + ssd) + uffd with ssd == 0.0, and
-    # soft + 0.0 == soft exactly (non-negative), so the 0.0 is elided.
-    fault_e = soft_e + uffd_e
-    # execute(): tier latencies per epoch (TierSpec formulas, same order).
+    fault_e = (soft_e + ssd_e) + uffd_e
+    # Tier latencies per epoch (TierSpec formulas, same order).
     serial_e = 1.0 - rf_col
     lat_fast = _access_latency(fast, serial_e, rf_col, sf_col)
     lat_slow_read = slow.load_latency_s * (
@@ -315,80 +338,107 @@ def _execute_cohort(
     e_write_e = writes_e * slow.store_latency_s
     dur_e: npt.NDArray[Any] = (cpu_col + fault_e) + ((e_fast_e + e_read_e) + e_write_e)
     fast_stall_e: npt.NDArray[Any] = e_fast_e
-    fast_bytes_inv: npt.NDArray[Any]
+    # Each epoch's fast_bytes terms: middle tiers in chain order (physical
+    # bytes, access_bytes / ratio, not integers), then the fast tier.
+    byte_terms = np.empty((total_epochs, len(mid_ids) + 1), dtype=np.float64)
     if mid_ids:
-        # Middle tiers in chain order: their stall rides the fast
-        # resource, and their physical bytes (access_bytes / ratio, not
-        # an integer) precede the fast tier's in each epoch's fast_bytes.
+        # Middle-tier stall rides the fast resource.
         e_mid_e: npt.NDArray[Any] = np.zeros(total_epochs, dtype=np.float64)
-        byte_terms = np.empty((total_epochs, len(mid_ids) + 1), dtype=np.float64)
         for j, t in enumerate(mid_ids):
-            spec = memory.spec(t)
+            spec = by_id[t]
             ratio = getattr(spec, "effective_capacity_multiplier", 1.0)
             e_mid_e = e_mid_e + n_tier[t] * _access_latency(
                 spec, serial_e, rf_col, sf_col
             )
             byte_terms[:, j] = n_tier[t] * (spec.access_bytes / ratio)
-        byte_terms[:, -1] = n_fast * fast.access_bytes
         dur_e = dur_e + e_mid_e
         fast_stall_e = e_fast_e + e_mid_e
-        fast_bytes_inv = segment_fold_left(
-            byte_terms.ravel(), inv_ptr * byte_terms.shape[1]
-        )
-    else:
-        # Integer-valued floats stay exact (and hence order-independent)
-        # below 2**53, so the two-tier fast_bytes is one integer product.
-        fast_bytes_inv = segment_sums_int(n_fast, inv_ptr) * fast.access_bytes
+    byte_terms[:, -1] = n_fast * fast.access_bytes
+    fast_bytes_inv = segment_fold_left(
+        byte_terms.ravel(), inv_ptr * byte_terms.shape[1]
+    ).tolist()
 
     # -- per-invocation accumulators --------------------------------------
-    # Floats fold sequentially (the scalar `+=` order); integers sum
-    # exactly by any method.
-    cpu_inv = segment_fold_left(cpu_col, inv_ptr)
-    soft_inv = segment_fold_left(soft_e, inv_ptr)
-    uffd_stall_inv = segment_fold_left(uffd_e, inv_ptr)
-    fault_stall_inv = segment_fold_left(fault_e, inv_ptr)
-    fast_stall_inv = segment_fold_left(fast_stall_e, inv_ptr)
-    slow_stall_inv = segment_fold_left(e_read_e + e_write_e, inv_ptr)
-    read_stall_inv = segment_fold_left(e_read_e, inv_ptr)
-    write_stall_inv = segment_fold_left(e_write_e, inv_ptr)
-    read_ops_inv = segment_fold_left(reads_e, inv_ptr)
-    write_ops_inv = segment_fold_left(writes_e, inv_ptr)
-    fast_inv = segment_sums_int(tot_col - n_slow, inv_ptr)
-    slow_inv = segment_sums_int(n_slow, inv_ptr)
-    minor_inv = segment_sums_int(n_zero + n_dax + n_copy + n_pool, inv_ptr)
-    # ssd_ops / uffd_ops accumulate integer-valued floats, exact as above.
-    uffd_inv = segment_sums_int(n_uffd, inv_ptr)
+    # One sequential fold (the scalar `+=` order) over every column.  The
+    # integer tallies ride along as integer-valued floats, which the fold
+    # keeps exact below 2**53, as the scalar loop's ssd_ops and uffd_ops.
+    (
+        cpu_inv,
+        soft_inv,
+        uffd_stall_inv,
+        fault_stall_inv,
+        fast_stall_inv,
+        slow_stall_inv,
+        read_stall_inv,
+        write_stall_inv,
+        read_ops_inv,
+        write_ops_inv,
+        ssd_stall_inv,
+        fast_inv,
+        slow_inv,
+        minor_inv,
+        uffd_inv,
+        miss_inv,
+    ) = segment_fold_left(
+        np.array(
+            (
+                cpu_col,
+                soft_e,
+                uffd_e,
+                fault_e,
+                fast_stall_e,
+                e_read_e + e_write_e,
+                e_read_e,
+                e_write_e,
+                reads_e,
+                writes_e,
+                ssd_e,
+                tot_col - n_slow,
+                n_slow,
+                n_zero + n_dax + n_copy + n_pool + hits,
+                n_uffd,
+                misses,
+            )
+        ).T,
+        inv_ptr,
+    ).T.tolist()
+
+    # Stores of the first trace dirty vm's touched pages (content
+    # versioning); its residency and page cache were written above.
+    for epoch in traces[0].epochs:
+        if epoch.store_fraction > 0:
+            vm.page_versions[epoch.pages] += 1
 
     results: list[ExecutionResult] = []
     dur_list = dur_e.tolist()
     for i, trace in enumerate(traces):
-        lo = int(inv_ptr[i])
+        lo = bounds[i]
         records = tuple(
             EpochRecord(dur_list[lo + j], epoch.pages, epoch.counts)
             for j, epoch in enumerate(trace.epochs)
         )
         counters = PerfCounters(
-            cpu_time_s=float(cpu_inv[i]),
-            fast_stall_s=float(fast_stall_inv[i]),
-            slow_stall_s=float(slow_stall_inv[i]),
-            fault_stall_s=float(fault_stall_inv[i]),
+            cpu_time_s=cpu_inv[i],
+            fast_stall_s=fast_stall_inv[i],
+            slow_stall_s=slow_stall_inv[i],
+            fault_stall_s=fault_stall_inv[i],
             fast_accesses=int(fast_inv[i]),
             slow_accesses=int(slow_inv[i]),
             minor_faults=int(minor_inv[i]),
-            major_faults=int(uffd_inv[i]),
+            major_faults=int(uffd_inv[i] + miss_inv[i]),
         )
         demand = TierDemand(
-            cpu_time_s=counters.cpu_time_s + float(soft_inv[i]),
+            cpu_time_s=counters.cpu_time_s + soft_inv[i],
             fast_stall_s=counters.fast_stall_s,
-            fast_bytes=float(fast_bytes_inv[i]),
-            slow_read_stall_s=float(read_stall_inv[i]),
-            slow_read_ops=float(read_ops_inv[i]),
-            slow_write_stall_s=float(write_stall_inv[i]),
-            slow_write_ops=float(write_ops_inv[i]),
-            ssd_stall_s=0.0,
-            ssd_ops=float(uffd_inv[i]),
-            uffd_stall_s=float(uffd_stall_inv[i]),
-            uffd_ops=float(uffd_inv[i]),
+            fast_bytes=fast_bytes_inv[i],
+            slow_read_stall_s=read_stall_inv[i],
+            slow_read_ops=read_ops_inv[i],
+            slow_write_stall_s=write_stall_inv[i],
+            slow_write_ops=write_ops_inv[i],
+            ssd_stall_s=ssd_stall_inv[i],
+            ssd_ops=uffd_inv[i] + miss_inv[i],
+            uffd_stall_s=uffd_stall_inv[i],
+            uffd_ops=uffd_inv[i],
         )
         results.append(
             ExecutionResult(

@@ -14,7 +14,6 @@ from repro.memsim.compressed import (
     compressed_memory_system,
 )
 from repro.memsim.tiers import DEFAULT_MEMORY_SYSTEM, Tier
-from repro.sim.batchexec import cohort_eligible
 from repro.vm.layout import LayoutEntry, MemoryLayout
 from repro.vm.microvm import Backing
 from repro.vm.restore import tiered_restore
@@ -125,19 +124,53 @@ class TestNTierRestore:
         assert out.counters.total_time_s > 0
 
 
+def _cohort_calls(memory, monkeypatch) -> tuple[int, int]:
+    """Restores and kernel calls one three-seed ``invoke_batch`` makes."""
+    import repro.baselines.base as base
+    from conftest import tiny_function
+    from repro.baselines import DramBaseline
+
+    system = DramBaseline(tiny_function.__wrapped__(), memory=memory)
+    calls = {"restore": 0, "kernel": 0}
+    restore, kernel = system._invoke_restore, base.execute_cohort
+
+    def counted_restore():
+        calls["restore"] += 1
+        return restore()
+
+    def counted_kernel(vm, traces):
+        calls["kernel"] += 1
+        return kernel(vm, traces)
+
+    monkeypatch.setattr(system, "_invoke_restore", counted_restore)
+    monkeypatch.setattr(base, "execute_cohort", counted_kernel)
+    assert len(system.invoke_batch(1, [0, 1, 2])) == 3
+    return calls["restore"], calls["kernel"]
+
+
 class TestBatchGate:
-    def test_two_tier_default_is_eligible(self):
-        assert cohort_eligible(DEFAULT_MEMORY_SYSTEM)
+    """One restore serves a cohort unless restores or slow-tier specs
+    can draw from the fault plane."""
 
-    def test_middle_tiers_are_eligible(self):
-        # The batch engine tallies every tier id of the chain, so
-        # compressed middle tiers no longer force the scalar engine.
-        assert cohort_eligible(compressed_memory_system((LZ4_POINT,)))
+    def test_two_tier_default_is_eligible(self, monkeypatch):
+        assert _cohort_calls(DEFAULT_MEMORY_SYSTEM, monkeypatch) == (1, 1)
 
-    def test_terminal_compressed_tier_without_middle_is_eligible(self):
+    def test_middle_tiers_are_eligible(self, monkeypatch):
+        # The kernel tallies every tier id of the chain, so compressed
+        # middle tiers keep the one-restore cohort.
+        memory = compressed_memory_system((LZ4_POINT,))
+        assert _cohort_calls(memory, monkeypatch) == (1, 1)
+
+    def test_terminal_compressed_tier_without_middle_is_eligible(
+        self, monkeypatch
+    ):
         # A compressed *slow* tier is still a plain two-tier system: its
-        # codec latencies are baked into the TierSpec the batch kernel
-        # already reads.
-        assert cohort_eligible(
-            compressed_memory_system((ZSTD_POINT,), slow=None)
-        )
+        # codec latencies are baked into the TierSpec the kernel reads.
+        memory = compressed_memory_system((ZSTD_POINT,), slow=None)
+        assert _cohort_calls(memory, monkeypatch) == (1, 1)
+
+    def test_fault_hook_restores_per_seed(self, monkeypatch):
+        from repro.faults import FaultInjector
+
+        memory = DEFAULT_MEMORY_SYSTEM.with_fault_hook(FaultInjector())
+        assert _cohort_calls(memory, monkeypatch) == (3, 0)

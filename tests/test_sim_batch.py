@@ -10,14 +10,20 @@ coroutine/scalar code it shortcuts.  These tests pin that contract:
   and require identical drain orders and identical floats;
 * the pre-change scalar replay loop is pinned verbatim as a reference
   and the vectorized replay must reproduce its samples exactly;
+* the execute kernel (:func:`repro.sim.batchexec.execute_cohort`, and
+  ``MicroVM.execute`` as its one-trace case) must reproduce the scalar
+  execute loop kept in ``scalar_oracle`` — results and the state it
+  writes back into the VM;
 * ``invoke_batch`` on real systems, two-tier and compressed-chain,
-  must reproduce the scalar ``invoke`` loop field for field — and,
-  under an observation, its Perfetto and Prometheus exports byte for
-  byte — including when answered from the per-system cohort memo.
+  must reproduce the per-seed ``invoke`` loop on that oracle field for
+  field — and, under an observation, its Perfetto and Prometheus
+  exports byte for byte — in one kernel call per cohort, including when
+  answered from the per-system cohort memo.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 
@@ -26,6 +32,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import config
 from repro.errors import ConfigError
 from repro.memsim.bandwidth import RESOURCES, ContentionModel, TierDemand
 from repro.memsim.compressed import (
@@ -34,6 +41,7 @@ from repro.memsim.compressed import (
     ZSTD_POINT,
     compressed_memory_system,
 )
+from repro.memsim.page_cache import HostPageCache
 from repro.memsim.storage import OPTANE_SSD_SPEC
 from repro.memsim.tiers import DEFAULT_MEMORY_SYSTEM
 from repro.sim.batch import (
@@ -42,9 +50,13 @@ from repro.sim.batch import (
     segment_fold_left,
     segment_sums_int,
 )
+from repro.sim.batchexec import execute_cohort
 from repro.sim.contention import EventScheduler, UtilizationSample, _summarize
 from repro.sim.loop import EventLoop
 from repro.sim.resources import TokenBucket
+from repro.vm.microvm import Backing, MicroVM
+
+from scalar_oracle import scalar_execute
 
 # -- strategies ----------------------------------------------------------------
 
@@ -370,18 +382,19 @@ BATCH_CASES = [
     ))
     for chain in ("two-tier", "lz4")
     for observed in (False, True)
-    for kind in ("dram", "toss", "reap", "faasnap")
+    for kind in ("dram", "toss", "reap", "faasnap", "vanilla")
 ]
 
 
 @functools.lru_cache(maxsize=None)
 def _batch_system(kind: str, chain: str):
-    from repro.baselines import FaasnapSystem
+    from repro.baselines import FaasnapSystem, VanillaLazy
     from repro.experiments.common import (
         CONVERGENCE_WINDOW,
         dram_cached,
         reap_cached,
         toss_cached,
+        vanilla_cached,
     )
     from repro.functions import get_function
 
@@ -393,6 +406,8 @@ def _batch_system(kind: str, chain: str):
             return toss_cached(name)
         if kind == "reap":
             return reap_cached(name, 3)
+        if kind == "vanilla":
+            return vanilla_cached(name)
         return FaasnapSystem(get_function(name), snapshot_input=3)
     from repro.baselines import DramBaseline, ReapSystem, TossSystem
 
@@ -405,6 +420,8 @@ def _batch_system(kind: str, chain: str):
         )
     if kind == "reap":
         return ReapSystem(function, snapshot_input=3, memory=LZ4_CHAIN)
+    if kind == "vanilla":
+        return VanillaLazy(function, memory=LZ4_CHAIN)
     return FaasnapSystem(function, snapshot_input=3, memory=LZ4_CHAIN)
 
 
@@ -418,63 +435,87 @@ def _exports(obs):
     )
 
 
+def _oracle_invokes(system, seeds, observed, monkeypatch):
+    """The reference: the per-seed ``invoke`` loop on the scalar oracle,
+    plus its exports when ``observed``."""
+    from repro.obs.runtime import observing
+
+    with monkeypatch.context() as m:
+        m.setattr(MicroVM, "execute", scalar_execute)
+        if not observed:
+            return [system.invoke(1, s) for s in seeds], None
+        with observing() as obs:
+            outcomes = [system.invoke(1, s) for s in seeds]
+        return outcomes, _exports(obs)
+
+
+def _counted_invoke_batch(system, seeds, observed, monkeypatch):
+    """``invoke_batch`` with no per-seed execute allowed; returns its
+    outcomes, exports (when ``observed``) and kernel call count."""
+    import repro.baselines.base as base
+    from repro.obs.runtime import observing
+
+    calls = []
+    kernel = base.execute_cohort
+
+    def counted(vm, traces):
+        calls.append(len(traces))
+        return kernel(vm, traces)
+
+    with monkeypatch.context() as m:
+        m.setattr(MicroVM, "execute", _no_scalar_execute)
+        m.setattr(base, "execute_cohort", counted)
+        if not observed:
+            return system.invoke_batch(1, seeds), None, len(calls)
+        with observing() as obs:
+            outcomes = system.invoke_batch(1, seeds)
+        return outcomes, _exports(obs), len(calls)
+
+
 @pytest.mark.parametrize("system_kind, chain, observed", BATCH_CASES)
 def test_invoke_batch_bit_identical(system_kind, chain, observed, monkeypatch):
-    """invoke_batch == the scalar invoke loop — outcomes and, under an
-    observation, the Perfetto trace, the Prometheus text and the span
-    count — on the batch engine (no scalar execute), twice (the second
-    from the cohort memo)."""
-    from repro.obs.runtime import observing
-    from repro.vm.microvm import MicroVM
-
+    """invoke_batch == the per-seed invoke loop on the scalar oracle —
+    outcomes and, under an observation, the Perfetto trace, the
+    Prometheus text and the span count — in one kernel call (no
+    per-seed execute), then again from the cohort memo with none."""
     system = _batch_system(system_kind, chain)
-    # Observed cases use their own seeds, so their first batch call
-    # executes rather than answering from the unobserved case's memo.
+    # The systems are shared: start from an empty memo, so the first
+    # batch call executes whatever ran before.
+    system._cohort_memo.clear()
     seeds = list(range(40, 44) if observed else range(4))
-
-    def batch():
-        with monkeypatch.context() as m:
-            m.setattr(MicroVM, "execute", _no_scalar_execute)
-            if not observed:
-                return system.invoke_batch(1, seeds), None
-            with observing() as obs:
-                return system.invoke_batch(1, seeds), _exports(obs)
-
-    if observed:
-        with observing() as obs:
-            scalar = [system.invoke(1, s) for s in seeds]
-        want = _exports(obs)
-    else:
-        scalar, want = [system.invoke(1, s) for s in seeds], None
-    for _ in range(2):  # the second call answers from the cohort memo
-        outcomes, got = batch()
+    scalar, want = _oracle_invokes(system, seeds, observed, monkeypatch)
+    for kernel_calls in (1, 0):  # the second call answers from the memo
+        outcomes, got, calls = _counted_invoke_batch(
+            system, seeds, observed, monkeypatch
+        )
         _assert_outcomes_identical(scalar, outcomes)
         assert got == want
+        assert calls == kernel_calls
     # Mutating a returned counters object must not poison the memo.
     outcomes[0].execution.counters.cpu_time_s = -1.0
-    _assert_outcomes_identical(scalar, batch()[0])
+    _assert_outcomes_identical(
+        scalar, _counted_invoke_batch(system, seeds, False, monkeypatch)[0]
+    )
 
 
 def _no_scalar_execute(vm, trace):
-    raise AssertionError("invoke_batch fell back to the scalar engine")
+    raise AssertionError("invoke_batch executed seed by seed")
 
 
-def test_invoke_batch_page_cache_probe_emits_nothing():
-    """A lazy restore needs the host page cache, so the cohort falls back
-    to the scalar loop; the restore that found out must add no spans or
-    metrics of its own."""
+def test_invoke_batch_page_cache_probe_emits_nothing(monkeypatch):
+    """A lazy restore's cohort runs through the host page cache in one
+    kernel call; the one restore it makes, with observation suspended,
+    adds no spans or metrics of its own."""
     from repro.experiments.common import vanilla_cached
-    from repro.obs.runtime import observing
 
     system = vanilla_cached("float_operation")
+    system._cohort_memo.clear()
     seeds = [0, 1, 2]
-    with observing() as obs:
-        scalar = [system.invoke(1, s) for s in seeds]
-    want = _exports(obs)
-    with observing() as obs:
-        batch = system.invoke_batch(1, seeds)
+    scalar, want = _oracle_invokes(system, seeds, True, monkeypatch)
+    batch, got, calls = _counted_invoke_batch(system, seeds, True, monkeypatch)
     _assert_outcomes_identical(scalar, batch)
-    assert _exports(obs) == want
+    assert got == want
+    assert calls == 1
 
 
 # -- cohort census and tallies over the flat trace layout ----------------------
@@ -513,18 +554,26 @@ class TestFirstTouchCensus:
     @example([{1, 2}, {2}, {40, 1}])  # page 40 first touched in the last epoch
     @settings(max_examples=150, deadline=None)
     def test_dense_census_matches_unique_reference(self, epoch_sets):
-        from repro.sim.batchexec import _first_touch
+        """The kernel's census faults each page in the epoch that first
+        touches it, over a dense residency mask, exactly as the
+        first-occurrence reference says."""
+        from repro.sim.batchexec import _cold_touches
 
         trace = _trace_from_sets(epoch_sets)
         _, first_idx = np.unique(trace.pages, return_index=True)
         ref_pages = trace.pages[first_idx]
         ref_epoch = np.searchsorted(trace.epoch_ptr, first_idx, side="right") - 1
-        pages, epochs = _first_touch(trace)
-        np.testing.assert_array_equal(pages, ref_pages)
-        np.testing.assert_array_equal(epochs, ref_epoch)
+        seen = np.zeros(trace.n_pages, dtype=bool)
+        cold = _cold_touches(trace, seen)
+        pages = np.concatenate(cold)
+        epochs = np.repeat(np.arange(len(cold)), [c.size for c in cold])
+        order = np.argsort(pages)
+        np.testing.assert_array_equal(pages[order], ref_pages)
+        np.testing.assert_array_equal(epochs[order], ref_epoch)
+        np.testing.assert_array_equal(np.flatnonzero(seen), ref_pages)
 
 
-BACKINGS = (0, 1, 3, 4, 5, 6)  # every Backing the batch engine models
+BACKINGS = tuple(int(b) for b in Backing)  # every kind, SSD-backed included
 
 TALLY_MEMORIES = (
     DEFAULT_MEMORY_SYSTEM,
@@ -533,6 +582,39 @@ TALLY_MEMORIES = (
     # pay its codec too.
     compressed_memory_system((LZ4_POINT, ZSTD_POINT, DEFLATE_POINT), slow=None),
 )
+
+PAGE_MASK = st.lists(st.booleans(), min_size=CENSUS_PAGES, max_size=CENSUS_PAGES)
+
+
+def _state(vm):
+    """Everything an execute may write into its VM."""
+    cache = vm.page_cache
+    return (
+        vm._resident.copy(),
+        vm.page_versions.copy(),
+        None if cache is None else cache.resident_mask(),
+        None if cache is None else cache._prefetched.copy(),
+    )
+
+
+def _assert_state_equal(a, b):
+    for x, y in zip(_state(a), _state(b)):
+        if x is None or y is None:
+            assert x is y
+        else:
+            np.testing.assert_array_equal(x, y)
+
+
+def _assert_execution_equal(got, want):
+    assert got.counters == want.counters
+    for f in dataclasses.fields(got.counters):
+        assert type(getattr(got.counters, f.name)) is type(
+            getattr(want.counters, f.name)
+        ), f.name
+    assert got.demand == want.demand
+    assert [r.duration_s for r in got.epoch_records] == [
+        r.duration_s for r in want.epoch_records
+    ]
 
 
 class TestCohortTallies:
@@ -547,13 +629,13 @@ class TestCohortTallies:
     def test_execute_cohort_matches_scalar_execute(
         self, memory, cohort, data, rf, sf
     ):
-        """Per-trace in-place tallies == the scalar engine, bit for bit,
-        on any chain, for any placement over its tier ids and any backing
-        mix, compressed-pool pages on any tier included (one fresh VM per
-        trace)."""
-        from repro.sim.batchexec import execute_cohort
-        from repro.vm.microvm import MicroVM
-
+        """The kernel == the scalar oracle, bit for bit, on any chain,
+        for any placement over its tier ids, any backing mix (SSD-backed
+        and compressed-pool pages on any tier included), any initial
+        residency and any pre-populated host page cache: per cohort
+        member, each on its own VM, the first on the template itself;
+        and over two consecutive executes on one VM.  The state each
+        execute leaves in its VM must match too."""
         pages = st.lists(
             st.integers(0, memory.n_tiers - 1),
             min_size=CENSUS_PAGES,
@@ -565,21 +647,39 @@ class TestCohortTallies:
                                max_size=CENSUS_PAGES)),
             dtype=np.uint8,
         )
-        traces = [_trace_from_sets(sets, rf, sf) for sets in cohort]
-        template = MicroVM(
-            CENSUS_PAGES, memory=memory, placement=placement, backing=backing
+        # Pages already touched before the first execute (resident
+        # backing always is).
+        resident = np.array(data.draw(PAGE_MASK)) | (backing == 0)
+        cache = HostPageCache(
+            CENSUS_PAGES, readahead_pages=config.READAHEAD_PAGES
         )
-        batch = execute_cohort(template, traces)
-        for trace, got in zip(traces, batch):
+        cached = sorted(data.draw(st.sets(st.integers(0, CENSUS_PAGES - 1))))
+        cache.fault_in(np.array(cached, dtype=np.int64))
+
+        def fresh():
             vm = MicroVM(
-                CENSUS_PAGES, memory=memory, placement=placement, backing=backing
+                CENSUS_PAGES,
+                memory=memory,
+                placement=placement,
+                backing=backing,
+                page_cache=copy.deepcopy(cache),
             )
-            want = vm.execute(trace)
-            assert got.counters == want.counters
-            assert got.demand == want.demand
-            assert [r.duration_s for r in got.epoch_records] == [
-                r.duration_s for r in want.epoch_records
-            ]
+            vm._resident = resident.copy()
+            return vm
+
+        traces = [_trace_from_sets(sets, rf, sf) for sets in cohort]
+        template = fresh()
+        batch = execute_cohort(template, traces)
+        for i, (trace, got) in enumerate(zip(traces, batch)):
+            oracle = fresh()
+            _assert_execution_equal(got, scalar_execute(oracle, trace))
+            if i == 0:  # the first member ran on the template itself
+                _assert_state_equal(template, oracle)
+
+        vm, oracle = fresh(), fresh()
+        for trace in (traces * 2)[:2]:
+            _assert_execution_equal(vm.execute(trace), scalar_execute(oracle, trace))
+            _assert_state_equal(vm, oracle)
 
 
 class TestCohortMemory:
@@ -589,8 +689,7 @@ class TestCohortMemory:
         import tracemalloc
 
         from repro.memsim.tiers import Tier
-        from repro.sim.batchexec import _flat, execute_cohort
-        from repro.vm.microvm import Backing, MicroVM
+        from repro.sim.batchexec import _flat
 
         traces = [tiny_function.trace(3, seed) for seed in range(50)]
         column_bytes = sum(t.pages.nbytes + t.counts.nbytes for t in traces)
@@ -610,10 +709,10 @@ class TestCohortMemory:
         assert len(results) == 50
         assert results[0].counters.slow_accesses > 0
         assert peak < column_bytes / 2, (peak, column_bytes)
-        # The per-trace memo keeps no page-level copy of the columns.
+        # The per-trace memo keeps no page-level copy of the columns:
+        # every column it holds is one value per epoch.
         fields = {f.name for f in dataclasses.fields(_flat(traces[0]))}
         assert not fields & {"pages", "counts", "epoch_sizes"}
-        # ... and its first-touch census in the narrowest types that fit.
         flat = _flat(traces[0])
-        assert flat.first_pages.dtype == np.uint16  # 32768-page guest
-        assert flat.first_epoch.dtype == np.uint8
+        for name in fields:
+            assert getattr(flat, name).shape == (len(traces[0].epochs),), name

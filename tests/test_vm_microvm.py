@@ -28,6 +28,17 @@ class TestConstruction:
         with pytest.raises(VMError):
             MicroVM(100, placement=np.zeros(50, dtype=np.uint8))
 
+    @pytest.mark.parametrize("code", [7, 9, 255])
+    def test_unknown_backing_code_rejected(self, code):
+        # A code outside Backing used to be accepted: the census counted
+        # it in a compressed-pool tier column, or (255) failed inside
+        # NumPy.  It is rejected up front, as a bad placement is.
+        backing = np.zeros(8, dtype=np.uint8)
+        backing[3] = code
+        with pytest.raises(VMError, match=f"backing code {code}"):
+            MicroVM(8, backing=backing)
+        MicroVM(8, backing=np.full(8, max(Backing), dtype=np.uint8))
+
     def test_arrays_are_copied(self):
         placement = np.zeros(100, dtype=np.uint8)
         vm = MicroVM(100, placement=placement)
