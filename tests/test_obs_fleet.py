@@ -115,6 +115,18 @@ class TestFleetReport:
             FIXTURES / "fleet_report_crash_metrics.prom"
         ).read_text()
 
+    def test_scrub_scenario_matches_golden_fixtures(self):
+        # Bit rot, scrub passes and repairs all run through the cluster's
+        # serve waves, so this pins the durability path end to end.
+        result = fleet_report.run("scrub")
+        assert result.cluster.durability.summary()["scrub_passes"] > 0
+        assert result.alerts_jsonl == (
+            FIXTURES / "fleet_report_scrub_alerts.jsonl"
+        ).read_text()
+        assert result.fleet_prom == (
+            FIXTURES / "fleet_report_scrub_metrics.prom"
+        ).read_text()
+
     def test_crash_scenario_artefacts(self):
         result = fleet_report.run("crash")
         # Host 0's outage must produce fired-and-resolved alerts.
