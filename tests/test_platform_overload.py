@@ -135,6 +135,30 @@ class TestRequestValidation:
         log = platform.serve([(0.0, "tiny", 0, "batch")])
         assert log[0].request_class == "batch"
 
+    @pytest.mark.parametrize(
+        "request_tuple,why",
+        [
+            ((float("nan"), "tiny", 0), "arrival time must be finite"),
+            ((float("inf"), "tiny", 0), "arrival time must be finite"),
+            (("1.0", "tiny", 0), "arrival time must be a number"),
+            ((True, "tiny", 0), "arrival time must be a number"),
+            ((0.0, "tiny", 1.5), "input_index must be an integer"),
+            ((0.0, "tiny", True), "input_index must be an integer"),
+            ((0.0, "tiny", "1"), "input_index must be an integer"),
+        ],
+        ids=["nan", "inf", "str-arrival", "bool-arrival", "float-index",
+             "bool-index", "str-index"],
+    )
+    def test_bad_field_types_rejected_by_name(
+        self, tiny_function, request_tuple, why
+    ):
+        platform, _ = make_platform()
+        platform.deploy(tiny_function)
+        with pytest.raises(SchedulerError, match=why) as info:
+            platform.serve([(0.0, "tiny", 0), request_tuple])
+        assert repr(request_tuple[0]) in str(info.value)
+        assert platform.log == []
+
 
 class TestCircuitBreakerUnit:
     def test_trips_after_threshold_consecutive_failures(self):
