@@ -32,7 +32,6 @@ from .slo import (
     Alert,
     Anomaly,
     BurnWindow,
-    HostSloView,
     SloConfig,
     SloFeed,
     SloTracker,
@@ -47,7 +46,6 @@ __all__ = [
     "FleetAggregator",
     "Gauge",
     "Histogram",
-    "HostSloView",
     "MetricsRegistry",
     "Observation",
     "PhaseProfiler",

@@ -35,7 +35,6 @@ __all__ = [
     "Alert",
     "Anomaly",
     "BurnWindow",
-    "HostSloView",
     "SloConfig",
     "SloFeed",
     "SloTracker",
@@ -291,11 +290,10 @@ class _EwmaDetector:
 
 
 class SloFeed:
-    """The two-method interface the serving hot paths push samples at.
+    """The two-method interface the serving layers push samples at.
 
-    Both :class:`SloTracker` (the real engine) and :class:`HostSloView`
-    (a host-labelled forwarding view) implement it; hot paths hold
-    whichever their :class:`~repro.obs.runtime.Observation` carries.
+    :class:`SloTracker` is the engine behind it; the serving layers hold
+    whichever feed their :class:`~repro.obs.runtime.Observation` carries.
     """
 
     def observe_request(
@@ -449,26 +447,3 @@ class SloTracker(SloFeed):
             )
         return "\n".join(lines) + ("\n" if lines else "")
 
-
-class HostSloView(SloFeed):
-    """A :class:`SloFeed` bound to one host label.
-
-    Handed to per-host child observations so code that only knows "the
-    active observation" still lands its samples under the right host.
-    """
-
-    def __init__(self, tracker: SloTracker, host: str) -> None:
-        self.tracker = tracker
-        self.host = host
-
-    def observe_request(
-        self, at_s: float, good: bool, *, host: str = ""
-    ) -> None:
-        """Forward with this view's host label."""
-        self.tracker.observe_request(at_s, good, host=self.host)
-
-    def observe_signal(
-        self, signal: str, value: float, at_s: float, *, host: str = ""
-    ) -> None:
-        """Forward with this view's host label."""
-        self.tracker.observe_signal(signal, value, at_s, host=self.host)

@@ -10,7 +10,6 @@ from repro.errors import ConfigError
 from repro.obs import (
     Alert,
     BurnWindow,
-    HostSloView,
     SloConfig,
     SloTracker,
 )
@@ -187,16 +186,6 @@ class TestAnomalyDetection:
                                    i * 0.1, host="h1")
         # h1's large values are NORMAL for h1 — no cross-host bleed.
         assert tracker.anomalies == []
-
-
-class TestHostSloView:
-    def test_forwards_with_bound_host(self):
-        tracker = SloTracker(FAST)
-        view = HostSloView(tracker, "host3")
-        view.observe_request(0.0, True)
-        view.observe_signal("queue_delay_s", 0.01, 0.0)
-        assert tracker.sample_count("host3") == 1
-        assert tracker.hosts() == ["host3"]
 
 
 class TestRecordsJsonl:
