@@ -51,7 +51,7 @@ from .. import rng as rng_mod
 from ..core.telemetry import TelemetryLog
 from ..core.toss import Phase, TossConfig
 from ..durability import DurabilityManager, ScrubConfig
-from ..errors import ClusterError
+from ..errors import ClusterError, ConfigError
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..functions.base import FunctionModel
@@ -192,6 +192,12 @@ class ClusterPlatform:
         telemetry: TelemetryLog | None = None,
         scrub: ScrubConfig | None = None,
     ) -> None:
+        for spec in plan.hosts if plan is not None else ():
+            if spec.host >= config.n_hosts:
+                raise ConfigError(
+                    f"host fault spec targets host {spec.host}, outside the "
+                    f"fleet's n_hosts={config.n_hosts}"
+                )
         self.config = config
         self.plan = plan
         self.placement = SnapshotPlacement(

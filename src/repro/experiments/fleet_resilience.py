@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from ..cluster import ClusterConfig, ClusterPlatform, FLEET_SUITE, steady_requests
 from ..core.toss import TossConfig
+from ..errors import ConfigError
 from ..faults.plan import FaultPlan, HostFaultSpec
 from ..report import Table
 
@@ -100,7 +101,7 @@ def run(
     for rf in replication_factors:
         for lost in hosts_lost:
             if lost >= n_hosts:
-                raise ValueError("cannot lose every host")
+                raise ConfigError("cannot lose every host")
             specs = tuple(
                 HostFaultSpec(host=h, crash_windows=((crash_s, recover_s),))
                 for h in range(lost)

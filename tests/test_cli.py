@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.__main__ import EXPERIMENTS, main
+from repro.errors import ConfigError
 
 
 class TestCli:
@@ -72,3 +73,8 @@ class TestCli:
     def test_observe_rejects_unknown(self):
         with pytest.raises(SystemExit):
             main(["observe", "fig42"])
+
+    def test_cluster_crash_outside_fleet_rejected(self, capsys):
+        with pytest.raises(ConfigError, match=r"host 9\b.*n_hosts=4"):
+            main(["cluster", "--hosts", "4", "--crash", "9"])
+        assert capsys.readouterr().out == ""

@@ -429,6 +429,15 @@ class TestValidationAndConfig:
         assert repr(request_tuple[0]) in str(info.value)
         assert cluster.outcomes == []
 
+    @pytest.mark.parametrize(
+        "n_hosts,spec_host", [(1, 1), (4, 4), (4, 9)], ids=["1of1", "4of4", "9of4"]
+    )
+    def test_fault_spec_outside_fleet_rejected(self, n_hosts, spec_host):
+        with pytest.raises(ConfigError, match=rf"host {spec_host}\b.*n_hosts={n_hosts}"):
+            ClusterPlatform(
+                ClusterConfig(n_hosts=n_hosts), plan=crash_plan(spec_host)
+            )
+
     def test_deploy_is_idempotent(self):
         cluster = make_cluster(n_hosts=4, replication_factor=2)
         holders = cluster.deploy(FLEET_SUITE[0])
