@@ -21,10 +21,9 @@ from typing import TYPE_CHECKING, Iterator
 
 from .metrics import MetricsRegistry
 from .slo import SloFeed
-from .spans import AttrValue, Tracer
+from .spans import Tracer
 
 if TYPE_CHECKING:
-    from ..sim.loop import EventLoop
     from .fleet import FleetAggregator
 
 __all__ = [
@@ -52,30 +51,6 @@ class Observation:
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     slo: SloFeed | None = None
     fleet: "FleetAggregator | None" = None
-
-    def wire_loop(self, loop: "EventLoop") -> None:
-        """Attach the loop's resource-wait hook so Acquire/Release grants
-        attribute per-process wait time to spans and metrics."""
-        wait_hist = self.metrics.histogram(
-            "toss_resource_wait_seconds",
-            "Simulated seconds processes waited for shared resources",
-        )
-
-        def _on_wait(
-            resource: str, process: str, granted_at_s: float, wait_s: float
-        ) -> None:
-            wait_hist.observe(wait_s, resource=resource)
-            if wait_s > 0.0:
-                attrs: dict[str, AttrValue] = {
-                    "process": process,
-                    "resource": resource,
-                    "wait_s": wait_s,
-                }
-                self.tracer.event(
-                    f"resource-wait/{resource}", at_s=granted_at_s, attrs=attrs
-                )
-
-        loop.span_hook = _on_wait
 
 
 _ACTIVE: Observation | None = None

@@ -268,8 +268,6 @@ class _ServeCall:
         self.cores = [0.0] * platform.n_cores
         self.loop = EventLoop()
         self.obs = obs_runtime.active()
-        if self.obs is not None:
-            self.obs.wire_loop(self.loop)
         self.batch: list[RequestLogEntry] = []
         self.queued = 0
         self.inflight: dict[str, int] = {}
