@@ -6,8 +6,8 @@ page-checksum arrays snapshots already carry into a *content-addressed
 chunk index* (:mod:`.chunks`), so corruption is localised to chunks
 instead of failing the whole snapshot; runs a background
 :func:`~repro.durability.scrub.scrub_process` on the deterministic event
-loop, rate-limited by the shared SSD token bucket so scrub I/O contends
-with restores; and drives a repair ladder
+loop, rate-limited by an SSD token bucket its scans share; and drives a
+repair ladder
 (:class:`~repro.durability.manager.DurabilityManager`): fetch a clean
 chunk from a live replica, else degrade the function to
 re-profile/re-snapshot, else evict and re-replicate — marking true data

@@ -41,9 +41,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..memsim.bandwidth import ContentionModel
 from ..memsim.storage import OPTANE_SSD_SPEC, StorageDevice
-from ..memsim.tiers import DEFAULT_MEMORY_SYSTEM, Tier
+from ..memsim.tiers import Tier
 from ..obs import runtime as obs_runtime
 from ..vm.snapshot import SingleTierSnapshot
 from .chunks import ChunkIndex
@@ -95,11 +94,9 @@ class DurabilityManager:
         self.ledger = DurabilityLedger()
         self.reports: list[ScrubReport] = []
         self.copies: dict[tuple[int, str, str], TrackedCopy] = {}
-        # One hardware description: scrub I/O draws from token buckets
-        # built on the same capacities restores contend on.
-        self._contention = ContentionModel(
-            DEFAULT_MEMORY_SYSTEM, OPTANE_SSD_SPEC
-        )
+        # Each scrub pass reads through its own bucket at the SSD's random
+        # read rate; its scans queue only behind each other.
+        self._ssd_iops = OPTANE_SSD_SPEC.random_read_iops
         self._devices: dict[int, StorageDevice] = {}
         self._next_scrub_s = self.cfg.interval_s
         self._clock_s = 0.0
@@ -326,7 +323,7 @@ class DurabilityManager:
         report = run_scrub_pass(
             [(i, c.snapshot, c.index) for i, c in enumerate(scannable)],
             self.cfg,
-            pool_factory=self._contention.resource_pool,
+            ssd_iops=self._ssd_iops,
             start_s=t_s,
         )
         self.reports.append(report)

@@ -5,26 +5,23 @@ re-reading content and comparing each chunk's digest against the trusted
 :class:`~repro.durability.chunks.ChunkIndex`.  Each
 :func:`scrub_process` runs as a coroutine on the deterministic
 :class:`~repro.sim.loop.EventLoop` and draws its per-chunk read
-operations from the shared SSD :class:`~repro.sim.resources.TokenBucket`
-of a :class:`~repro.sim.contention.ResourcePool` — the same bucket
-concurrent restores consume from
-(:func:`repro.vm.restore.restore_process`), so scrub I/O queues behind
-restores and restores queue behind scrubs.  The bucket *is* the rate
-limit: a pass can never read faster than the device turns over
-operations, and a busy device stretches the pass instead of being
-ignored by it.
+operations from the pass's one SSD
+:class:`~repro.sim.resources.TokenBucket`, so the scans of a pass queue
+behind each other; nothing else draws from that bucket.  The bucket
+*is* the rate limit: a pass can never read faster than the device turns
+over operations, and scanning more copies stretches the pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator
+from typing import Generator
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..sim.contention import ResourcePool
-from ..sim.loop import Command, Delay, EventLoop
+from ..sim.loop import Delay, EventLoop
+from ..sim.resources import TokenBucket
 from ..vm.snapshot import SingleTierSnapshot
 from .chunks import DEFAULT_CHUNK_PAGES, ChunkIndex
 
@@ -64,8 +61,8 @@ class ScrubReport:
     chunks_scanned: int = 0
     ops_consumed: float = 0.0
     queued_s: float = 0.0
-    """Token-bucket backlog the pass absorbed (contention with restores
-    and with the pass's other scan coroutines)."""
+    """Token-bucket backlog the pass absorbed (contention between the
+    pass's scan coroutines on the one SSD bucket)."""
     bad: list[tuple[int, list[int]]] = field(default_factory=list)
     """``(copy_id, bad_chunk_ids)`` per copy with detected damage."""
 
@@ -79,10 +76,10 @@ def scrub_process(
     copy_id: int,
     snapshot: SingleTierSnapshot,
     index: ChunkIndex,
-    pool: ResourcePool,
+    bucket: TokenBucket,
     cfg: ScrubConfig,
     report: ScrubReport,
-) -> Generator[Command, None, list[int]]:
+) -> Generator[Delay, None, list[int]]:
     """Scan one snapshot copy chunk by chunk; returns its bad chunks.
 
     One ``Delay`` per chunk: the chunk's uncontended device time (ops at
@@ -91,7 +88,6 @@ def scrub_process(
     once the scan I/O has been paid — the damage set is what the reads
     saw.
     """
-    bucket = pool["ssd"]
     for chunk in range(index.n_chunks):
         start, end = index.chunk_bounds(chunk)
         ops = (end - start) * cfg.ops_per_page
@@ -111,24 +107,22 @@ def run_scrub_pass(
     copies: list[tuple[int, SingleTierSnapshot, ChunkIndex]],
     cfg: ScrubConfig,
     *,
-    pool_factory: Callable[[EventLoop], ResourcePool],
+    ssd_iops: float,
     start_s: float = 0.0,
 ) -> ScrubReport:
     """Run one full scrub pass over ``copies`` on a fresh event loop.
 
-    ``pool_factory`` materialises the shared hardware capacities for the
-    pass's loop (use
-    :meth:`repro.memsim.bandwidth.ContentionModel.resource_pool`, so the
-    bucket rates are the same ones restores contend on).  All copies
-    scan concurrently and queue on the one SSD bucket; the report's
-    ``duration_s`` is when the last scan finished.
+    The pass builds one SSD token bucket refilling at ``ssd_iops``
+    operations per second.  All copies scan concurrently and queue on
+    that bucket; the report's ``duration_s`` is when the last scan
+    finished.
     """
     loop = EventLoop(start_s=start_s)
-    pool = pool_factory(loop)
+    bucket = TokenBucket("ssd", ssd_iops, loop=loop)
     report = ScrubReport(started_s=start_s)
     for copy_id, snapshot, index in copies:
         loop.spawn(
-            scrub_process(copy_id, snapshot, index, pool, cfg, report),
+            scrub_process(copy_id, snapshot, index, bucket, cfg, report),
             name=f"scrub/{copy_id}",
         )
     report.finished_s = loop.run()

@@ -15,7 +15,7 @@ from .tiers import Tier, TierSpec, MemorySystem, DEFAULT_MEMORY_SYSTEM
 from .storage import StorageSpec, StorageDevice, DEFAULT_SSD
 from .page_cache import HostPageCache
 from .bandwidth import ContentionModel, TierDemand
-from .accounting import Clock, PerfCounters
+from .accounting import PerfCounters
 from .compressed import (
     CompressionPoint,
     CompressedTierSpec,
@@ -40,6 +40,5 @@ __all__ = [
     "HostPageCache",
     "ContentionModel",
     "TierDemand",
-    "Clock",
     "PerfCounters",
 ]

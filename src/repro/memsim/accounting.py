@@ -1,43 +1,15 @@
-"""Simulated-time accounting and perf-style counters.
+"""Perf-style counters.
 
-All "time" in this reproduction is simulated: components charge costs to a
-:class:`Clock` instead of sleeping.  :class:`PerfCounters` mirrors the
-hardware counters the paper reads with ``perf`` (Section VI-C1 measures
-memory intensiveness as the fraction of cycles stalled on outstanding LLC
-miss demand loads).
+:class:`PerfCounters` mirrors the hardware counters the paper reads with
+``perf`` (Section VI-C1 measures memory intensiveness as the fraction of
+cycles stalled on outstanding LLC miss demand loads).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ConfigError
-
-__all__ = ["Clock", "PerfCounters"]
-
-
-@dataclass
-class Clock:
-    """A monotonically advancing simulated clock.
-
-    Components call :meth:`advance` with the cost of each modelled
-    operation; experiments read :attr:`now` before/after to time phases.
-    """
-
-    now: float = 0.0
-
-    def advance(self, seconds: float) -> float:
-        """Advance the clock; returns the new time."""
-        if seconds < 0:
-            raise ConfigError(f"cannot advance clock by {seconds} s")
-        self.now += seconds
-        return self.now
-
-    def elapsed_since(self, start: float) -> float:
-        """Seconds elapsed since a previously sampled timestamp."""
-        if start > self.now:
-            raise ConfigError("start timestamp lies in the future")
-        return self.now - start
+__all__ = ["PerfCounters"]
 
 
 @dataclass

@@ -20,10 +20,11 @@ baseline scales flat in Figure 9 while PMEM-heavy placements do not.
 Since the event kernel (:mod:`repro.sim`) landed, this module plays two
 roles: the damped fixed point remains the *equilibrium law* — the answer
 for a closed batch launched at one instant — while
-:attr:`ContentionModel.capacities`/:meth:`ContentionModel.resource_pool`
-hand the same hardware description to the discrete-event engine, where
-staggered restores contend through the schedule itself
-(:class:`repro.sim.contention.EventScheduler`).
+:attr:`ContentionModel.capacities` hands the same hardware description
+to the discrete-event engine
+(:class:`repro.sim.contention.EventScheduler`), which replays a batch's
+per-resource occupancy and lets staggered jobs contend through the
+schedule itself.
 """
 
 from __future__ import annotations
@@ -204,9 +205,9 @@ class ContentionModel:
     def capacities(self) -> dict[str, float]:
         """Per-resource service capacities (ops/s; bytes/s for ``fast``).
 
-        The event kernel (:mod:`repro.sim`) builds its shared
-        :class:`~repro.sim.resources.TokenBucket` capacities from this —
-        one hardware description, two execution modes.
+        The event kernel (:class:`repro.sim.contention.EventScheduler`)
+        divides offered rates by these to get each resource's occupancy
+        — one hardware description, two execution modes.
         """
         return dict(self._capacity)
 
@@ -250,18 +251,6 @@ class ContentionModel:
             for j, r in enumerate(RESOURCES):
                 out[i, j] = work[r][0]
         return out
-
-    def resource_pool(self, loop):
-        """Materialise the capacities as event-loop token buckets.
-
-        Concurrent restore processes acquire per-chunk operations from
-        the returned :class:`~repro.sim.contention.ResourcePool`, so
-        queueing on the SSD's IOPS or the slow tier's read throughput
-        emerges from the event schedule instead of this solver.
-        """
-        from ..sim.contention import ResourcePool
-
-        return ResourcePool(self._capacity, loop=loop)
 
     @staticmethod
     def _inflation(rho: float) -> float:

@@ -91,8 +91,8 @@ class Tracer:
 
     ``spans`` holds finished spans in close order; exporters sort by
     ``(start_s, span_id)``.  ``orphan_events`` collects events recorded
-    while no span was open (deferred platform telemetry, resource-wait
-    attributions) — they become instant events in the Perfetto export.
+    while no span was open (deferred platform telemetry) — they become
+    instant events in the Perfetto export.
     """
 
     def __init__(self, clock: Callable[[], float] | None = None) -> None:

@@ -60,11 +60,9 @@ class ConcurrencyResult:
 class Scheduler:
     """Runs concurrent invocation batches under contention.
 
-    A compatibility facade over the event kernel: the public API
-    (``run_concurrent``/``run_waves``/``run_mixed``) is unchanged, and the
-    numbers it returns are byte-identical to the pre-kernel analytic
-    scheduler, because the kernel's synchronized-batch mode *is* the
-    analytic solve.
+    A compatibility facade over the event kernel: ``run_concurrent``
+    returns numbers byte-identical to the pre-kernel analytic scheduler,
+    because the kernel's synchronized-batch mode *is* the analytic solve.
     """
 
     def __init__(
@@ -115,69 +113,6 @@ class Scheduler:
         return ConcurrencyResult(
             system=system.name,
             concurrency=concurrency,
-            exec_times_s=tuple(times),
-            setup_times_s=tuple(o.setup_time_s for o in outcomes),
-            inflation=inflation,
-            utilization=self.engine.utilization_summary(),
-        )
-
-    def run_waves(
-        self,
-        system: ServerlessSystem,
-        input_index: int,
-        total: int,
-        *,
-        seed_base: int = 0,
-    ) -> list[ConcurrencyResult]:
-        """Serve an oversubscribed burst as consecutive core-sized waves.
-
-        Bounded admission at the contention layer: where
-        :meth:`run_concurrent` rejects more parallelism than there are
-        cores, a real platform queues the excess.  This chunks the burst
-        into deterministic waves of at most ``n_cores`` invocations, each
-        solved under its own contention fixed point — the degenerate tail
-        wave runs less contended, exactly as a draining queue would.
-        """
-        if total < 1:
-            raise SchedulerError(f"burst of {total} invocations is empty")
-        waves: list[ConcurrencyResult] = []
-        offset = 0
-        while offset < total:
-            size = min(self.n_cores, total - offset)
-            waves.append(
-                self.run_concurrent(
-                    system, input_index, size, seed_base=seed_base + offset
-                )
-            )
-            offset += size
-        return waves
-
-    def run_mixed(
-        self,
-        batch: list[tuple[ServerlessSystem, int]],
-        *,
-        seed_base: int = 0,
-    ) -> ConcurrencyResult:
-        """Execute a heterogeneous batch of (system, input) invocations.
-
-        Real peak load mixes functions (the platform of Section II runs
-        many tenants at once); resource contention couples them all.  The
-        batch size is bounded by the core count as in
-        :meth:`run_concurrent`.
-        """
-        if not 1 <= len(batch) <= self.n_cores:
-            raise SchedulerError(
-                f"batch of {len(batch)} outside 1..{self.n_cores} cores"
-            )
-        outcomes = [
-            system.invoke(input_index, seed_base + i)
-            for i, (system, input_index) in enumerate(batch)
-        ]
-        demands = [o.execution.demand for o in outcomes]
-        times, inflation = self.engine.run_synchronized(demands)
-        return ConcurrencyResult(
-            system="+".join(sorted({s.name for s, _ in batch})),
-            concurrency=len(batch),
             exec_times_s=tuple(times),
             setup_times_s=tuple(o.setup_time_s for o in outcomes),
             inflation=inflation,

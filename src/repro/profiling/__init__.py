@@ -15,7 +15,6 @@
 from .damon import DamonConfig, DamonProfiler, DamonSnapshot
 from .uffd import uffd_working_set, uffd_capture_overhead_s
 from .mincore import mincore_working_set
-from .pebs import PebsConfig, PebsProfiler, PebsSample
 from .unified import UnifiedAccessPattern
 
 __all__ = [
@@ -25,8 +24,5 @@ __all__ = [
     "uffd_working_set",
     "uffd_capture_overhead_s",
     "mincore_working_set",
-    "PebsConfig",
-    "PebsProfiler",
-    "PebsSample",
     "UnifiedAccessPattern",
 ]

@@ -1,27 +1,17 @@
-"""Vectorized batch primitives under the coroutine event-loop API.
+"""Vectorized batch primitives for the event kernel's hot paths.
 
-The event kernel's hot paths process *cohorts*: many heap entries with
-the same structure (arrival cohorts in
-:meth:`repro.platform.server.ServerlessPlatform.serve`), many telemetry
-samples per completion (:class:`repro.sim.contention.EventScheduler`),
-many same-instant token draws (restore chunks), and many per-epoch
-reductions (the batch executor in :mod:`repro.sim.batchexec`).  This
-module holds the NumPy structured-array machinery those paths share.
+The kernel's hot paths process *cohorts*: many telemetry samples per
+completion (:class:`repro.sim.contention.EventScheduler`) and many
+per-epoch reductions (the batch executor in :mod:`repro.sim.batchexec`).
+This module holds the NumPy machinery those paths share.
 
-Every helper here is **bit-identical** to the scalar code it replaces.
-The invariants that make that true:
-
-* The heap's total order on ``(time, priority, seq)`` is exactly the
-  lexicographic order ``np.lexsort`` produces, and ``seq`` is unique, so
-  :func:`heap_drain_order` equals the sequence of ``heapq`` pops.
-* ``np.add.accumulate``/``np.subtract.accumulate`` are sequential left
-  folds (unlike ``np.add.reduce``/``reduceat``, which use pairwise
-  summation and are *not* reused here for floats);
-  :func:`segment_fold_left` therefore reproduces ``acc += x`` loops
-  exactly, element by element, in segment order.
-* Integer segment sums are order-independent and exact, so the
-  cumsum-difference trick in :func:`segment_sums_int` is safe even for
-  empty segments (where ``reduceat`` would misbehave).
+Every helper here is **bit-identical** to the scalar code it replaces,
+because ``np.add.accumulate`` is a sequential left fold (unlike
+``np.add.reduce``/``reduceat``, which use pairwise summation and are
+*not* reused here for floats): :func:`segment_fold_left` reproduces
+``acc += x`` loops exactly, element by element, in segment order, and
+:meth:`SampleBuffer.summarize` folds its time-weighted areas the same
+way.
 """
 
 from __future__ import annotations
@@ -32,45 +22,7 @@ import numpy.typing as npt
 from ..errors import ConfigError
 from ..memsim.bandwidth import RESOURCES
 
-__all__ = [
-    "heap_drain_order",
-    "segment_sums_int",
-    "segment_fold_left",
-    "SampleBuffer",
-]
-
-
-def heap_drain_order(
-    times: npt.NDArray[np.float64],
-    priorities: npt.NDArray[np.int64],
-    seqs: npt.NDArray[np.int64],
-) -> npt.NDArray[np.intp]:
-    """Order in which the event heap would pop a cohort of entries.
-
-    The coroutine loop pops entries by the total order
-    ``(time, priority, seq)``; ``seq`` is unique per loop, which makes
-    the order total, which makes it *identical* to a lexicographic sort.
-    Returns the permutation (indices into the cohort) — the batch
-    engine's ``reduceat``-style draining walks cohorts in this order.
-    """
-    if not times.shape == priorities.shape == seqs.shape:
-        raise ConfigError("cohort columns must have matching shapes")
-    return np.lexsort((seqs, priorities, times))
-
-
-def segment_sums_int(
-    values: npt.NDArray[np.int64], ptr: npt.NDArray[np.int64]
-) -> npt.NDArray[np.int64]:
-    """Per-segment sums of an int64 array (exact, empty segments ok).
-
-    ``ptr`` holds the segment boundaries (length ``n_segments + 1``).
-    Integer addition is associative and exact, so the cumulative-sum
-    difference equals the per-segment loop regardless of order.
-    """
-    cum = np.zeros(values.size + 1, dtype=np.int64)
-    np.cumsum(values, out=cum[1:])
-    out: npt.NDArray[np.int64] = cum[ptr[1:]] - cum[ptr[:-1]]
-    return out
+__all__ = ["segment_fold_left", "SampleBuffer"]
 
 
 def segment_fold_left(
@@ -138,19 +90,6 @@ class SampleBuffer:
     def n_events(self) -> int:
         """Events recorded so far (each carries one row per resource)."""
         return self._n
-
-    def append_event(
-        self,
-        time_s: float,
-        rhos: npt.NDArray[np.float64],
-        inflations: npt.NDArray[np.float64],
-    ) -> None:
-        """Record one event's per-resource observations."""
-        row = self._rows[self._n]
-        row["time_s"] = time_s
-        row["rho"] = rhos
-        row["inflation"] = inflations
-        self._n += 1
 
     def fill_events(
         self,

@@ -37,11 +37,9 @@ from ..errors import ConfigError, SchedulerError
 from ..memsim.bandwidth import RESOURCES, ContentionModel, TierDemand
 from .batch import SampleBuffer
 from .loop import EventLoop, _Entry
-from .resources import TokenBucket
 
 __all__ = [
     "EventScheduler",
-    "ResourcePool",
     "TimelineJob",
     "TimelineResult",
     "UtilizationSample",
@@ -56,33 +54,6 @@ class UtilizationSample:
     resource: str
     offered_rho: float
     inflation: float
-
-
-class ResourcePool:
-    """Token buckets for the five shared hardware capacities.
-
-    Restore processes consume per-chunk operations from these buckets
-    (:func:`repro.vm.restore.restore_process`); the wait each consume
-    returns is queueing delay that exists only because of what else is
-    on the timeline.
-    """
-
-    def __init__(self, capacities: dict[str, float], *, loop: EventLoop) -> None:
-        missing = [r for r in RESOURCES if r not in capacities]
-        if missing:
-            raise ConfigError(f"capacities missing resources: {missing}")
-        self.loop = loop
-        self.buckets: dict[str, TokenBucket] = {
-            name: TokenBucket(name, rate, loop=loop)
-            for name, rate in capacities.items()
-        }
-
-    def __getitem__(self, name: str) -> TokenBucket:
-        return self.buckets[name]
-
-    def consumed(self) -> dict[str, float]:
-        """Total operations drawn per resource."""
-        return {name: b.consumed_total for name, b in self.buckets.items()}
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""The deterministic event loop, simulated clock, and process coroutines.
+"""The deterministic event loop and its process coroutines.
 
 Everything in the simulation happens as an event on one timeline.  Events
 are ordered by ``(time, priority, seq)``: simulated time first, then an
@@ -8,26 +8,21 @@ bookkeeping that "happened by" time *t* is visible to decisions made *at*
 simultaneous same-band events FIFO — scheduling order is replay order,
 always.
 
-Processes are plain generators that ``yield`` commands
-(:class:`Delay`, :class:`Acquire`, :class:`Release`); the loop resumes a
-process when its command completes.  This keeps the kernel free of
-threads and real time: a million simulated seconds cost whatever the
-event count costs, nothing sleeps.
+Processes are plain generators that ``yield`` :class:`Delay` commands;
+the loop resumes a process when its delay has elapsed.  This keeps the
+kernel free of threads and real time: a million simulated seconds cost
+whatever the event count costs, nothing sleeps.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterator, Sequence
+from typing import Any, Callable, Generator, Sequence
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..memsim.accounting import Clock
-
-if TYPE_CHECKING:
-    from .resources import Resource
 
 __all__ = [
     "PRIORITY_RELEASE",
@@ -35,16 +30,12 @@ __all__ = [
     "PRIORITY_ARRIVAL",
     "PRIORITY_DEFAULT",
     "Delay",
-    "Acquire",
-    "Release",
-    "Command",
     "Process",
     "EventLoop",
-    "SimClock",
 ]
 
 PRIORITY_RELEASE = 0
-"""Resource/capacity releases and count decrements: state that held
+"""Capacity-lease releases and count decrements: state that held
 *until* time t is gone before anything decides at t."""
 
 PRIORITY_EMIT = 1
@@ -65,24 +56,7 @@ class Delay:
     seconds: float
 
 
-@dataclass(frozen=True)
-class Acquire:
-    """Block the yielding process until ``amount`` units are granted."""
-
-    resource: "Resource"
-    amount: float = 1.0
-
-
-@dataclass(frozen=True)
-class Release:
-    """Return ``amount`` units to the resource (never blocks)."""
-
-    resource: "Resource"
-    amount: float = 1.0
-
-
-Command = Delay | Acquire | Release
-ProcessBody = Generator[Command, None, Any]
+ProcessBody = Generator[Delay, None, Any]
 
 
 class Process:
@@ -110,15 +84,9 @@ class Process:
             self.result = stop.value
             self.finished_at = self._loop.now
             return
-        if isinstance(command, Delay):
-            self._loop.schedule(command.seconds, self._step)
-        elif isinstance(command, Acquire):
-            command.resource._enqueue(self, command.amount)
-        elif isinstance(command, Release):
-            command.resource.release(command.amount)
-            self._loop.schedule(0.0, self._step)
-        else:  # pragma: no cover - defensive
+        if not isinstance(command, Delay):  # pragma: no cover - defensive
             raise ConfigError(f"process {self.name!r} yielded {command!r}")
+        self._loop.schedule(command.seconds, self._step)
 
 
 @dataclass(order=True, slots=True)
@@ -136,9 +104,9 @@ class EventLoop:
 
     * :meth:`schedule` queues a callback after a non-negative delay;
       :meth:`schedule_at` queues at an absolute time (never in the past).
-    * :meth:`run` drains the heap; :meth:`run_while` drains only while a
-      predicate over the pending heap holds, for callers that interleave
-      simulated batches with carried-over state.
+    * :meth:`run` drains the heap; :meth:`run_while_category` drains only
+      while events of one category remain queued, for callers that
+      interleave simulated batches with carried-over state.
     * Determinism: identical schedules replay identically — the heap key
       is ``(time, priority, seq)`` and ``seq`` is assigned at scheduling
       time, so ties never compare callbacks.
@@ -152,13 +120,6 @@ class EventLoop:
         self._seq = 0
         self._live: dict[str, int] = {}
         self.processed = 0
-        self.clock = SimClock(self)
-        self.span_hook: Callable[[str, str, float, float], None] | None = None
-        """Optional observability hook, called as ``(resource_name,
-        process_name, granted_at_s, wait_s)`` whenever a resource grants
-        an ``Acquire`` — immediately (wait 0) or after FIFO queueing — so
-        resource-wait time can be attributed per process.  ``None`` (the
-        default) costs a single attribute read per grant."""
 
     # -- scheduling ------------------------------------------------------------
 
@@ -305,54 +266,3 @@ class EventLoop:
             heapq.heappush(self._heap, entry)
             self._live[entry.category] = self._live.get(entry.category, 0) + 1
         return ran
-
-    def pending(self, category: str | None = None) -> Iterator[_Entry]:
-        """Iterate live queued events (optionally of one category)."""
-        for entry in self._heap:
-            if entry.cancelled:
-                continue
-            if category is None or entry.category == category:
-                yield entry
-
-
-class SimClock(Clock):
-    """A :class:`~repro.memsim.accounting.Clock` driven by an event loop.
-
-    Components written against ``Clock`` (charge costs with ``advance``,
-    sample ``now``) work unchanged on the simulated timeline: ``now``
-    mirrors the loop and ``advance`` moves the loop's time forward, which
-    is only legal while no earlier event is pending — exactly the
-    single-component case the old per-module clocks covered.
-    """
-
-    def __init__(self, loop: EventLoop) -> None:
-        super().__init__(now=loop.now)
-        self._loop = loop
-
-    @property  # type: ignore[override]
-    def now(self) -> float:  # noqa: D102 - inherited semantics
-        return self._loop.now
-
-    @now.setter
-    def now(self, value: float) -> None:
-        # The dataclass __init__ assigns ``now``; route it to the loop.
-        if hasattr(self, "_loop") and value != self._loop.now:
-            raise ConfigError("SimClock time is owned by its EventLoop")
-
-    def advance(self, seconds: float) -> float:
-        """Advance simulated time, honouring queued events.
-
-        Direct advancement past a pending event would reorder history, so
-        the clock refuses it; run the loop instead.
-        """
-        if seconds < 0:
-            raise ConfigError(f"cannot advance clock by {seconds} s")
-        target = self._loop.now + seconds
-        for entry in self._loop.pending():
-            if entry.time < target:
-                raise ConfigError(
-                    "cannot advance a SimClock past a pending event at "
-                    f"t={entry.time:.6f}s; run the loop"
-                )
-        self._loop.now = target
-        return target

@@ -1,173 +1,22 @@
-"""Shared-capacity primitives: counted resources and token buckets.
-
-A :class:`Resource` is a counted capacity (cores, handler slots, in-use
-bandwidth shares): processes ``Acquire`` units, wait FIFO when none are
-free, and ``Release`` them.  Conservation is an invariant, not a hope —
-``in_use + available == capacity`` at all times, checked on every
-transition.
+"""Shared-capacity rate limiting: the token bucket.
 
 A :class:`TokenBucket` is a rate: tokens refill continuously at
 ``rate_per_s`` up to ``burst``; consumers ask how long obtaining a given
-amount takes.  The contention engine uses buckets for byte bandwidth and
-IOPS capacities, where the interesting quantity is *when* work completes
-rather than *whether* a slot exists.
-
-Both record utilization samples ``(time, fraction)`` whenever their
-occupancy changes, which is what the per-resource telemetry in Figure 9
-reports.
+amount takes.  The background scrubber draws its per-chunk SSD reads
+from one, where the interesting quantity is *when* work completes rather
+than *whether* a slot exists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-import numpy as np
-import numpy.typing as npt
 
 from ..errors import ConfigError
 
 if TYPE_CHECKING:
-    from .loop import EventLoop, Process
+    from .loop import EventLoop
 
-__all__ = ["Resource", "TokenBucket"]
-
-
-@dataclass(frozen=True)
-class _Waiter:
-    process: "Process"
-    amount: float
-    seq: int
-    enqueued_at_s: float = 0.0
-
-
-class Resource:
-    """A counted shared capacity with FIFO granting.
-
-    ``acquire``/``release`` may also be called directly (outside a
-    process) for ledger-style use; waiting requires a process.
-    """
-
-    def __init__(self, name: str, capacity: float, *, loop: "EventLoop") -> None:
-        if capacity <= 0:
-            raise ConfigError(f"resource {name!r} needs positive capacity")
-        self.name = name
-        self.capacity = float(capacity)
-        self.loop = loop
-        self.in_use = 0.0
-        self.waiters: list[_Waiter] = []
-        self._wait_seq = 0
-        self.grants = 0
-        self.utilization_samples: list[tuple[float, float]] = []
-
-    # -- invariants ------------------------------------------------------------
-
-    @property
-    def available(self) -> float:
-        """Free units (capacity minus in-use)."""
-        return self.capacity - self.in_use
-
-    @property
-    def utilization(self) -> float:
-        """Occupied fraction in [0, 1]."""
-        return self.in_use / self.capacity
-
-    def _check(self) -> None:
-        if not -1e-9 <= self.in_use <= self.capacity + 1e-9:
-            raise ConfigError(
-                f"resource {self.name!r} broke conservation: "
-                f"in_use={self.in_use}, capacity={self.capacity}"
-            )
-
-    def _sample(self) -> None:
-        self.utilization_samples.append((self.loop.now, self.utilization))
-
-    # -- operations ------------------------------------------------------------
-
-    def try_acquire(self, amount: float = 1.0) -> bool:
-        """Take units immediately if free; never waits."""
-        if amount <= 0:
-            raise ConfigError("acquire amount must be positive")
-        if amount > self.capacity:
-            raise ConfigError(
-                f"cannot acquire {amount} from {self.name!r} "
-                f"(capacity {self.capacity})"
-            )
-        if self.waiters or amount > self.available + 1e-12:
-            return False
-        self.in_use += amount
-        self.grants += 1
-        self._check()
-        self._sample()
-        return True
-
-    def _enqueue(self, process: "Process", amount: float) -> None:
-        """A process asked for units; grant now or queue FIFO."""
-        if not self.waiters and self.try_acquire(amount):
-            hook = self.loop.span_hook
-            if hook is not None:
-                hook(self.name, process.name, self.loop.now, 0.0)
-            self.loop.schedule(0.0, process._step)
-            return
-        if amount > self.capacity:
-            raise ConfigError(
-                f"cannot acquire {amount} from {self.name!r} "
-                f"(capacity {self.capacity})"
-            )
-        self.waiters.append(
-            _Waiter(process, amount, self._wait_seq, self.loop.now)
-        )
-        self._wait_seq += 1
-
-    def release(self, amount: float = 1.0) -> None:
-        """Return units; wakes waiters FIFO while they fit."""
-        if amount <= 0:
-            raise ConfigError("release amount must be positive")
-        if amount > self.in_use + 1e-9:
-            raise ConfigError(
-                f"resource {self.name!r} released {amount} with only "
-                f"{self.in_use} in use"
-            )
-        self.in_use = max(0.0, self.in_use - amount)
-        self._check()
-        self._sample()
-        while self.waiters:
-            head = self.waiters[0]
-            if head.amount > self.available + 1e-12:
-                break
-            self.waiters.pop(0)
-            self.in_use += head.amount
-            self.grants += 1
-            self._check()
-            self._sample()
-            hook = self.loop.span_hook
-            if hook is not None:
-                hook(
-                    self.name,
-                    head.process.name,
-                    self.loop.now,
-                    self.loop.now - head.enqueued_at_s,
-                )
-            self.loop.schedule(0.0, head.process._step)
-
-    # -- reporting -------------------------------------------------------------
-
-    def mean_utilization(self) -> float:
-        """Time-weighted mean occupancy over the sampled window."""
-        samples = self.utilization_samples
-        if len(samples) < 2:
-            return samples[0][1] if samples else 0.0
-        area = 0.0
-        for (t0, u0), (t1, _) in zip(samples, samples[1:]):
-            area += u0 * (t1 - t0)
-        span = samples[-1][0] - samples[0][0]
-        return area / span if span > 0 else samples[-1][1]
-
-    def peak_utilization(self) -> float:
-        """Highest sampled occupancy."""
-        if not self.utilization_samples:
-            return 0.0
-        return max(u for _, u in self.utilization_samples)
+__all__ = ["TokenBucket"]
 
 
 class TokenBucket:
@@ -221,37 +70,6 @@ class TokenBucket:
         if self.tokens >= 0:
             return 0.0
         return -self.tokens / self.rate_per_s
-
-    def consume_batch(
-        self, amounts: "npt.NDArray[np.float64] | list[float]"
-    ) -> npt.NDArray[np.float64]:
-        """Debit a same-instant cohort of amounts; one wait per draw.
-
-        Bit-identical to calling :meth:`consume` once per amount in order
-        at the same simulated time: after the single shared refill (time
-        has not advanced between the scalar calls, so their re-refills
-        are no-ops), the token level walks down by each amount with the
-        sequential ``np.subtract.accumulate`` left fold — exactly the
-        scalar ``tokens -= amount`` chain — and each draw's wait is
-        computed from its own post-debit level with the same IEEE ops.
-        """
-        arr = np.asarray(amounts, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ConfigError("batch consume amounts must be one-dimensional")
-        if arr.size == 0:
-            return np.empty(0, dtype=np.float64)
-        if float(arr.min()) < 0:
-            raise ConfigError("cannot consume a negative amount")
-        self._refill()
-        levels = np.subtract.accumulate(
-            np.concatenate(([self.tokens], arr))
-        )[1:]
-        waits = np.where(levels >= 0, 0.0, -levels / self.rate_per_s)
-        self.tokens = float(levels[-1])
-        self.consumed_total = float(
-            np.add.accumulate(np.concatenate(([self.consumed_total], arr)))[-1]
-        )
-        return waits
 
     @property
     def backlog_s(self) -> float:

@@ -15,7 +15,6 @@ from .events import AccessEpoch, InvocationTrace
 from .synth import Band, banded_histogram, zipf_histogram, uniform_histogram
 from .allocator import GuestAllocator
 from .cache import TraceCache, shared_trace_cache
-from .io import save_trace, load_trace, trace_from_csv, trace_to_csv
 
 __all__ = [
     "AccessEpoch",
@@ -27,8 +26,4 @@ __all__ = [
     "zipf_histogram",
     "uniform_histogram",
     "GuestAllocator",
-    "save_trace",
-    "load_trace",
-    "trace_from_csv",
-    "trace_to_csv",
 ]

@@ -26,7 +26,6 @@ import numpy as np
 
 from .. import config, faults
 from ..errors import (
-    ConfigError,
     FaultInjected,
     RestoreRetryExhausted,
     TierUnavailableError,
@@ -45,7 +44,6 @@ __all__ = [
     "reap_restore",
     "tiered_restore",
     "recovering_restore",
-    "restore_process",
 ]
 
 
@@ -59,9 +57,7 @@ class RestorePhase:
     of a result sum left-to-right to exactly ``setup_time_s``.  Phases
     that put load on shared hardware name the ``resource`` (a key of
     :data:`repro.memsim.bandwidth.RESOURCES`) and the operation count
-    ``ops`` they offer it; the event kernel turns those into per-chunk
-    token-bucket draws so concurrent restores queue on each other
-    (:func:`restore_process`)."""
+    ``ops`` they offer it; both are recorded on the phase's span."""
 
     label: str
     seconds: float
@@ -165,69 +161,6 @@ def _total_seconds(phases: tuple[RestorePhase, ...]) -> float:
     for phase in phases:
         total += phase.seconds
     return total
-
-
-def restore_process(
-    result: RestoreResult,
-    pool,
-    *,
-    chunks: int = 8,
-):
-    """Run a restore's setup phases as an event-loop process.
-
-    Yields :class:`~repro.sim.loop.Delay` commands — one per chunk of
-    each phase.  Phases that load a shared resource draw their operation
-    chunk from the pool's token bucket first and stall for whatever
-    backlog other restores have already queued there, so interleaved
-    cold starts slow each other exactly where the hardware is shared.
-    A restore alone on the timeline sees no backlog and completes in its
-    analytic ``setup_time_s`` (modulo its own self-throttling when a
-    chunk offers more operations than the bucket turns over in the
-    chunk's own duration).
-
-    ``pool`` is a :class:`~repro.sim.contention.ResourcePool`; use
-    :meth:`repro.memsim.bandwidth.ContentionModel.resource_pool`.
-    """
-    from ..sim.loop import Delay
-
-    if chunks < 1:
-        raise ConfigError("chunks must be >= 1")
-    obs = obs_runtime.active()
-    for phase in result.phases:
-        if phase.resource is None or phase.ops <= 0:
-            yield Delay(phase.seconds)
-            continue
-        bucket = pool[phase.resource]
-        n = max(1, chunks)
-        started_at = pool.loop.now
-        waited = 0.0
-        for i in range(n):
-            wait = bucket.consume(phase.ops / n)
-            waited += wait
-            yield Delay(phase.seconds / n + wait)
-        if obs is not None:
-            # The transfer becomes a span on the *event-loop* timeline:
-            # its duration is the phase's uncontended time plus whatever
-            # queueing the shared token bucket imposed.
-            obs.tracer.record(
-                f"transfer/{phase.resource}",
-                pool.loop.now - started_at,
-                start_s=started_at,
-                attrs={
-                    "phase": phase.label,
-                    "strategy": result.strategy,
-                    "ops": phase.ops,
-                    "queued_s": waited,
-                },
-            )
-            obs.metrics.counter(
-                "toss_transfer_ops_total",
-                "Operations offered to shared hardware by restores",
-            ).inc(phase.ops, resource=phase.resource)
-            obs.metrics.histogram(
-                "toss_transfer_queued_seconds",
-                "Queueing delay restores absorbed on shared resources",
-            ).observe(waited, resource=phase.resource)
 
 
 def _verify_snapshot(snapshot, injector: "faults.FaultInjector | None") -> None:

@@ -7,8 +7,6 @@ import pytest
 
 from repro.durability import ChunkIndex, ScrubConfig, run_scrub_pass
 from repro.errors import ConfigError
-from repro.memsim.bandwidth import RESOURCES
-from repro.sim.contention import ResourcePool
 from repro.vm.snapshot import SingleTierSnapshot
 
 
@@ -18,17 +16,6 @@ def snap(n_pages: int = 1024) -> SingleTierSnapshot:
         page_versions=np.arange(n_pages, dtype=np.uint64),
         label="scrubbed",
     )
-
-
-def pool_factory(ssd_rate: float = 1e9):
-    """A pool with one throttled resource (everything else unbounded)."""
-
-    def factory(loop) -> ResourcePool:
-        capacities = {name: 1e12 for name in RESOURCES}
-        capacities["ssd"] = ssd_rate
-        return ResourcePool(capacities, loop=loop)
-
-    return factory
 
 
 class TestScrubConfig:
@@ -64,7 +51,7 @@ class TestRunScrubPass:
     def test_clean_pass_reports_nothing_bad(self):
         cfg = ScrubConfig(interval_s=1.0, ops_per_page=1.0)
         report = run_scrub_pass(
-            self._copies(), cfg, pool_factory=pool_factory(), start_s=3.0
+            self._copies(), cfg, ssd_iops=1e9, start_s=3.0
         )
         assert report.bad == []
         assert report.copies_scanned == 2
@@ -78,7 +65,7 @@ class TestRunScrubPass:
         report = run_scrub_pass(
             self._copies(damage_page=700),
             cfg,
-            pool_factory=pool_factory(),
+            ssd_iops=1e9,
             start_s=0.0,
         )
         assert report.bad == [(0, [2])]
@@ -91,7 +78,7 @@ class TestRunScrubPass:
         report = run_scrub_pass(
             self._copies(),
             cfg,
-            pool_factory=pool_factory(ssd_rate=1024.0),
+            ssd_iops=1024.0,
             start_s=0.0,
         )
         assert report.queued_s > 0.0
@@ -102,9 +89,9 @@ class TestRunScrubPass:
     def test_faster_bucket_scrubs_sooner(self):
         cfg = ScrubConfig(interval_s=1.0, ops_per_page=1.0)
         slow = run_scrub_pass(
-            self._copies(), cfg, pool_factory=pool_factory(1024.0)
+            self._copies(), cfg, ssd_iops=1024.0
         )
         fast = run_scrub_pass(
-            self._copies(), cfg, pool_factory=pool_factory(8192.0)
+            self._copies(), cfg, ssd_iops=8192.0
         )
         assert fast.duration_s < slow.duration_s

@@ -1,33 +1,10 @@
-"""Tests for simulated clocks and perf counters."""
+"""Tests for perf counters."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigError
-from repro.memsim.accounting import Clock, PerfCounters
-
-
-class TestClock:
-    def test_advance_accumulates(self):
-        clock = Clock()
-        clock.advance(1.5)
-        clock.advance(0.5)
-        assert clock.now == pytest.approx(2.0)
-
-    def test_elapsed_since(self):
-        clock = Clock()
-        start = clock.advance(1.0)
-        clock.advance(2.0)
-        assert clock.elapsed_since(start) == pytest.approx(2.0)
-
-    def test_negative_advance_rejected(self):
-        with pytest.raises(ConfigError):
-            Clock().advance(-0.1)
-
-    def test_future_start_rejected(self):
-        with pytest.raises(ConfigError):
-            Clock().elapsed_since(1.0)
+from repro.memsim.accounting import PerfCounters
 
 
 class TestPerfCounters:

@@ -59,26 +59,6 @@ class TestScheduler:
         assert result.concurrency == 5
         assert result.max_exec_s >= result.mean_exec_s
 
-    def test_run_waves_chunks_oversubscribed_burst(self, tiny_function):
-        sched = Scheduler(n_cores=4)
-        dram = DramBaseline(tiny_function)
-        waves = sched.run_waves(dram, 3, 10)
-        assert [w.concurrency for w in waves] == [4, 4, 2]
-        assert sum(len(w.exec_times_s) for w in waves) == 10
-        # The tail wave runs less contended than a full wave.
-        assert waves[-1].mean_exec_s <= waves[0].mean_exec_s * 1.05
-
-    def test_run_waves_single_wave_matches_run_concurrent(self, tiny_function):
-        sched = Scheduler(n_cores=8)
-        dram = DramBaseline(tiny_function)
-        waves = sched.run_waves(dram, 2, 5, seed_base=7)
-        direct = sched.run_concurrent(dram, 2, 5, seed_base=7)
-        assert waves == [direct]
-
-    def test_run_waves_rejects_empty_burst(self, tiny_function):
-        sched = Scheduler(n_cores=4)
-        with pytest.raises(SchedulerError):
-            sched.run_waves(DramBaseline(tiny_function), 3, 0)
 
 
 class TestArrivals:

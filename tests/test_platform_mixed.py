@@ -1,49 +1,10 @@
-"""Tests for mixed-function concurrent batches and report exports."""
+"""Tests for report exports."""
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
-from repro.baselines import DramBaseline, TossSystem
-from repro.errors import SchedulerError
-from repro.platform import Scheduler
 from repro.report import Table
-
-
-class TestMixedBatches:
-    def test_mixed_batch_runs(self, tiny_function, memory_intensive_function):
-        sched = Scheduler(n_cores=8)
-        a = DramBaseline(tiny_function)
-        b = DramBaseline(memory_intensive_function)
-        result = sched.run_mixed([(a, 3), (b, 3), (a, 0)])
-        assert len(result.exec_times_s) == 3
-        assert result.concurrency == 3
-        assert result.system == "dram"
-
-    def test_mixed_names_joined(self, tiny_function):
-        sched = Scheduler(n_cores=8)
-        dram = DramBaseline(tiny_function)
-        toss = TossSystem(tiny_function, convergence_window=3)
-        result = sched.run_mixed([(dram, 3), (toss, 3)])
-        assert result.system == "dram+toss"
-
-    def test_contention_couples_functions(self, tiny_function):
-        """A heavy neighbour slows a tiered function down."""
-        sched = Scheduler(n_cores=20)
-        toss = TossSystem(tiny_function, convergence_window=3)
-        alone = sched.run_mixed([(toss, 3)]).exec_times_s[0]
-        crowd = sched.run_mixed([(toss, 3)] + [(toss, 3)] * 19)
-        assert crowd.exec_times_s[0] >= alone * 0.99
-
-    def test_batch_bounds(self, tiny_function):
-        sched = Scheduler(n_cores=2)
-        dram = DramBaseline(tiny_function)
-        with pytest.raises(SchedulerError):
-            sched.run_mixed([])
-        with pytest.raises(SchedulerError):
-            sched.run_mixed([(dram, 0)] * 3)
 
 
 class TestReportExports:

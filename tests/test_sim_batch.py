@@ -1,13 +1,13 @@
 """Bit-identity tests for the vectorized batch event kernel.
 
 The batch fast path (:mod:`repro.sim.batch`, :mod:`repro.sim.batchexec`,
-the vectorized contention replay, ``EventLoop.schedule_batch`` and
-``TokenBucket.consume_batch``) promises *bit-identical* results to the
-coroutine/scalar code it shortcuts.  These tests pin that contract:
+the vectorized contention replay and ``EventLoop.schedule_batch``)
+promises *bit-identical* results to the scalar code it shortcuts.  These
+tests pin that contract:
 
 * hypothesis properties drive randomized cohorts — including exact
-  same-timestamp ties and token-bucket contention — through both engines
-  and require identical drain orders and identical floats;
+  same-timestamp ties — through both paths and require identical drain
+  orders and identical floats;
 * the pre-change scalar replay loop is pinned verbatim as a reference
   and the vectorized replay must reproduce its samples exactly;
 * the execute kernel (:func:`repro.sim.batchexec.execute_cohort`, and
@@ -44,16 +44,10 @@ from repro.memsim.compressed import (
 from repro.memsim.page_cache import HostPageCache
 from repro.memsim.storage import OPTANE_SSD_SPEC
 from repro.memsim.tiers import DEFAULT_MEMORY_SYSTEM
-from repro.sim.batch import (
-    SampleBuffer,
-    heap_drain_order,
-    segment_fold_left,
-    segment_sums_int,
-)
+from repro.sim.batch import SampleBuffer, segment_fold_left
 from repro.sim.batchexec import execute_cohort
 from repro.sim.contention import EventScheduler, UtilizationSample, _summarize
 from repro.sim.loop import EventLoop
-from repro.sim.resources import TokenBucket
 from repro.vm.microvm import Backing, MicroVM
 
 from scalar_oracle import scalar_execute
@@ -64,12 +58,6 @@ TIMES = st.lists(
     st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
     min_size=1,
     max_size=40,
-)
-PRIORITIES = st.integers(min_value=0, max_value=3)
-AMOUNTS = st.lists(
-    st.floats(min_value=0.0, max_value=500.0, allow_nan=False),
-    min_size=1,
-    max_size=30,
 )
 
 
@@ -82,29 +70,6 @@ def _with_ties(times: list[float]) -> list[float]:
 
 
 class TestDrainOrder:
-    @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=50.0, allow_nan=False), PRIORITIES), min_size=1, max_size=40))
-    @settings(max_examples=60, deadline=None)
-    def test_lexsort_matches_heap_pops(self, cohort):
-        """heap_drain_order == the coroutine loop's actual pop sequence."""
-        cohort = cohort + cohort[: len(cohort) // 2]  # exact ties
-        loop = EventLoop()
-        fired: list[int] = []
-        entries = []
-        for i, (t, prio) in enumerate(cohort):
-            entries.append(
-                loop.schedule_at(
-                    t, (lambda idx: lambda _now: fired.append(idx))(i),
-                    priority=prio,
-                )
-            )
-        loop.run()
-        order = heap_drain_order(
-            np.array([t for t, _ in cohort], dtype=np.float64),
-            np.array([p for _, p in cohort], dtype=np.int64),
-            np.array([e.seq for e in entries], dtype=np.int64),
-        )
-        assert fired == list(order)
-
     @given(TIMES)
     @settings(max_examples=60, deadline=None)
     def test_schedule_batch_matches_scalar_scheduling(self, times):
@@ -147,73 +112,6 @@ class TestDrainOrder:
             loop.schedule_batch(np.zeros((2, 2)), lambda _n: None)
         assert loop.schedule_batch([], lambda _n: None) == []
 
-    def test_heap_drain_order_shape_mismatch(self):
-        with pytest.raises(ConfigError):
-            heap_drain_order(
-                np.zeros(3), np.zeros(2, dtype=np.int64),
-                np.zeros(3, dtype=np.int64),
-            )
-
-
-# -- token bucket --------------------------------------------------------------
-
-
-class TestConsumeBatch:
-    @given(AMOUNTS, st.floats(min_value=0.1, max_value=200.0, allow_nan=False))
-    @settings(max_examples=80, deadline=None)
-    def test_matches_scalar_consume_chain(self, amounts, rate):
-        """consume_batch == consume called per amount, bit for bit —
-        including contended draws that leave the bucket in debt."""
-        loop_a, loop_b = EventLoop(), EventLoop()
-        scalar = TokenBucket("b", rate, loop=loop_a)
-        batch = TokenBucket("b", rate, loop=loop_b)
-        scalar_waits = [scalar.consume(a) for a in amounts]
-        batch_waits = batch.consume_batch(amounts)
-        assert list(batch_waits) == scalar_waits
-        assert batch.tokens == scalar.tokens
-        assert batch.consumed_total == scalar.consumed_total
-
-    def test_rejects_negative_and_bad_shape(self):
-        loop = EventLoop()
-        bucket = TokenBucket("b", 10.0, loop=loop)
-        with pytest.raises(ConfigError):
-            bucket.consume_batch([1.0, -2.0])
-        with pytest.raises(ConfigError):
-            bucket.consume_batch(np.zeros((2, 2)))
-        assert bucket.consume_batch([]).size == 0
-        assert bucket.tokens == 10.0
-
-    @given(AMOUNTS, st.floats(min_value=0.5, max_value=50.0, allow_nan=False))
-    @settings(max_examples=40, deadline=None)
-    def test_contended_waits_order_processes_identically(self, amounts, rate):
-        """Processes delayed by bucket waits finish in the same order
-        whether the waits came from the scalar or the batch draw."""
-
-        def run(waits):
-            loop = EventLoop()
-            finished: list[int] = []
-
-            def body(i, wait):
-                def _proc():
-                    from repro.sim.loop import Delay
-
-                    yield Delay(wait)
-                    finished.append(i)
-
-                return _proc()
-
-            for i, w in enumerate(waits):
-                loop.spawn(body(i, float(w)), name=f"p{i}")
-            loop.run()
-            return finished
-
-        loop_a, loop_b = EventLoop(), EventLoop()
-        scalar = TokenBucket("b", rate, loop=loop_a)
-        batch = TokenBucket("b", rate, loop=loop_b)
-        scalar_order = run([scalar.consume(a) for a in amounts])
-        batch_order = run(batch.consume_batch(amounts))
-        assert scalar_order == batch_order
-
 
 # -- segment folds -------------------------------------------------------------
 
@@ -243,16 +141,6 @@ class TestSegmentFolds:
             for x in seg:
                 acc += x
             assert got[i] == acc
-
-    @given(RAGGED)
-    @settings(max_examples=80, deadline=None)
-    def test_int_sums_exact(self, segments):
-        ints = [[int(x) for x in seg] for seg in segments]
-        values = np.array([x for seg in ints for x in seg], dtype=np.int64)
-        ptr = np.zeros(len(ints) + 1, dtype=np.int64)
-        np.cumsum([len(s) for s in ints], out=ptr[1:])
-        got = segment_sums_int(values, ptr)
-        assert list(got) == [sum(seg) for seg in ints]
 
 
 # -- contention replay ---------------------------------------------------------
@@ -329,7 +217,9 @@ class TestReplayIdentity:
 
     def test_sample_buffer_round_trip(self):
         buf = SampleBuffer(3)
-        buf.append_event(0.0, np.array([0.1] * 5), np.array([1.0] * 5))
+        buf.fill_events(
+            np.array([0.0]), np.full((1, 5), 0.1), np.full((1, 5), 1.0)
+        )
         buf.fill_events(
             np.array([1.0, 2.0]),
             np.full((2, 5), 0.25),

@@ -2,8 +2,8 @@
 
 The kernel's contract is determinism: identical schedules replay
 identically, simultaneous events fire FIFO in scheduling order, time
-never runs backwards, and shared-resource tokens are conserved under any
-interleaving of acquires and releases.
+never runs backwards, and a token bucket accounts for every token it
+hands out.
 """
 
 from __future__ import annotations
@@ -16,16 +16,7 @@ from repro.errors import ConfigError
 from repro.memsim.bandwidth import ContentionModel, TierDemand
 from repro.memsim.storage import OPTANE_SSD_SPEC
 from repro.memsim.tiers import DEFAULT_MEMORY_SYSTEM
-from repro.sim import (
-    Acquire,
-    Delay,
-    EventLoop,
-    EventScheduler,
-    Release,
-    Resource,
-    TimelineJob,
-    TokenBucket,
-)
+from repro.sim import EventLoop, EventScheduler, TimelineJob, TokenBucket
 
 DELAYS = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
@@ -94,56 +85,6 @@ class TestDeterminism:
 
 
 class TestResourceConservation:
-    @given(
-        st.lists(
-            st.tuples(st.booleans(), st.floats(min_value=0.1, max_value=4.0)),
-            min_size=1,
-            max_size=60,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_tokens_conserved_under_any_interleaving(self, ops):
-        loop = EventLoop()
-        res = Resource("cores", 4.0, loop=loop)
-        held: list[float] = []
-        for is_acquire, amount in ops:
-            if is_acquire:
-                if res.try_acquire(amount):
-                    held.append(amount)
-            elif held:
-                res.release(held.pop())
-            assert res.in_use + res.available == pytest.approx(res.capacity)
-            assert 0.0 <= res.in_use <= res.capacity + 1e-9
-        for amount in held:
-            res.release(amount)
-        assert res.in_use == pytest.approx(0.0)
-
-    @given(st.integers(min_value=1, max_value=12))
-    @settings(max_examples=25, deadline=None)
-    def test_fifo_grants_under_contention(self, n):
-        loop = EventLoop()
-        res = Resource("cores", 1.0, loop=loop)
-        order: list[int] = []
-
-        def worker(i):
-            yield Acquire(res)
-            order.append(i)
-            yield Delay(1.0)
-            yield Release(res)
-
-        for i in range(n):
-            loop.spawn(worker(i), name=f"w{i}")
-        loop.run()
-        assert order == list(range(n))
-        assert res.in_use == pytest.approx(0.0)
-
-    def test_over_release_rejected(self):
-        loop = EventLoop()
-        res = Resource("cores", 2.0, loop=loop)
-        assert res.try_acquire(1.0)
-        with pytest.raises(ConfigError):
-            res.release(1.5)
-
     @given(
         st.lists(st.floats(min_value=0.1, max_value=50.0), min_size=1, max_size=30)
     )

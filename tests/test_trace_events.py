@@ -95,30 +95,12 @@ class TestInvocationTrace:
 # -- flat column layout --------------------------------------------------------
 
 
-def _csv_trace():
-    from repro.trace.io import trace_from_csv
-
-    return trace_from_csv("0,3,5\n0,9,1\n2,3,2\n2,4,7\n", n_pages=16)
-
-
-def _npz_trace(tmp_path, source):
-    from repro.trace.io import load_trace, save_trace
-
-    path = tmp_path / "trace.npz"
-    save_trace(source, path)
-    return load_trace(path)
-
-
-@pytest.fixture(params=["synthesized", "hand-built", "csv", "npz"])
-def any_trace(request, tiny_function, tmp_path):
+@pytest.fixture(params=["synthesized", "hand-built"])
+def any_trace(request, tiny_function):
     """One trace from each constructor the package offers."""
     if request.param == "synthesized":
         return tiny_function.trace(2, 5)
-    if request.param == "hand-built":
-        return make_trace(n_epochs=3, pages=(0, 1, 2, 100), counts=(5, 4, 3, 1))
-    if request.param == "csv":
-        return _csv_trace()
-    return _npz_trace(tmp_path, tiny_function.trace(1, 7))
+    return make_trace(n_epochs=3, pages=(0, 1, 2, 100), counts=(5, 4, 3, 1))
 
 
 class TestFlatLayout:
@@ -166,26 +148,6 @@ class TestFlatLayout:
         assert any_trace.histogram.dtype == np.int64
         np.testing.assert_array_equal(any_trace.histogram, hist)
         np.testing.assert_array_equal(any_trace.first_touch_order(), list(seen))
-
-    def test_npz_round_trip_is_exact(self, any_trace, tmp_path):
-        loaded = _npz_trace(tmp_path, any_trace)
-        np.testing.assert_array_equal(loaded.pages, any_trace.pages)
-        np.testing.assert_array_equal(loaded.counts, any_trace.counts)
-        np.testing.assert_array_equal(loaded.epoch_ptr, any_trace.epoch_ptr)
-
-    def test_npz_format_is_per_epoch(self, tmp_path):
-        """The on-disk format keeps one array pair per epoch."""
-        from repro.trace.io import save_trace
-
-        trace = make_trace(n_epochs=2)
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path)
-        with np.load(path) as data:
-            assert set(data.files) == {
-                "n_pages", "n_epochs", "label", "cpu_time_s",
-                "random_fraction", "store_fraction",
-                "pages_0", "counts_0", "pages_1", "counts_1",
-            }
 
     def test_empty_trace_has_empty_columns(self):
         trace = InvocationTrace(n_pages=4, epochs=())
