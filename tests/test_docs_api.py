@@ -2,7 +2,7 @@
 
 Every ``import``/``from … import`` statement in the API reference's
 python fences is run, so deleting a module or symbol without updating the
-reference fails here instead of in a reader's session.
+reference fails here instead of misleading a reader.
 """
 
 from __future__ import annotations
