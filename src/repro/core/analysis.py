@@ -85,6 +85,14 @@ class AnalysisResult:
         return tuple(b for b in self.bins if b.selected)
 
 
+def check_slowdown_threshold(threshold: float | None) -> None:
+    """Reject a negative or NaN slowdown budget (``None`` is unbounded)."""
+    if threshold is not None and not threshold >= 0:
+        raise AnalysisError(
+            f"slowdown threshold must be non-negative, got {threshold}"
+        )
+
+
 class ProfilingAnalyzer:
     """Runs Section V-C's analysis for one function's unified pattern."""
 
@@ -190,8 +198,7 @@ class ProfilingAnalyzer:
         """Produce the minimum-cost placement (optionally threshold-bound)."""
         if pattern.n_pages != profile_trace.n_pages:
             raise AnalysisError("pattern and profiling trace cover different guests")
-        if slowdown_threshold is not None and slowdown_threshold < 0:
-            raise AnalysisError("slowdown threshold must be non-negative")
+        check_slowdown_threshold(slowdown_threshold)
         n_pages = pattern.n_pages
         regions = pattern.regions(
             merge_tolerance=self.merge_tolerance,

@@ -19,8 +19,13 @@ bound:
   PMEM as the chain offers.  Without middle tiers it is the identity and
   the classic two-tier snapshot is produced byte-identically.
 * :func:`search_tier_placement` -- the measured search: every candidate
-  move replays the profiling trace under the trial placement, as the
-  paper's bin profiling does.
+  move is timed on the profiling trace under the trial placement, as the
+  paper's bin profiling does.  It keeps per-epoch, per-tier access
+  tallies for the current placement and each bin's share of them, so a
+  candidate costs work in epochs x tiers rather than in guest pages.
+  The tallies are sums of integer trace counts, exact in float64, so
+  the result is bit-identical to replaying the trace on each trial
+  placement.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from ..sim.timing import normalized_slowdown
 from ..trace.events import InvocationTrace
 from ..vm.layout import MemoryLayout
 from ..vm.snapshot import SingleTierSnapshot, TieredSnapshot
-from .analysis import AnalysisResult, ProfilingAnalyzer
+from .analysis import AnalysisResult, ProfilingAnalyzer, check_slowdown_threshold
 from .cost import normalized_cost_tiers
 
 __all__ = [
@@ -189,9 +194,17 @@ def search_tier_placement(
     terminal (slow) tier, then hill-climbs single-bin moves over the
     tiers in chain order.  Each trial placement is scored by Equation 1
     (:func:`~repro.core.cost.normalized_cost_tiers`) at the slowdown
-    measured by replaying ``profile_trace`` on it; moves whose slowdown
-    exceeds ``slowdown_threshold`` are skipped, exactly like Section
-    V-C's client knob.
+    ``profile_trace`` takes on it; moves whose slowdown exceeds
+    ``slowdown_threshold`` are skipped, exactly like Section V-C's
+    client knob.
+
+    The trace is tallied once: per epoch, the accesses landing on each
+    tier under the current placement, and each bin's share of them.
+    Moving bin ``b`` to tier ``t`` subtracts ``b``'s share and adds its
+    total to ``t``.  Every tally is a sum of integer counts below 2**53,
+    so it is exact in float64 in any summation order, and the trial's
+    time, tier fractions, cost and slowdown are bit-identical to
+    replaying the trace on the trial placement page by page.
 
     ``seed_placement`` (tier ids) starts the climb from a known placement
     instead.  Every applied move strictly lowers the cost, so the result
@@ -201,6 +214,7 @@ def search_tier_placement(
     """
     if pattern.n_pages != profile_trace.n_pages:
         raise AnalysisError("pattern and profiling trace cover different guests")
+    check_slowdown_threshold(slowdown_threshold)
     n_pages = pattern.n_pages
     n_tiers = memory.n_tiers
     binner = ProfilingAnalyzer()
@@ -225,46 +239,85 @@ def search_tier_placement(
                 f"chain has {n_tiers}"
             )
 
-    # Per-id tallies are summed in chain order; each epoch's latency
-    # vector is resolved once per search, not once per evaluation.
+    # ``tally[e, k]`` is epoch ``e``'s access count on the ``k``-th tier in
+    # chain order and ``pages[k]`` that tier's page count.  Row ``b`` of
+    # ``bin_tally``/``bin_pages`` is bin ``b``'s share of them under the
+    # current placement; the last row holds the pages no bin covers,
+    # which never move.  All are exact integer sums (see above), so a
+    # move is exact subtraction and addition.
     ids = list(memory.tier_ids)
-    epochs = [
-        (
-            epoch.cpu_time_s,
-            epoch.pages,
-            epoch.counts,
-            memory.access_latency_by_id(
-                epoch.random_fraction, epoch.store_fraction
-            )[ids],
+    col = np.empty(n_tiers, dtype=np.int64)
+    col[ids] = np.arange(n_tiers)
+    slot = np.full(n_pages, len(bins), dtype=np.int64)
+    for b, regions_b in enumerate(bins):
+        for region in regions_b:
+            slot[region.start_page : region.end_page] = b
+    page_key = slot * n_tiers + col[placement]
+    n_slots = len(bins) + 1
+    epochs = profile_trace.epochs
+    n_epochs = len(epochs)
+    epoch_of = np.repeat(
+        np.arange(n_epochs, dtype=np.int64), np.diff(profile_trace.epoch_ptr)
+    )
+    bin_tally = (
+        np.bincount(
+            epoch_of * (n_slots * n_tiers) + page_key[profile_trace.pages],
+            weights=profile_trace.counts,
+            minlength=n_epochs * n_slots * n_tiers,
         )
-        for epoch in profile_trace.epochs
-    ]
+        .reshape(n_epochs, n_slots, n_tiers)
+        .transpose(1, 0, 2)
+        .copy()
+    )
+    bin_pages = np.bincount(page_key, minlength=n_slots * n_tiers).reshape(
+        n_slots, n_tiers
+    )
+    bin_total = bin_tally.sum(axis=2)
+    bin_size = bin_pages.sum(axis=1)
+    tally = bin_tally.sum(axis=0)
+    pages = bin_pages.sum(axis=0)
+    # Each epoch's latency vector (chain order) is resolved once per search.
+    latency = memory.access_latency_by_id
+    lat = np.array(
+        [latency(e.random_fraction, e.store_fraction)[ids] for e in epochs]
+    ).reshape(n_epochs, n_tiers)
+    cpu = [epoch.cpu_time_s for epoch in epochs]
+    touched = [epoch.pages.size > 0 for epoch in epochs]
 
-    def time_s(pl: np.ndarray) -> float:
+    def time_s(tl: np.ndarray) -> float:
+        # The row sums reduce each epoch's products as the per-epoch 1-D
+        # ``.sum()`` of the replay did, and the epochs fold in the same
+        # order (tests/test_perf_identity.py pins the replay).
         total = 0.0
-        for cpu_s, pages, counts, lat in epochs:
+        for cpu_s, has_pages, access_s in zip(
+            cpu, touched, (tl * lat).sum(axis=1).tolist()
+        ):
             total += cpu_s
-            if pages.size:
-                per_id = np.bincount(pl[pages], weights=counts, minlength=n_tiers)
-                total += float((per_id[ids] * lat).sum())
+            if has_pages:
+                total += access_s
         return total
 
-    base_time = time_s(np.full(n_pages, int(Tier.FAST), dtype=np.uint8))
+    all_fast = np.zeros_like(tally)
+    all_fast[:, col[int(Tier.FAST)]] = tally.sum(axis=1)
+    base_time = time_s(all_fast)
     if base_time <= 0:
         raise AnalysisError("profiling trace has zero duration")
 
-    def fractions(pl: np.ndarray) -> np.ndarray:
-        return (np.bincount(pl, minlength=n_tiers) / n_pages)[ids]
+    def score(tl: np.ndarray, pg: np.ndarray) -> tuple[float, float]:
+        sd = normalized_slowdown(time_s(tl), base_time)
+        return normalized_cost_tiers(sd, pg / n_pages, memory), sd
 
-    def score(pl: np.ndarray) -> tuple[float, float]:
-        sd = normalized_slowdown(time_s(pl), base_time)
-        return normalized_cost_tiers(sd, fractions(pl), memory), sd
+    def moved(b: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Tallies and page counts with bin ``b`` wholly on tier ``t``."""
+        k = col[t]
+        trial = tally - bin_tally[b]
+        trial[:, k] += bin_total[b]
+        trial_pages = pages - bin_pages[b]
+        trial_pages[k] += bin_size[b]
+        return trial, trial_pages
 
     def evaluate(b: int, t: int) -> float | None:
-        trial = placement.copy()
-        for region in bins[b]:
-            trial[region.start_page : region.end_page] = t
-        cost, sd = score(trial)
+        cost, sd = score(*moved(b, t))
         if slowdown_threshold is not None and sd - 1.0 > slowdown_threshold:
             return None
         return cost
@@ -273,18 +326,24 @@ def search_tier_placement(
     # the "skip the current tier" test stays truthful.
     assign = [int(placement[b[0].start_page]) for b in bins]
     moves = 0
-    for b, t in _climb(assign, ids, evaluate, score(placement)[0], SEARCH_ROUNDS):
+    for b, t in _climb(
+        assign, ids, evaluate, score(tally, pages)[0], SEARCH_ROUNDS
+    ):
+        tally, pages = moved(b, t)
+        k = col[t]
+        bin_tally[b] = 0.0
+        bin_tally[b, :, k] = bin_total[b]
+        bin_pages[b] = 0
+        bin_pages[b, k] = bin_size[b]
         for region in bins[b]:
             placement[region.start_page : region.end_page] = t
         moves += 1
-    # The replay is deterministic: re-scoring the final placement gives
-    # the bits the climb saw.
-    cost, slowdown = score(placement)
+    cost, slowdown = score(tally, pages)
     return TierPlacement(
         placement=placement,
         slowdown=slowdown,
         cost=cost,
-        tier_fractions=tuple(float(f) for f in fractions(placement)),
+        tier_fractions=tuple(float(f) for f in pages / n_pages),
         moves=moves,
     )
 

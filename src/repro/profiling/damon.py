@@ -23,6 +23,8 @@ region-granularity artefacts.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,61 +54,83 @@ class DamonConfig:
     """Touches per trace count (accessed bits are set by cache hits too)."""
 
     def __post_init__(self) -> None:
-        if self.sampling_interval_s <= 0:
-            raise ProfilingError("sampling interval must be positive")
+        interval, scale = self.sampling_interval_s, self.access_bit_scale
+        if not (math.isfinite(interval) and interval > 0):
+            raise ProfilingError("sampling interval must be positive and finite")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ProfilingError("access bit scale must be positive and finite")
+        if not self.merge_threshold >= 0:
+            raise ProfilingError("merge threshold must be non-negative")
         if self.min_region_pages < 1:
             raise ProfilingError("minimum region must be at least one page")
         if not 1 <= self.min_nr_regions <= self.max_nr_regions:
             raise ProfilingError("need 1 <= min_nr_regions <= max_nr_regions")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DamonSnapshot:
     """One invocation's aggregated DAMON output (a "DAMON file").
 
-    ``regions`` partition the guest; each region's ``value`` is the total
-    ``nr_accesses`` observed for it across the invocation's aggregation
-    windows, and ``samples`` is the total number of checks taken, so
-    ``value / samples`` is an access-probability estimate.
+    ``bounds`` are the region boundaries (``bounds[i]..bounds[i + 1]``
+    is region ``i``; they tile ``[0, n_pages)``) and ``means[i]`` is
+    region ``i``'s total ``nr_accesses`` observed across the invocation's
+    aggregation windows, averaged over its pages.  ``samples`` is the
+    total number of checks taken, so ``mean / samples`` is an
+    access-probability estimate.  Both arrays are read-only.
     """
 
     n_pages: int
-    regions: tuple[Region, ...]
+    bounds: np.ndarray
+    means: np.ndarray
     samples: int
+
+    def __post_init__(self) -> None:
+        bounds = np.asarray(self.bounds, dtype=np.int64)
+        means = np.asarray(self.means, dtype=np.float64)
+        if (
+            bounds.ndim != 1
+            or means.shape != (bounds.size - 1,)
+            or means.size == 0
+            or bounds[0] != 0
+            or bounds[-1] != self.n_pages
+            or np.any(bounds[1:] <= bounds[:-1])
+        ):
+            raise ProfilingError("snapshot regions must tile the guest")
+        bounds.flags.writeable = False
+        means.flags.writeable = False
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "means", means)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DamonSnapshot):
+            return NotImplemented
+        return (
+            self.n_pages == other.n_pages
+            and self.samples == other.samples
+            and np.array_equal(self.bounds, other.bounds)
+            and np.array_equal(self.means, other.means)
+        )
+
+    @property
+    def regions(self) -> tuple[Region, ...]:
+        """The snapshot as one :class:`Region` per monitoring region."""
+        return tuple(
+            Region(s, n, v)
+            for s, n, v in zip(
+                self.bounds[:-1].tolist(),
+                np.diff(self.bounds).tolist(),
+                self.means.tolist(),
+            )
+        )
 
     def page_values(self) -> np.ndarray:
         """Expand to a dense per-page observed-access array."""
-        if self.regions and self._is_exact_partition():
-            sizes = np.fromiter(
-                (r.n_pages for r in self.regions),
-                dtype=np.int64,
-                count=len(self.regions),
-            )
-            values = np.fromiter(
-                (r.value for r in self.regions),
-                dtype=np.float64,
-                count=len(self.regions),
-            )
-            return np.repeat(values, sizes)
-        out = np.zeros(self.n_pages, dtype=np.float64)
-        for region in self.regions:
-            out[region.start_page : region.end_page] = region.value
-        return out
-
-    def _is_exact_partition(self) -> bool:
-        """Whether regions tile [0, n_pages) contiguously (the profiler
-        always emits such snapshots; hand-built ones may not)."""
-        cursor = 0
-        for region in self.regions:
-            if region.start_page != cursor:
-                return False
-            cursor += region.n_pages
-        return cursor == self.n_pages
+        return np.repeat(self.means, np.diff(self.bounds))
 
     @property
     def observed_pages(self) -> int:
         """Pages inside regions with a non-zero observation."""
-        return sum(r.n_pages for r in self.regions if r.value > 0)
+        return int(np.diff(self.bounds)[self.means > 0].sum())
 
 
 class DamonProfiler:
@@ -167,32 +191,31 @@ class DamonProfiler:
     ) -> DamonSnapshot:
         if not epochs:
             raise ProfilingError("cannot profile an empty invocation")
-        total = np.zeros(self.n_pages, dtype=np.float64)
+        # Each window's counters are spread onto pages before adapting, so
+        # the output is independent of later boundary moves.  ``step`` is
+        # the per-page total's difference array: a window adds each
+        # region's count at its start and takes it off at its end.
+        step = np.zeros(self.n_pages + 1, dtype=np.int64)
         total_samples = 0
         for epoch in epochs:
             values, samples = self._aggregate(epoch)
-            # Spread this window's counters onto pages before adapting, so
-            # the output is independent of later boundary moves.  Each page
-            # receives exactly its region's value, so the repeat-add is
-            # bit-identical to the per-region slice adds it replaces.
-            total += np.repeat(values, np.diff(self._bounds))
+            counts = values.astype(np.int64)
+            step[self._bounds[:-1]] += counts
+            step[self._bounds[1:]] -= counts
             total_samples += samples
             self._adapt(values, samples)
         # Re-encode the accumulated per-page observations as regions using
         # the final boundaries (what the exported DAMON file contains).
-        # ``total`` holds sums of integer binomial counts (exact in
-        # float64), so the segment sums — and hence the means — match the
-        # per-slice ``.mean()`` loop exactly.
+        # The counts are integers, so every sum is exact and the means
+        # match the per-slice float ``.mean()`` loop bit for bit.
+        total = np.cumsum(step[:-1])
         sizes = np.diff(self._bounds)
         means = np.add.reduceat(total, self._bounds[:-1]) / sizes
-        regions = [
-            Region(s, n, v)
-            for s, n, v in zip(
-                self._bounds[:-1].tolist(), sizes.tolist(), means.tolist()
-            )
-        ]
         return DamonSnapshot(
-            n_pages=self.n_pages, regions=tuple(regions), samples=total_samples
+            n_pages=self.n_pages,
+            bounds=self._bounds,
+            means=means,
+            samples=total_samples,
         )
 
     # -- internals ----------------------------------------------------------------
@@ -240,54 +263,90 @@ class DamonProfiler:
         to a truly idle one keeps its boundary even when another part of
         the address space is orders of magnitude hotter.
         """
-        # Scalar work on Python floats/ints: the merge recurrence is
-        # inherently sequential (each decision reads the previous merge's
-        # propagated value), and Python-native arithmetic is IEEE-identical
-        # to the numpy-scalar loop it replaces while being ~10x faster.
-        bounds = self._bounds.tolist()
-        vals = values.tolist()
-        merge_threshold = self.cfg.merge_threshold
-        # Merge pass: drop interior boundaries between similar regions.
-        keep = [0]
-        for i in range(1, len(bounds) - 1):
-            left = vals[i - 1]
-            right = vals[i]
-            pair_scale = left if left > right else right
-            threshold = max(1.0, merge_threshold * pair_scale)
-            if abs(right - left) > threshold:
-                keep.append(i)
-            else:
-                # Region i merges into i-1; propagate the weighted value so
-                # chains of similar regions merge transitively.
-                left_pages = bounds[i] - bounds[keep[-1]]
-                right_pages = bounds[i + 1] - bounds[i]
-                vals[i] = (left * left_pages + right * right_pages) / (
-                    left_pages + right_pages
-                )
-        keep.append(len(bounds) - 1)
-        merged = [bounds[k] for k in keep]
+        bounds = self._bounds
+        merged = bounds[self._merge_keep(bounds, values)]
 
         # Split pass: halve regions at a random point while under the cap.
+        # Every region of at least two minimum sizes is cut while budget
+        # remains, so the cuts fall in the first ``budget`` eligible
+        # regions.  One array-bounded ``integers`` call draws the same
+        # values, and leaves the generator in the same state, as one
+        # scalar call per region in address order.
         min_pages = self.cfg.min_region_pages
-        rng = self.rng
-        new_bounds = [merged[0]]
-        budget = self.cfg.max_nr_regions - (len(merged) - 1)
-        for i in range(len(merged) - 1):
-            start, end = merged[i], merged[i + 1]
-            size = end - start
-            if budget > 0 and size >= 2 * min_pages:
-                lo = start + min_pages
-                hi = end - min_pages
-                cut = int(rng.integers(lo, hi + 1)) if hi >= lo else None
-                if cut is not None and start < cut < end:
-                    new_bounds.append(cut)
-                    budget -= 1
-            new_bounds.append(end)
-        # ``new_bounds`` is strictly increasing by construction (merged
-        # bounds keep their order and every cut is strictly interior), so
-        # the ``np.unique`` this used to pass through was an identity —
-        # skip its sort/hash entirely.
-        self._bounds = np.asarray(new_bounds, dtype=np.int64)
+        budget = max(self.cfg.max_nr_regions - (merged.size - 1), 0)
+        starts = merged[:-1]
+        ends = merged[1:]
+        eligible = np.flatnonzero(ends - starts >= 2 * min_pages)[:budget]
+        if eligible.size:
+            # Cuts land in [start + min_pages, end - min_pages]: strictly
+            # interior, so inserting each after its region's start keeps
+            # the bounds strictly increasing.
+            cuts = self.rng.integers(
+                starts[eligible] + min_pages, ends[eligible] - min_pages + 1
+            )
+            merged = np.insert(merged, eligible + 1, cuts)
+        self._bounds = merged
+
+    def _merge_keep(self, bounds: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Mask of the boundaries that survive the merge pass.
+
+        Boundary ``i`` merges region ``i`` into the region on its left
+        when their values differ by at most the threshold; the merged
+        region carries the page-weighted mean forward, so chains of
+        similar regions merge transitively.  A test whose left region
+        was not merged reads two original values, so all tests are first
+        taken at once on the original values.  Only along a merge chain
+        does the left value become a running mean; those tests are
+        redone in order on Python floats, whose arithmetic is the IEEE
+        arithmetic of the array form.
+        """
+        merge_threshold = self.cfg.merge_threshold
+        left = values[:-1]
+        right = values[1:]
+        scale = merge_threshold * np.where(left > right, left, right)
+        threshold = np.where(scale > 1.0, scale, 1.0)
+        keep = np.ones(bounds.size, dtype=bool)
+        keep[1:-1] = np.abs(right - left) > threshold
+        merges = np.flatnonzero(~keep).tolist()
+        if not merges:
+            return keep
+        edges = bounds.tolist()
+        vals = values.tolist()
+        nonzero = np.flatnonzero(values).tolist()
+        last = len(vals)
+        pos = 0
+        while pos < len(merges):
+            # Boundary i - 1 was kept, so region i - 1 starts the merged
+            # region with its original value.
+            i = merges[pos]
+            first = edges[i - 1]
+            mean = vals[i - 1]
+            j = i
+            while j < last:
+                right_val = vals[j]
+                if mean == 0.0 and right_val == 0.0:
+                    # Zero merged with zero stays exactly zero: skip the
+                    # rest of the zero run at once.
+                    n = bisect_left(nonzero, j)
+                    k = nonzero[n] if n < len(nonzero) else last
+                    keep[j:k] = False
+                    j = k
+                    continue
+                pair_scale = mean if mean > right_val else right_val
+                if abs(right_val - mean) > max(1.0, merge_threshold * pair_scale):
+                    break
+                keep[j] = False
+                left_pages = edges[j] - first
+                right_pages = edges[j + 1] - edges[j]
+                mean = (mean * left_pages + right_val * right_pages) / (
+                    left_pages + right_pages
+                )
+                j += 1
+            # Boundary j is kept (or is the end), so the next chain starts
+            # at the first vectorised merge past it.
+            keep[j] = True
+            pos = bisect_right(merges, j, pos)
+        return keep
 
     def reset(self) -> None:
         """Forget adapted regions (fresh attach)."""

@@ -120,6 +120,13 @@ class TestSlowdownThreshold:
                 pattern, tiny_function.trace(3, 999), slowdown_threshold=-0.1
             )
 
+    def test_nan_threshold_rejected(self, tiny_function):
+        pattern = profiled_pattern(tiny_function)
+        with pytest.raises(AnalysisError):
+            ProfilingAnalyzer().analyze(
+                pattern, tiny_function.trace(3, 999), slowdown_threshold=np.nan
+            )
+
 
 class TestValidation:
     def test_size_mismatch_rejected(self, tiny_function):

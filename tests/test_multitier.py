@@ -157,6 +157,14 @@ class TestMultiTierAnalyzer:
         assert capped.slowdown - 1.0 <= 0.01 + 1e-9
         assert capped.cost >= free.cost - 1e-9
 
+    @pytest.mark.parametrize("threshold", [-0.5, float("nan")])
+    def test_bad_threshold_rejected(self, pattern_and_trace, threshold):
+        _, pattern, trace = pattern_and_trace
+        with pytest.raises(AnalysisError, match="threshold"):
+            search_tier_placement(
+                pattern, trace, DRAM_PMEM_NVME, slowdown_threshold=threshold
+            )
+
     def test_hot_pages_stay_on_top_rung(self, memory_intensive_function):
         """A uniformly hot working set resists demotion even with three
         tiers available."""

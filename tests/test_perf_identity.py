@@ -1,14 +1,16 @@
 """Bit-identity tests for the optimised hot paths.
 
-The vectorised DAMON profiler and the flattened, memoised contention
-solver replaced loop-heavy implementations whose exact floating-point
-results the golden fixtures (Figures 7-9, the Perfetto trace) depend on.
-These tests pin the *pre-change* implementations as references inside
-the test file and assert the production code reproduces their output
-bit for bit on seeded inputs — not approximately, exactly.
+The vectorised DAMON profiler, the flattened, memoised contention
+solver and the incremental N-tier placement search replaced loop-heavy
+implementations whose exact floating-point results the golden fixtures
+(Figures 7-9, the Perfetto trace, the TCO frontier) depend on.  These
+tests pin the *pre-change* implementations as references inside the
+test file and assert the production code reproduces their output bit
+for bit on seeded inputs — not approximately, exactly.
 
-A hypothesis property additionally checks the solver memo: answering a
-solve from the cache must never change ``contended_times``.
+Hypothesis properties additionally check DAMON's region adaptation
+against the reference on drawn region values, and the solver memo:
+answering a solve from the cache must never change ``contended_times``.
 """
 
 from __future__ import annotations
@@ -18,13 +20,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ProfilingError
+from repro.core.analysis import ProfilingAnalyzer
+from repro.core.cost import normalized_cost_tiers
+from repro.core.tiering import (
+    SEARCH_ROUNDS,
+    TierPlacement,
+    _climb,
+    search_tier_placement,
+)
+from repro.errors import AnalysisError, ProfilingError
 from repro.memsim.bandwidth import RESOURCES, ContentionModel, TierDemand
+from repro.memsim.compressed import compressed_memory_system
+from repro.memsim.presets import CXL_DDR4_SPEC, NVME_AS_MEMORY_SPEC
 from repro.memsim.storage import OPTANE_SSD_SPEC
-from repro.memsim.tiers import DEFAULT_MEMORY_SYSTEM
+from repro.memsim.tiers import (
+    DEFAULT_MEMORY_SYSTEM,
+    DRAM_SPEC,
+    PMEM_SPEC,
+    MemorySystem,
+    Tier,
+)
 from repro.profiling.damon import DamonConfig, DamonProfiler, DamonSnapshot
+from repro.profiling.unified import UnifiedAccessPattern
 from repro.regions import Region
+from repro.sim.timing import normalized_slowdown
+from repro.trace.events import InvocationTrace
 from repro.vm.microvm import EpochRecord
+
+from test_core_analysis import profiled_pattern
 
 # -- pinned pre-change implementations ----------------------------------------
 
@@ -49,7 +72,10 @@ class ReferenceDamonProfiler(DamonProfiler):
             s, e = int(self._bounds[i]), int(self._bounds[i + 1])
             regions.append(Region(s, e - s, float(total[s:e].mean())))
         return DamonSnapshot(
-            n_pages=self.n_pages, regions=tuple(regions), samples=total_samples
+            n_pages=self.n_pages,
+            bounds=np.array([0] + [r.end_page for r in regions]),
+            means=np.array([r.value for r in regions]),
+            samples=total_samples,
         )
 
     def _aggregate(self, epoch: EpochRecord) -> tuple[np.ndarray, int]:
@@ -138,6 +164,107 @@ class ReferenceContentionModel(ContentionModel):
             if delta <= self.tolerance:
                 break
         return times, inflation
+
+
+def reference_search_tier_placement(
+    pattern: UnifiedAccessPattern,
+    profile_trace: InvocationTrace,
+    memory: MemorySystem,
+    *,
+    slowdown_threshold: float | None = None,
+    seed_placement: np.ndarray | None = None,
+) -> TierPlacement:
+    """``search_tier_placement`` as it was before the incremental
+    tallies: every candidate move copies the placement and replays the
+    trace on it (pinned verbatim)."""
+    if pattern.n_pages != profile_trace.n_pages:
+        raise AnalysisError("pattern and profiling trace cover different guests")
+    n_pages = pattern.n_pages
+    n_tiers = memory.n_tiers
+    binner = ProfilingAnalyzer()
+    regions = pattern.regions(
+        merge_tolerance=binner.merge_tolerance,
+        min_region_pages=binner.min_region_pages,
+    )
+    bins = binner._pack_bins([r for r in regions if r.value > 0])
+
+    if seed_placement is None:
+        placement = np.full(n_pages, int(Tier.FAST), dtype=np.uint8)
+        for region in regions:
+            if region.value <= 0:
+                placement[region.start_page : region.end_page] = int(Tier.SLOW)
+    else:
+        placement = np.asarray(seed_placement, dtype=np.uint8).copy()
+        if placement.shape != (n_pages,):
+            raise AnalysisError("seed placement shape does not match guest")
+        if placement.size and int(placement.max()) >= n_tiers:
+            raise AnalysisError(
+                f"seed placement references tier {int(placement.max())}, "
+                f"chain has {n_tiers}"
+            )
+
+    # Per-id tallies are summed in chain order; each epoch's latency
+    # vector is resolved once per search, not once per evaluation.
+    ids = list(memory.tier_ids)
+    epochs = [
+        (
+            epoch.cpu_time_s,
+            epoch.pages,
+            epoch.counts,
+            memory.access_latency_by_id(
+                epoch.random_fraction, epoch.store_fraction
+            )[ids],
+        )
+        for epoch in profile_trace.epochs
+    ]
+
+    def time_s(pl: np.ndarray) -> float:
+        total = 0.0
+        for cpu_s, pages, counts, lat in epochs:
+            total += cpu_s
+            if pages.size:
+                per_id = np.bincount(pl[pages], weights=counts, minlength=n_tiers)
+                total += float((per_id[ids] * lat).sum())
+        return total
+
+    base_time = time_s(np.full(n_pages, int(Tier.FAST), dtype=np.uint8))
+    if base_time <= 0:
+        raise AnalysisError("profiling trace has zero duration")
+
+    def fractions(pl: np.ndarray) -> np.ndarray:
+        return (np.bincount(pl, minlength=n_tiers) / n_pages)[ids]
+
+    def score(pl: np.ndarray) -> tuple[float, float]:
+        sd = normalized_slowdown(time_s(pl), base_time)
+        return normalized_cost_tiers(sd, fractions(pl), memory), sd
+
+    def evaluate(b: int, t: int) -> float | None:
+        trial = placement.copy()
+        for region in bins[b]:
+            trial[region.start_page : region.end_page] = t
+        cost, sd = score(trial)
+        if slowdown_threshold is not None and sd - 1.0 > slowdown_threshold:
+            return None
+        return cost
+
+    # A bin's starting tier comes from the (possibly seeded) placement so
+    # the "skip the current tier" test stays truthful.
+    assign = [int(placement[b[0].start_page]) for b in bins]
+    moves = 0
+    for b, t in _climb(assign, ids, evaluate, score(placement)[0], SEARCH_ROUNDS):
+        for region in bins[b]:
+            placement[region.start_page : region.end_page] = t
+        moves += 1
+    # The replay is deterministic: re-scoring the final placement gives
+    # the bits the climb saw.
+    cost, slowdown = score(placement)
+    return TierPlacement(
+        placement=placement,
+        slowdown=slowdown,
+        cost=cost,
+        tier_fractions=tuple(float(f) for f in fractions(placement)),
+        moves=moves,
+    )
 
 
 # -- input generators ----------------------------------------------------------
@@ -251,21 +378,174 @@ class TestDamonBitIdentity:
         ref = ReferenceDamonProfiler(64, cfg, rng=np.random.default_rng(9))
         assert new.profile(epochs) == ref.profile(epochs)
 
-    def test_page_values_fast_path_matches_fallback(self):
-        regions = (Region(0, 10, 2.0), Region(10, 22, 0.0), Region(32, 8, 5.5))
-        snap = DamonSnapshot(n_pages=40, regions=regions, samples=3)
+    def test_array_bounded_integers_equal_scalar_calls(self):
+        """The split pass draws every cut with one array-bounded
+        ``integers`` call; this holds only while NumPy draws the same
+        values, and leaves the same generator state, as one scalar call
+        per bound pair in order."""
+        rng = np.random.default_rng(17)
+        lo = rng.integers(0, 2**40, size=300)
+        width = rng.choice([0, 1, 5, 2**20, 2**31, 2**33], size=300)
+        hi = lo + width
+        scalar = np.random.default_rng(4)
+        vector = np.random.default_rng(4)
+        drawn = [
+            int(scalar.integers(a, b + 1)) for a, b in zip(lo.tolist(), hi.tolist())
+        ]
+        assert vector.integers(lo, hi + 1).tolist() == drawn
+        assert vector.bit_generator.state == scalar.bit_generator.state
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_property_adapt_matches_reference(self, data):
+        """Hypothesis: drawn region values (zero runs, equal runs, merge
+        chains, large counts) adapt to the reference's boundaries and
+        leave the generator in the reference's state, call after call."""
+        n_regions = data.draw(st.integers(1, 150), label="n_regions")
+        sizes = data.draw(
+            st.lists(st.integers(1, 40), min_size=n_regions, max_size=n_regions),
+            label="sizes",
+        )
+        bounds = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        n_pages = int(bounds[-1])
+        cfg = DamonConfig(
+            min_region_pages=data.draw(st.integers(1, 8), label="min_pages"),
+            min_nr_regions=1,
+            max_nr_regions=data.draw(st.integers(1, 200), label="cap"),
+            merge_threshold=data.draw(
+                st.sampled_from([0.0, 0.1, 0.5, 3.0]), label="threshold"
+            ),
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        new = DamonProfiler(n_pages, cfg, rng=np.random.default_rng(seed))
+        ref = ReferenceDamonProfiler(n_pages, cfg, rng=np.random.default_rng(seed))
+        new._bounds = bounds.copy()
+        ref._bounds = bounds.copy()
+        # Region values walk in small steps, so neighbours are often
+        # within the merge threshold and chains carry a running mean;
+        # a walk through zero gives zero runs, a scale of 1e9 large counts.
+        scale = data.draw(st.sampled_from([1, 10**9]), label="scale")
+        for _ in range(data.draw(st.integers(1, 4), label="calls")):
+            n_runs = data.draw(st.integers(1, 60), label="n_runs")
+            steps = data.draw(
+                st.lists(st.integers(-3, 3), min_size=n_runs, max_size=n_runs),
+                label="steps",
+            )
+            lengths = data.draw(
+                st.lists(
+                    st.one_of(st.just(1), st.integers(1, 30)),
+                    min_size=n_runs,
+                    max_size=n_runs,
+                ),
+                label="run lengths",
+            )
+            start = data.draw(st.integers(0, 40), label="start")
+            walk = np.abs(start + np.cumsum(steps)) * scale
+            values = np.repeat(walk.astype(np.float64), lengths)
+            values = np.resize(values, new.n_regions)
+            new._adapt(values.copy(), 1)
+            ref._adapt(values.copy(), 1)
+            assert new._bounds.dtype == np.int64
+            assert np.array_equal(new._bounds, ref._bounds)
+            assert new.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    def test_page_values_expands_regions(self):
+        snap = DamonSnapshot(
+            n_pages=40,
+            bounds=np.array([0, 10, 32, 40]),
+            means=np.array([2.0, 0.0, 5.5]),
+            samples=3,
+        )
         dense = np.zeros(40)
         dense[:10] = 2.0
         dense[32:] = 5.5
         assert np.array_equal(snap.page_values(), dense)
-        # A non-tiling snapshot (hand-built, gap at the front) takes the
-        # fallback loop and must still expand correctly.
-        gappy = DamonSnapshot(
-            n_pages=40, regions=(Region(8, 4, 1.0),), samples=1
+        assert snap.regions == (
+            Region(0, 10, 2.0), Region(10, 22, 0.0), Region(32, 8, 5.5)
         )
-        expected = np.zeros(40)
-        expected[8:12] = 1.0
-        assert np.array_equal(gappy.page_values(), expected)
+        assert snap.observed_pages == 18
+
+    @pytest.mark.parametrize(
+        "bounds, means",
+        [
+            ([8, 12, 40], [1.0, 0.0]),  # gap at the front
+            ([0, 12, 30], [1.0, 0.0]),  # stops short of the guest
+            ([0, 12, 12, 40], [1.0, 0.0, 2.0]),  # empty region
+            ([0, 40], [1.0, 2.0]),  # one value too many
+        ],
+    )
+    def test_snapshot_must_tile_the_guest(self, bounds, means):
+        with pytest.raises(ProfilingError):
+            DamonSnapshot(
+                n_pages=40,
+                bounds=np.array(bounds),
+                means=np.array(means),
+                samples=1,
+            )
+
+    def test_snapshot_arrays_are_read_only(self):
+        snap = DamonProfiler(64).profile(synthetic_epochs(3, 64, n_epochs=2))
+        with pytest.raises(ValueError):
+            snap.means[0] = 1.0
+        with pytest.raises(ValueError):
+            snap.bounds[0] = 1
+
+
+# -- N-tier placement search ----------------------------------------------------
+
+DRAM_CXL_NVME = MemorySystem(
+    fast=DRAM_SPEC, middle=(CXL_DDR4_SPEC,), slow=NVME_AS_MEMORY_SPEC
+)
+DRAM_PMEM_NVME = MemorySystem(
+    fast=DRAM_SPEC, middle=(PMEM_SPEC,), slow=NVME_AS_MEMORY_SPEC
+)
+CHAINS = {
+    "dram_cxl_nvme": DRAM_CXL_NVME,
+    "dram_pmem_nvme": DRAM_PMEM_NVME,
+    "dram_lz4_pmem": compressed_memory_system(),
+}
+
+
+def seed_placements(pattern, trace) -> dict[str, np.ndarray | None]:
+    """No seed, the two-tier optimum, and a seed that spreads the widest
+    bin over two tiers (half of each region on the middle tier id 2)."""
+    analyzer = ProfilingAnalyzer()
+    two_tier = analyzer.analyze(pattern, trace).placement
+    regions = pattern.regions(
+        merge_tolerance=analyzer.merge_tolerance,
+        min_region_pages=analyzer.min_region_pages,
+    )
+    bins = analyzer._pack_bins([r for r in regions if r.value > 0])
+    widest = max(bins, key=lambda b: sum(r.n_pages for r in b))
+    split = two_tier.copy()
+    for region in widest:
+        half = region.start_page + max(1, region.n_pages // 2)
+        split[region.start_page : half] = 2
+        split[half : region.end_page] = int(Tier.SLOW)
+    return {"none": None, "two_tier": two_tier, "split_bin": split}
+
+
+class TestTierSearchBitIdentity:
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_search_matches_reference_exactly(self, tiny_function, chain, seed):
+        memory = CHAINS[chain]
+        pattern = profiled_pattern(tiny_function, seed=seed)
+        trace = tiny_function.trace(seed % tiny_function.n_inputs, 100 + seed)
+        for name, seeded in seed_placements(pattern, trace).items():
+            for threshold in (None, 0.01, 0.3):
+                kwargs = dict(slowdown_threshold=threshold, seed_placement=seeded)
+                new = search_tier_placement(pattern, trace, memory, **kwargs)
+                ref = reference_search_tier_placement(
+                    pattern, trace, memory, **kwargs
+                )
+                case = (name, threshold)
+                assert new.placement.dtype == ref.placement.dtype, case
+                assert np.array_equal(new.placement, ref.placement), case
+                assert new.cost == ref.cost, case
+                assert new.slowdown == ref.slowdown, case
+                assert new.tier_fractions == ref.tier_fractions, case
+                assert new.moves == ref.moves, case
 
 
 # -- contention solver ---------------------------------------------------------

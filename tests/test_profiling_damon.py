@@ -40,6 +40,21 @@ class TestConfig:
         with pytest.raises(ProfilingError):
             DamonConfig(min_nr_regions=100, max_nr_regions=10)
 
+    @pytest.mark.parametrize("bad", [-1e-6, float("nan"), float("inf")])
+    def test_invalid_sampling_interval(self, bad):
+        with pytest.raises(ProfilingError, match="sampling interval"):
+            DamonConfig(sampling_interval_s=bad)
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, float("nan"), float("inf")])
+    def test_invalid_access_bit_scale(self, bad):
+        with pytest.raises(ProfilingError, match="access bit scale"):
+            DamonConfig(access_bit_scale=bad)
+
+    @pytest.mark.parametrize("bad", [-0.1, float("nan")])
+    def test_invalid_merge_threshold(self, bad):
+        with pytest.raises(ProfilingError, match="merge threshold"):
+            DamonConfig(merge_threshold=bad)
+
 
 class TestRegionInvariants:
     def test_initial_regions_partition_space(self):

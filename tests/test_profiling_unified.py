@@ -22,7 +22,12 @@ def snap(n_pages, spans):
         cursor = start + n
     if cursor < n_pages:
         regions.append(Region(cursor, n_pages - cursor, 0.0))
-    return DamonSnapshot(n_pages=n_pages, regions=tuple(regions), samples=1000)
+    return DamonSnapshot(
+        n_pages=n_pages,
+        bounds=np.array([0] + [r.end_page for r in regions]),
+        means=np.array([r.value for r in regions]),
+        samples=1000,
+    )
 
 
 def pattern(n_pages=1024, window=3, **kwargs) -> UnifiedAccessPattern:
