@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable
 
 __all__ = ["EventKind", "TelemetryEvent", "TelemetryLog"]
 
@@ -60,46 +59,16 @@ class TelemetryEvent:
 
 
 class TelemetryLog:
-    """An in-memory event sink with optional subscribers.
+    """An in-memory event sink, indexed by kind."""
 
-    ``max_subscriber_errors`` bounds the error ledger: a persistently
-    raising subscriber in a long fleet run records at most that many
-    ``(event, exception)`` pairs (oldest first); later failures only
-    increment :attr:`dropped_subscriber_errors`.
-    """
-
-    def __init__(self, *, max_subscriber_errors: int = 1000) -> None:
+    def __init__(self) -> None:
         self.events: list[TelemetryEvent] = []
         self._by_kind: dict[EventKind, list[TelemetryEvent]] = {}
-        self._subscribers: list[Callable[[TelemetryEvent], None]] = []
-        self.max_subscriber_errors = max_subscriber_errors
-        self.subscriber_errors: list[tuple[TelemetryEvent, Exception]] = []
-        self.dropped_subscriber_errors = 0
-
-    def subscribe(self, callback: Callable[[TelemetryEvent], None]) -> None:
-        """Call ``callback`` for every future event."""
-        self._subscribers.append(callback)
 
     def emit(self, event: TelemetryEvent) -> None:
-        """Record an event and fan it out.
-
-        Subscribers are isolated from one another: a raising callback
-        never poisons delivery to later subscribers (or the emitting
-        controller).  Their exceptions are collected in
-        :attr:`subscriber_errors` for inspection rather than propagated,
-        up to :attr:`max_subscriber_errors`; overflow is counted in
-        :attr:`dropped_subscriber_errors`.
-        """
+        """Record an event."""
         self.events.append(event)
         self._by_kind.setdefault(event.kind, []).append(event)
-        for callback in self._subscribers:
-            try:
-                callback(event)
-            except Exception as exc:  # noqa: BLE001 - isolation by design
-                if len(self.subscriber_errors) < self.max_subscriber_errors:
-                    self.subscriber_errors.append((event, exc))
-                else:
-                    self.dropped_subscriber_errors += 1
 
     # -- queries -----------------------------------------------------------
 
@@ -120,15 +89,3 @@ class TelemetryLog:
         """Most recent event of one kind, if any."""
         events = self._by_kind.get(kind)
         return events[-1] if events else None
-
-    def timeline(self) -> list[str]:
-        """Human-readable one-line-per-event rendering.
-
-        Details render key-sorted, so the output is deterministic no
-        matter what order an emitter assembled its detail dict in.
-        """
-        return [
-            f"#{e.invocation:<4d} {e.function}: {e.kind.value}"
-            + (f" {dict(sorted(e.detail.items()))}" if e.detail else "")
-            for e in self.events
-        ]

@@ -2,10 +2,10 @@
 
 A scrub pass walks every registered snapshot copy chunk by chunk,
 re-reading content and comparing each chunk's digest against the trusted
-:class:`~repro.durability.chunks.ChunkIndex`.  Each
-:func:`scrub_process` runs as a coroutine on the deterministic
-:class:`~repro.sim.loop.EventLoop` and draws its per-chunk read
-operations from the pass's one SSD
+:class:`~repro.durability.chunks.ChunkIndex`.  Each copy's scan is a
+chain of callbacks on the deterministic
+:class:`~repro.sim.loop.EventLoop`, one per chunk, and each chunk draws
+its read operations from the pass's one SSD
 :class:`~repro.sim.resources.TokenBucket`, so the scans of a pass queue
 behind each other; nothing else draws from that bucket.  The bucket
 *is* the rate limit: a pass can never read faster than the device turns
@@ -14,18 +14,18 @@ over operations, and scanning more copies stretches the pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Generator
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..sim.loop import Delay, EventLoop
+from ..sim.loop import EventLoop
 from ..sim.resources import TokenBucket
 from ..vm.snapshot import SingleTierSnapshot
 from .chunks import DEFAULT_CHUNK_PAGES, ChunkIndex
 
-__all__ = ["ScrubConfig", "ScrubReport", "scrub_process", "run_scrub_pass"]
+__all__ = ["ScrubConfig", "ScrubReport", "run_scrub_pass"]
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,12 @@ class ScrubConfig:
     sequential; values below 1.0 model read-ahead coalescing)."""
 
     def __post_init__(self) -> None:
-        if self.interval_s <= 0:
-            raise ConfigError("scrub interval_s must be positive")
-        if self.chunk_pages < 1:
-            raise ConfigError("scrub chunk_pages must be >= 1")
-        if self.ops_per_page <= 0:
-            raise ConfigError("scrub ops_per_page must be positive")
+        if not 0 < self.interval_s < math.inf:
+            raise ConfigError("scrub interval_s must be positive and finite")
+        if not (isinstance(self.chunk_pages, int) and self.chunk_pages >= 1):
+            raise ConfigError("scrub chunk_pages must be an integer >= 1")
+        if not 0 < self.ops_per_page < math.inf:
+            raise ConfigError("scrub ops_per_page must be positive and finite")
 
 
 @dataclass
@@ -62,7 +62,7 @@ class ScrubReport:
     ops_consumed: float = 0.0
     queued_s: float = 0.0
     """Token-bucket backlog the pass absorbed (contention between the
-    pass's scan coroutines on the one SSD bucket)."""
+    pass's copy scans on the one SSD bucket)."""
     bad: list[tuple[int, list[int]]] = field(default_factory=list)
     """``(copy_id, bad_chunk_ids)`` per copy with detected damage."""
 
@@ -72,35 +72,44 @@ class ScrubReport:
         return self.finished_s - self.started_s
 
 
-def scrub_process(
+def _schedule_scan(
+    loop: EventLoop,
     copy_id: int,
     snapshot: SingleTierSnapshot,
     index: ChunkIndex,
     bucket: TokenBucket,
     cfg: ScrubConfig,
     report: ScrubReport,
-) -> Generator[Delay, None, list[int]]:
-    """Scan one snapshot copy chunk by chunk; returns its bad chunks.
+) -> None:
+    """Queue one copy's scan: one callback per chunk, then the check.
 
-    One ``Delay`` per chunk: the chunk's uncontended device time (ops at
-    the bucket's nominal rate) plus whatever backlog the shared bucket
+    Each chunk's callback debits its reads from the shared bucket and
+    queues the next step after the chunk's uncontended device time (ops
+    at the bucket's nominal rate) plus whatever backlog the bucket
     already carries.  Detection compares the whole copy's live digests
     once the scan I/O has been paid — the damage set is what the reads
     saw.
     """
-    for chunk in range(index.n_chunks):
+    chunk = 0
+
+    def step(_now: float) -> None:
+        nonlocal chunk
+        if chunk == index.n_chunks:
+            bad = [int(c) for c in np.asarray(index.bad_chunks(snapshot))]
+            report.copies_scanned += 1
+            if bad:
+                report.bad.append((copy_id, bad))
+            return
         start, end = index.chunk_bounds(chunk)
+        chunk += 1
         ops = (end - start) * cfg.ops_per_page
         wait = bucket.consume(ops)
         report.queued_s += wait
         report.ops_consumed += ops
         report.chunks_scanned += 1
-        yield Delay(ops / bucket.rate_per_s + wait)
-    bad = [int(c) for c in np.asarray(index.bad_chunks(snapshot))]
-    report.copies_scanned += 1
-    if bad:
-        report.bad.append((copy_id, bad))
-    return bad
+        loop.schedule(ops / bucket.rate_per_s + wait, step)
+
+    loop.schedule(0.0, step)
 
 
 def run_scrub_pass(
@@ -121,10 +130,7 @@ def run_scrub_pass(
     bucket = TokenBucket("ssd", ssd_iops, loop=loop)
     report = ScrubReport(started_s=start_s)
     for copy_id, snapshot, index in copies:
-        loop.spawn(
-            scrub_process(copy_id, snapshot, index, bucket, cfg, report),
-            name=f"scrub/{copy_id}",
-        )
+        _schedule_scan(loop, copy_id, snapshot, index, bucket, cfg, report)
     report.finished_s = loop.run()
     report.bad.sort()
     return report

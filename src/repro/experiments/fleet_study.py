@@ -135,7 +135,7 @@ def run(
     makespan_s = 0.0
     if jobs:
         timeline = Scheduler().run_timeline(jobs)
-        utilization = timeline.utilization_summary()
+        utilization = timeline.utilization
         makespan_s = timeline.makespan_s
     return FleetResult(
         density=density,

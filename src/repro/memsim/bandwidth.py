@@ -86,8 +86,8 @@ class TierDemand:
             "uffd_stall_s",
             "uffd_ops",
         ):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be non-negative and finite")
 
     @property
     def nominal_time_s(self) -> float:
@@ -146,12 +146,14 @@ class ContentionModel:
         damping: float = 0.5,
         shared_memo: bool = False,
     ) -> None:
-        if max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
+        if not (isinstance(max_iterations, int) and max_iterations >= 1):
+            raise ConfigError("max_iterations must be an integer >= 1")
+        if not 0 <= tolerance < math.inf:
+            raise ConfigError("tolerance must be non-negative and finite")
         if not 0.0 < damping <= 1.0:
             raise ConfigError("damping must lie in (0, 1]")
-        if uffd_capacity_ops <= 0:
-            raise ConfigError("uffd_capacity_ops must be positive")
+        if not 0 < uffd_capacity_ops < math.inf:
+            raise ConfigError("uffd_capacity_ops must be positive and finite")
         self.memory = memory
         self.ssd = ssd
         self.max_iterations = max_iterations
@@ -236,20 +238,6 @@ class ContentionModel:
             work = demand._stalls_and_work()
             for j, r in enumerate(RESOURCES):
                 out[i, j] = work[r][1]
-        return out
-
-    @staticmethod
-    def demand_stall_matrix(
-        demands: Sequence[TierDemand],
-    ) -> npt.NDArray[np.float64]:
-        """Uncontended-stall matrix ``(n_demands, len(RESOURCES))``,
-        the companion of :meth:`demand_work_matrix` (stall seconds
-        instead of work quantities)."""
-        out = np.empty((len(demands), len(RESOURCES)), dtype=np.float64)
-        for i, demand in enumerate(demands):
-            work = demand._stalls_and_work()
-            for j, r in enumerate(RESOURCES):
-                out[i, j] = work[r][0]
         return out
 
     @staticmethod

@@ -28,32 +28,61 @@ timeline pins them at the nominal time).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
+import numpy.typing as npt
 
 from ..errors import ConfigError, SchedulerError
 from ..memsim.bandwidth import RESOURCES, ContentionModel, TierDemand
-from .batch import SampleBuffer
 from .loop import EventLoop, _Entry
 
 __all__ = [
     "EventScheduler",
     "TimelineJob",
     "TimelineResult",
-    "UtilizationSample",
+    "summarize_utilization",
 ]
 
 
-@dataclass(frozen=True)
-class UtilizationSample:
-    """One observation of a shared resource's load."""
+def summarize_utilization(
+    times: npt.NDArray[np.float64],
+    rho: npt.NDArray[np.float64],
+    inflation: npt.NDArray[np.float64],
+) -> dict[str, dict[str, float]]:
+    """Per-resource mean/peak offered load and peak inflation.
 
-    time_s: float
-    resource: str
-    offered_rho: float
-    inflation: float
+    ``times`` holds one event time per row of ``rho`` and ``inflation``
+    (``(n_events, len(RESOURCES))``, columns in :data:`RESOURCES` order):
+    the load each resource saw from that event until the next.  The mean
+    is time-weighted over the sampled span; its area is a left fold over
+    consecutive events (``np.add.accumulate``, the scalar ``+=`` order).
+    With no events every resource reports the idle summary.
+    """
+    if not times.size:
+        return {
+            r: {"mean_rho": 0.0, "peak_rho": 0.0, "peak_inflation": 1.0}
+            for r in RESOURCES
+        }
+    if times.size >= 2:
+        terms = rho[:-1] * (times[1:] - times[:-1])[:, None]
+        area = np.add.accumulate(terms, axis=0)[-1]
+        span = float(times[-1] - times[0])
+        mean = area / span if span > 0 else rho[-1]
+    else:
+        mean = rho[0]
+    peak_rho = rho.max(axis=0)
+    peak_inflation = inflation.max(axis=0)
+    return {
+        r: {
+            "mean_rho": float(mean[j]),
+            "peak_rho": float(peak_rho[j]),
+            "peak_inflation": float(peak_inflation[j]),
+        }
+        for j, r in enumerate(RESOURCES)
+    }
 
 
 @dataclass
@@ -76,8 +105,10 @@ class TimelineJob:
     _rates: dict[str, float] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise ConfigError("jobs cannot arrive before t=0")
+        if not 0 <= self.arrival_s < math.inf:
+            raise ConfigError(
+                f"jobs arrive at a finite t >= 0, not {self.arrival_s}"
+            )
 
     @property
     def contended_time_s(self) -> float:
@@ -109,39 +140,20 @@ class TimelineResult:
     """Outcome of an open-timeline run."""
 
     jobs: tuple[TimelineJob, ...]
-    samples: tuple[UtilizationSample, ...]
     makespan_s: float
+    utilization: dict[str, dict[str, float]]
+    """Per-resource mean/peak offered load and peak inflation
+    (:func:`summarize_utilization`)."""
 
-    def utilization_summary(self) -> dict[str, dict[str, float]]:
-        """Per-resource mean/peak offered load and peak inflation."""
-        return _summarize(self.samples)
 
-
-def _summarize(
-    samples: Sequence[UtilizationSample],
-) -> dict[str, dict[str, float]]:
-    summary: dict[str, dict[str, float]] = {}
-    for name in RESOURCES:
-        points = [s for s in samples if s.resource == name]
-        if not points:
-            summary[name] = {"mean_rho": 0.0, "peak_rho": 0.0, "peak_inflation": 1.0}
-            continue
-        # Time-weighted mean over the sampled span (step function).
-        if len(points) >= 2:
-            area = sum(
-                p0.offered_rho * (p1.time_s - p0.time_s)
-                for p0, p1 in zip(points, points[1:])
-            )
-            span = points[-1].time_s - points[0].time_s
-            mean = area / span if span > 0 else points[-1].offered_rho
-        else:
-            mean = points[0].offered_rho
-        summary[name] = {
-            "mean_rho": mean,
-            "peak_rho": max(p.offered_rho for p in points),
-            "peak_inflation": max(p.inflation for p in points),
-        }
-    return summary
+_Events = tuple[
+    npt.NDArray[np.float64], npt.NDArray[np.float64], npt.NDArray[np.float64]
+]
+_NO_EVENTS: _Events = (
+    np.empty(0),
+    np.empty((0, len(RESOURCES))),
+    np.empty((0, len(RESOURCES))),
+)
 
 
 class EventScheduler:
@@ -149,23 +161,8 @@ class EventScheduler:
 
     def __init__(self, contention: ContentionModel) -> None:
         self.contention = contention
-        self._sample_buffer: SampleBuffer | None = None
-        self._samples_tuple: tuple[UtilizationSample, ...] = ()
-
-    @property
-    def last_samples(self) -> tuple[UtilizationSample, ...]:
-        """Telemetry samples of the most recent run.
-
-        The batch replay records samples into a structured-array
-        :class:`~repro.sim.batch.SampleBuffer`; the public
-        :class:`UtilizationSample` tuple is materialized only when a
-        caller actually reads this property (then cached).
-        """
-        buf = self._sample_buffer
-        if buf is not None:
-            self._samples_tuple = buf.to_samples()
-            self._sample_buffer = None
-        return self._samples_tuple
+        # (times, rho, inflation) of the most recent run's events.
+        self._events = _NO_EVENTS
 
     # -- closed batch (equilibrium) ---------------------------------------------
 
@@ -183,10 +180,10 @@ class EventScheduler:
         produced.
         """
         if not demands:
+            self._events = _NO_EVENTS
             return [], {r: 1.0 for r in RESOURCES}
         times, inflation = self.contention._solve(demands)
-        self._sample_buffer = self._replay_batch(demands, times, inflation)
-        self._samples_tuple = ()
+        self._events = self._replay_batch(demands, times, inflation)
         return times, dict(inflation)
 
     def _replay_batch(
@@ -194,7 +191,7 @@ class EventScheduler:
         demands: list[TierDemand],
         times: list[float],
         inflation: dict[str, float],
-    ) -> SampleBuffer:
+    ) -> _Events:
         """Replay the batch's rho trajectory, fully vectorized.
 
         Bit-identical to the event-loop replay it replaces: the batch
@@ -203,10 +200,8 @@ class EventScheduler:
         fire in the heap's ``(time, seq)`` order (a stable argsort of the
         contended times, since all finish events shared one priority and
         seq was assignment order), and each completion subtracts its
-        delta sequentially (``np.subtract.accumulate``).  One sample row
-        per event — the launch at t=0 plus one per completion — lands in
-        a pre-sized :class:`~repro.sim.batch.SampleBuffer` instead of
-        ``5 (n+1)`` dataclass allocations.
+        delta sequentially (``np.subtract.accumulate``).  Returns one
+        row per event — the launch at t=0 plus one per completion.
         """
         n = len(demands)
         caps = self.contention.capacity_vector()
@@ -224,11 +219,7 @@ class EventScheduler:
         infl_row = np.array(
             [inflation[r] for r in RESOURCES], dtype=np.float64
         )
-        buffer = SampleBuffer(n + 1)
-        buffer.fill_events(
-            event_times, rho, np.broadcast_to(infl_row, rho.shape)
-        )
-        return buffer
+        return event_times, rho, np.broadcast_to(infl_row, rho.shape)
 
     # -- open timeline (emergent contention) ------------------------------------
 
@@ -245,32 +236,28 @@ class EventScheduler:
         """
         ordered = sorted(jobs, key=lambda j: (j.arrival_s, j.label))
         if not ordered:
-            return TimelineResult(jobs=(), samples=(), makespan_s=0.0)
+            self._events = _NO_EVENTS
+            return TimelineResult(
+                jobs=(), makespan_s=0.0, utilization=self.utilization_summary()
+            )
         loop = EventLoop()
         capacities = self.contention.capacities
+        inflate = self.contention._inflation
         active: list[TimelineJob] = []
-        samples: list[UtilizationSample] = []
+        times: list[float] = []
+        rhos: list[list[float]] = []
+        infls: list[list[float]] = []
         advance_entry: _Entry | None = None
         last_eval = loop.now
 
-        def current_inflation() -> dict[str, float]:
-            infl: dict[str, float] = {}
-            for r in RESOURCES:
-                rho = sum(j._rates[r] for j in active) / capacities[r]
-                infl[r] = self.contention._inflation(rho)
-            return infl
+        def offered_rho() -> list[float]:
+            return [
+                sum(j._rates[r] for j in active) / capacities[r]
+                for r in RESOURCES
+            ]
 
-        def sample(infl: dict[str, float]) -> None:
-            for r in RESOURCES:
-                rho = sum(j._rates[r] for j in active) / capacities[r]
-                samples.append(
-                    UtilizationSample(
-                        time_s=loop.now,
-                        resource=r,
-                        offered_rho=rho,
-                        inflation=infl[r],
-                    )
-                )
+        def current_inflation() -> dict[str, float]:
+            return dict(zip(RESOURCES, map(inflate, offered_rho())))
 
         def drain_elapsed(infl: dict[str, float]) -> None:
             nonlocal last_eval
@@ -291,8 +278,11 @@ class EventScheduler:
                 advance_entry = None
             if not active:
                 return
-            infl = current_inflation()
-            sample(infl)
+            rho = offered_rho()
+            infl = dict(zip(RESOURCES, map(inflate, rho)))
+            times.append(loop.now)
+            rhos.append(rho)
+            infls.append(list(infl.values()))
             horizon = min(j._remaining_wall_s(infl) for j in active)
             advance_entry = loop.schedule(
                 max(horizon, 0.0), advance, category="advance"
@@ -325,24 +315,17 @@ class EventScheduler:
         loop.run()
         if active:  # pragma: no cover - defensive
             raise SchedulerError("timeline ended with unfinished jobs")
-        self._sample_buffer = None
-        self._samples_tuple = tuple(samples)
+        self._events = (np.array(times), np.array(rhos), np.array(infls))
         return TimelineResult(
             jobs=tuple(ordered),
-            samples=tuple(samples),
             makespan_s=loop.now,
+            utilization=self.utilization_summary(),
         )
 
     # -- reporting ---------------------------------------------------------------
 
     def utilization_summary(self) -> dict[str, dict[str, float]]:
-        """Per-resource load summary of the most recent run.
-
-        Summarizes straight off the structured sample buffer when one is
-        live (no :class:`UtilizationSample` materialization), falling
-        back to the scalar summary over the tuple — both produce
-        bit-identical numbers.
-        """
-        if self._sample_buffer is not None:
-            return self._sample_buffer.summarize()
-        return _summarize(self._samples_tuple)
+        """Per-resource load summary of the most recent run
+        (:func:`summarize_utilization` over its events; the idle summary
+        after an empty one)."""
+        return summarize_utilization(*self._events)

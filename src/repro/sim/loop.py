@@ -1,4 +1,4 @@
-"""The deterministic event loop and its process coroutines.
+"""The deterministic event loop.
 
 Everything in the simulation happens as an event on one timeline.  Events
 are ordered by ``(time, priority, seq)``: simulated time first, then an
@@ -8,17 +8,20 @@ bookkeeping that "happened by" time *t* is visible to decisions made *at*
 simultaneous same-band events FIFO — scheduling order is replay order,
 always.
 
-Processes are plain generators that ``yield`` :class:`Delay` commands;
-the loop resumes a process when its delay has elapsed.  This keeps the
-kernel free of threads and real time: a million simulated seconds cost
-whatever the event count costs, nothing sleeps.
+Events are plain callbacks; work that spans simulated time (a scrub
+scan, a job draining under contention) re-schedules its own next step.
+This keeps the kernel free of threads and real time: a million simulated
+seconds cost whatever the event count costs, nothing sleeps.  Event
+times must be finite and not in the past; scheduling at ``NaN`` or
+infinity raises :class:`~repro.errors.ConfigError`.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,8 +32,6 @@ __all__ = [
     "PRIORITY_EMIT",
     "PRIORITY_ARRIVAL",
     "PRIORITY_DEFAULT",
-    "Delay",
-    "Process",
     "EventLoop",
 ]
 
@@ -46,47 +47,7 @@ PRIORITY_ARRIVAL = 2
 """Arrivals and other decision-making events."""
 
 PRIORITY_DEFAULT = 3
-"""Everything else (process resumptions, plain callbacks)."""
-
-
-@dataclass(frozen=True)
-class Delay:
-    """Suspend the yielding process for ``seconds`` of simulated time."""
-
-    seconds: float
-
-
-ProcessBody = Generator[Delay, None, Any]
-
-
-class Process:
-    """One running coroutine on the loop.
-
-    Created through :meth:`EventLoop.spawn`; ``done`` flips when the
-    generator is exhausted and ``result`` carries its ``return`` value.
-    """
-
-    def __init__(self, loop: "EventLoop", body: ProcessBody, name: str) -> None:
-        self._loop = loop
-        self._body = body
-        self.name = name
-        self.done = False
-        self.result: Any = None
-        self.started_at = loop.now
-        self.finished_at: float | None = None
-
-    def _step(self, _now: float) -> None:
-        """Advance the generator by one command."""
-        try:
-            command = next(self._body)
-        except StopIteration as stop:
-            self.done = True
-            self.result = stop.value
-            self.finished_at = self._loop.now
-            return
-        if not isinstance(command, Delay):  # pragma: no cover - defensive
-            raise ConfigError(f"process {self.name!r} yielded {command!r}")
-        self._loop.schedule(command.seconds, self._step)
+"""Everything else (plain callbacks)."""
 
 
 @dataclass(order=True, slots=True)
@@ -113,13 +74,14 @@ class EventLoop:
     """
 
     def __init__(self, *, start_s: float = 0.0) -> None:
-        if start_s < 0:
-            raise ConfigError("simulation cannot start before t=0")
+        if not 0 <= start_s < math.inf:
+            raise ConfigError(
+                f"simulation must start at a finite t >= 0, not {start_s}"
+            )
         self.now = float(start_s)
         self._heap: list[_Entry] = []
         self._seq = 0
         self._live: dict[str, int] = {}
-        self.processed = 0
 
     # -- scheduling ------------------------------------------------------------
 
@@ -132,8 +94,8 @@ class EventLoop:
         category: str = "",
     ) -> _Entry:
         """Queue ``callback(now)`` after ``delay_s`` simulated seconds."""
-        if delay_s < 0:
-            raise ConfigError(f"cannot schedule {delay_s} s in the past")
+        if not delay_s >= 0:
+            raise ConfigError(f"cannot schedule after a delay of {delay_s} s")
         return self.schedule_at(
             self.now + delay_s, callback, priority=priority, category=category
         )
@@ -147,7 +109,7 @@ class EventLoop:
         category: str = "",
     ) -> _Entry:
         """Queue ``callback(at_s)`` at an absolute simulated time."""
-        if at_s < self.now:
+        if not self.now <= at_s < math.inf:
             raise ConfigError(
                 f"cannot schedule at t={at_s:.6f}s, now is t={self.now:.6f}s"
             )
@@ -180,10 +142,11 @@ class EventLoop:
             raise ConfigError("batch schedule times must be one-dimensional")
         if times.size == 0:
             return []
-        if float(times.min()) < self.now:
+        lo, hi = float(times.min()), float(times.max())
+        if not (self.now <= lo and hi < math.inf):
+            bad = hi if self.now <= lo else lo
             raise ConfigError(
-                f"cannot schedule at t={float(times.min()):.6f}s, "
-                f"now is t={self.now:.6f}s"
+                f"cannot schedule at t={bad:.6f}s, now is t={self.now:.6f}s"
             )
         entries = []
         seq = self._seq
@@ -195,12 +158,6 @@ class EventLoop:
         heapq.heapify(self._heap)
         self._live[category] = self._live.get(category, 0) + len(entries)
         return entries
-
-    def spawn(self, body: ProcessBody, *, name: str = "process") -> Process:
-        """Start a process coroutine; its first step runs as an event."""
-        process = Process(self, body, name)
-        self.schedule(0.0, process._step)
-        return process
 
     # -- execution -------------------------------------------------------------
 
@@ -214,7 +171,6 @@ class EventLoop:
 
     def _dispatch(self, entry: _Entry) -> None:
         self.now = entry.time
-        self.processed += 1
         entry.callback(entry.time)
 
     def cancel(self, entry: _Entry) -> None:

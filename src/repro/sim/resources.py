@@ -2,13 +2,15 @@
 
 A :class:`TokenBucket` is a rate: tokens refill continuously at
 ``rate_per_s`` up to ``burst``; consumers ask how long obtaining a given
-amount takes.  The background scrubber draws its per-chunk SSD reads
-from one, where the interesting quantity is *when* work completes rather
-than *whether* a slot exists.
+amount takes and schedule their next event that much later.  The
+background scrubber draws its per-chunk SSD reads from one, where the
+interesting quantity is *when* work completes rather than *whether* a
+slot exists.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from ..errors import ConfigError
@@ -36,13 +38,13 @@ class TokenBucket:
         loop: "EventLoop",
         burst: float | None = None,
     ) -> None:
-        if rate_per_s <= 0:
-            raise ConfigError(f"bucket {name!r} needs a positive rate")
+        if not 0 < rate_per_s < math.inf:
+            raise ConfigError(f"bucket {name!r} needs a positive finite rate")
         self.name = name
         self.rate_per_s = float(rate_per_s)
         self.burst = float(burst) if burst is not None else float(rate_per_s)
-        if self.burst <= 0:
-            raise ConfigError(f"bucket {name!r} needs a positive burst")
+        if not 0 < self.burst < math.inf:
+            raise ConfigError(f"bucket {name!r} needs a positive finite burst")
         self.loop = loop
         self.tokens = self.burst
         self.consumed_total = 0.0
@@ -60,10 +62,11 @@ class TokenBucket:
         """Debit ``amount`` tokens; returns the wait until they exist.
 
         A zero return means the bucket absorbed the burst; a positive
-        return is queueing delay the caller should ``Delay`` for.
+        return is queueing delay the caller waits out before its next
+        event.
         """
-        if amount < 0:
-            raise ConfigError("cannot consume a negative amount")
+        if not 0 <= amount < math.inf:
+            raise ConfigError(f"cannot consume {amount} tokens")
         self._refill()
         self.tokens -= amount
         self.consumed_total += amount

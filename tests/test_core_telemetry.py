@@ -18,36 +18,6 @@ class TestTelemetryLog:
         assert log.last(EventKind.TIERED_INVOCATION).invocation == 3
         assert log.last(EventKind.REPROFILE_TRIGGERED) is None
 
-    def test_subscribers_called(self):
-        log = TelemetryLog()
-        seen = []
-        log.subscribe(seen.append)
-        event = TelemetryEvent(EventKind.PATTERN_CONVERGED, "f", 5)
-        log.emit(event)
-        assert seen == [event]
-
-    def test_raising_subscriber_is_isolated(self):
-        """A subscriber that throws must not lose the event or starve
-        later subscribers; the error is parked in ``subscriber_errors``."""
-        log = TelemetryLog()
-        seen = []
-
-        def bad(event):
-            raise RuntimeError("observer bug")
-
-        log.subscribe(bad)
-        log.subscribe(seen.append)
-        event = TelemetryEvent(EventKind.PHASE_DEGRADED, "f", 1)
-        log.emit(event)
-        # The event was recorded and the healthy subscriber still ran.
-        assert log.events == [event]
-        assert seen == [event]
-        # The failure is observable, not swallowed silently.
-        assert len(log.subscriber_errors) == 1
-        failed_event, exc = log.subscriber_errors[0]
-        assert failed_event is event
-        assert isinstance(exc, RuntimeError)
-
     def test_of_kind_preserves_emission_order(self):
         log = TelemetryLog()
         for i in (3, 1, 2):
@@ -58,54 +28,6 @@ class TestTelemetryLog:
         assert [e.invocation for e in retried] == [3, 1, 2]
         assert all(e.kind is EventKind.RESTORE_RETRIED for e in retried)
         assert log.of_kind(EventKind.FALLBACK_RESTORE) == []
-
-    def test_timeline_renders(self):
-        log = TelemetryLog()
-        log.emit(
-            TelemetryEvent(
-                EventKind.SNAPSHOT_GENERATED, "f", 9, {"cost": 0.5}
-            )
-        )
-        line = log.timeline()[0]
-        assert "snapshot-generated" in line and "0.5" in line
-
-    def test_timeline_details_are_key_sorted(self):
-        log = TelemetryLog()
-        log.emit(
-            TelemetryEvent(
-                EventKind.REQUEST_SHED, "f", 1, {"zeta": 1, "alpha": 2}
-            )
-        )
-        line = log.timeline()[0]
-        assert line.index("alpha") < line.index("zeta")
-
-    def test_subscriber_error_ledger_is_bounded(self):
-        log = TelemetryLog(max_subscriber_errors=3)
-
-        def bad(event):
-            raise RuntimeError("always")
-
-        log.subscribe(bad)
-        for i in range(10):
-            log.emit(TelemetryEvent(EventKind.TIERED_INVOCATION, "f", i))
-        assert len(log.subscriber_errors) == 3
-        assert log.dropped_subscriber_errors == 7
-        # The oldest failures are the ones kept.
-        assert [e.invocation for e, _ in log.subscriber_errors] == [0, 1, 2]
-
-    def test_bounded_errors_never_block_delivery(self):
-        log = TelemetryLog(max_subscriber_errors=1)
-        seen = []
-
-        def bad(event):
-            raise RuntimeError("always")
-
-        log.subscribe(bad)
-        log.subscribe(seen.append)
-        for i in range(5):
-            log.emit(TelemetryEvent(EventKind.TIERED_INVOCATION, "f", i))
-        assert len(seen) == 5
-        assert len(log.events) == 5
 
 
 class TestEventTimestampField:

@@ -30,6 +30,11 @@ class TestScrubConfig:
             {"interval_s": -1.0},
             {"chunk_pages": 0},
             {"ops_per_page": 0.0},
+            {"interval_s": float("nan")},
+            {"interval_s": float("inf")},
+            {"ops_per_page": float("nan")},
+            {"ops_per_page": float("inf")},
+            {"chunk_pages": 1.5},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -95,3 +100,26 @@ class TestRunScrubPass:
             self._copies(), cfg, ssd_iops=8192.0
         )
         assert fast.duration_s < slow.duration_s
+
+    def test_throttled_pass_pinned(self):
+        """Three copies of different sizes, one damaged twice, through a
+        bucket slow enough to queue; recorded as ``float.hex`` from the
+        generator-process scrubber this pass replaced."""
+        copies = []
+        for copy_id, n_pages in zip((10, 11, 12), (1024, 640, 300)):
+            s = snap(n_pages)
+            index = ChunkIndex.for_snapshot(s, 128)
+            if copy_id == 11:
+                s.page_versions[[200, 600]] += np.uint64(1)
+            copies.append((copy_id, s, index))
+        report = run_scrub_pass(
+            copies,
+            ScrubConfig(interval_s=1.0, ops_per_page=0.75),
+            ssd_iops=300.0,
+            start_s=2.5,
+        )
+        assert report.finished_s.hex() == "0x1.aeb851eb851ecp+2"
+        assert report.queued_s.hex() == "0x1.17ae147ae147cp+2"
+        assert report.ops_consumed.hex() == "0x1.7040000000000p+10"
+        assert report.bad == [(11, [1, 4])]
+        assert (report.copies_scanned, report.chunks_scanned) == (3, 16)

@@ -33,6 +33,19 @@ class TestTierDemand:
         with pytest.raises(ConfigError):
             TierDemand(cpu_time_s=1.0, ssd_ops=-1)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"cpu_time_s": float("nan")},
+            {"cpu_time_s": float("inf")},
+            {"cpu_time_s": 1.0, "slow_read_stall_s": float("nan")},
+            {"cpu_time_s": 1.0, "uffd_ops": float("inf")},
+        ],
+    )
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            TierDemand(**kwargs)
+
 
 class TestContention:
     def test_empty_demands(self):
@@ -129,3 +142,18 @@ class TestContention:
             model(damping=0.0)
         with pytest.raises(ConfigError):
             model(uffd_capacity_ops=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"uffd_capacity_ops": float("nan")},
+            {"uffd_capacity_ops": float("inf")},
+            {"tolerance": float("nan")},
+            {"tolerance": float("inf")},
+            {"tolerance": -1e-9},
+            {"max_iterations": 2.5},
+        ],
+    )
+    def test_invalid_solver_settings_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            model(**kwargs)

@@ -8,8 +8,10 @@ tests pin that contract:
 * hypothesis properties drive randomized cohorts — including exact
   same-timestamp ties — through both paths and require identical drain
   orders and identical floats;
-* the pre-change scalar replay loop is pinned verbatim as a reference
-  and the vectorized replay must reproduce its samples exactly;
+* the pre-change scalar replay loop and scalar utilization summary are
+  pinned verbatim as references, and the vectorized replay and
+  :func:`repro.sim.contention.summarize_utilization` must reproduce
+  their summary exactly;
 * the execute kernel (:func:`repro.sim.batchexec.execute_cohort`, and
   ``MicroVM.execute`` as its one-trace case) must reproduce the scalar
   execute loop kept in ``scalar_oracle`` — results and the state it
@@ -44,9 +46,9 @@ from repro.memsim.compressed import (
 from repro.memsim.page_cache import HostPageCache
 from repro.memsim.storage import OPTANE_SSD_SPEC
 from repro.memsim.tiers import DEFAULT_MEMORY_SYSTEM
-from repro.sim.batch import SampleBuffer, segment_fold_left
+from repro.sim.batch import segment_fold_left
 from repro.sim.batchexec import execute_cohort
-from repro.sim.contention import EventScheduler, UtilizationSample, _summarize
+from repro.sim.contention import EventScheduler, summarize_utilization
 from repro.sim.loop import EventLoop
 from repro.vm.microvm import Backing, MicroVM
 
@@ -146,17 +148,53 @@ class TestSegmentFolds:
 # -- contention replay ---------------------------------------------------------
 
 
+@dataclasses.dataclass(frozen=True)
+class _Sample:
+    """One observation of a shared resource's load."""
+
+    time_s: float
+    resource: str
+    offered_rho: float
+    inflation: float
+
+
+def _summarize(samples):
+    """The scalar per-resource utilization summary, the oracle for
+    :func:`summarize_utilization`: a time-weighted mean whose area is a
+    left fold over consecutive samples of one resource."""
+    summary = {}
+    for name in RESOURCES:
+        points = [s for s in samples if s.resource == name]
+        if not points:
+            summary[name] = {"mean_rho": 0.0, "peak_rho": 0.0, "peak_inflation": 1.0}
+            continue
+        if len(points) >= 2:
+            area = 0.0
+            for p0, p1 in zip(points, points[1:]):
+                area += p0.offered_rho * (p1.time_s - p0.time_s)
+            span = points[-1].time_s - points[0].time_s
+            mean = area / span if span > 0 else points[-1].offered_rho
+        else:
+            mean = points[0].offered_rho
+        summary[name] = {
+            "mean_rho": mean,
+            "peak_rho": max(p.offered_rho for p in points),
+            "peak_inflation": max(p.inflation for p in points),
+        }
+    return summary
+
+
 def _scalar_replay(model, demands, times, inflation):
     """The pre-vectorization event-loop replay, pinned verbatim."""
     loop = EventLoop()
     capacities = model.capacities
     active_rate = {r: 0.0 for r in RESOURCES}
-    samples: list[UtilizationSample] = []
+    samples: list[_Sample] = []
 
     def sample(_now):
         for r in RESOURCES:
             samples.append(
-                UtilizationSample(
+                _Sample(
                     time_s=loop.now,
                     resource=r,
                     offered_rho=active_rate[r] / capacities[r],
@@ -211,27 +249,39 @@ class TestReplayIdentity:
         assert got_times == times
         assert got_infl == dict(inflation)
         assert engine.utilization_summary() == _summarize(reference)
-        assert engine.last_samples == reference
-        # After materialization the summary comes from the tuple path.
-        assert engine.utilization_summary() == _summarize(reference)
 
-    def test_sample_buffer_round_trip(self):
-        buf = SampleBuffer(3)
-        buf.fill_events(
-            np.array([0.0]), np.full((1, 5), 0.1), np.full((1, 5), 1.0)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+                st.lists(
+                    st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
+                    min_size=2 * len(RESOURCES),
+                    max_size=2 * len(RESOURCES),
+                ),
+            ),
+            max_size=12,
         )
-        buf.fill_events(
-            np.array([1.0, 2.0]),
-            np.full((2, 5), 0.25),
-            np.full((2, 5), 1.5),
-        )
-        assert buf.n_events == 3 and len(buf) == 15
-        samples = buf.to_samples()
-        assert [s.resource for s in samples[:5]] == list(RESOURCES)
-        assert buf.summarize() == _summarize(samples)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_summary_matches_scalar_summary(self, rows):
+        """Any event arrays, ties and zero spans included, summarize
+        exactly as the scalar summary of the same samples."""
+        rows.sort(key=lambda row: row[0])
+        k = len(RESOURCES)
+        times = np.array([t for t, _ in rows], dtype=np.float64)
+        values = np.array([v for _, v in rows], dtype=np.float64).reshape(-1, 2 * k)
+        rho, infl = values[:, :k], values[:, k:]
+        samples = [
+            _Sample(float(times[i]), r, float(rho[i, j]), float(infl[i, j]))
+            for i in range(times.size)
+            for j, r in enumerate(RESOURCES)
+        ]
+        assert summarize_utilization(times, rho, infl) == _summarize(samples)
 
-    def test_empty_buffer_summary(self):
-        assert SampleBuffer(0).summarize() == _summarize(())
+    def test_empty_summary_is_idle(self):
+        empty = np.empty((0, len(RESOURCES)))
+        assert summarize_utilization(np.empty(0), empty, empty) == _summarize(())
 
 
 # -- batch invoke --------------------------------------------------------------

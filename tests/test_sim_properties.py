@@ -8,12 +8,14 @@ hands out.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.memsim.bandwidth import ContentionModel, TierDemand
+from repro.memsim.bandwidth import RESOURCES, ContentionModel, TierDemand
 from repro.memsim.storage import OPTANE_SSD_SPEC
 from repro.memsim.tiers import DEFAULT_MEMORY_SYSTEM
 from repro.sim import EventLoop, EventScheduler, TimelineJob, TokenBucket
@@ -75,6 +77,19 @@ class TestDeterminism:
         with pytest.raises(ConfigError):
             loop.schedule_at(4.0, lambda _n: None)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_times_rejected(self, bad):
+        loop = EventLoop(start_s=1.0)
+        with pytest.raises(ConfigError):
+            loop.schedule(bad, lambda _n: None)
+        with pytest.raises(ConfigError):
+            loop.schedule_at(bad, lambda _n: None)
+        with pytest.raises(ConfigError):
+            loop.schedule_batch([2.0, bad], lambda _n: None)
+        with pytest.raises(ConfigError):
+            EventLoop(start_s=bad)
+        assert loop.live_count("") == 0
+
     def test_time_is_monotone_across_dispatch(self):
         loop = EventLoop()
         seen: list[float] = []
@@ -100,6 +115,21 @@ class TestResourceConservation:
         assert bucket.consumed_total == pytest.approx(sum(amounts))
         # Every debt was waited out, so the backlog is clear.
         assert bucket.backlog_s == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "rate, burst",
+        [(math.nan, None), (math.inf, None), (1.0, math.nan), (1.0, math.inf)],
+    )
+    def test_invalid_bucket_rejected(self, rate, burst):
+        with pytest.raises(ConfigError):
+            TokenBucket("ssd", rate, loop=EventLoop(), burst=burst)
+
+    @pytest.mark.parametrize("amount", [math.nan, math.inf])
+    def test_invalid_consume_rejected(self, amount):
+        bucket = TokenBucket("ssd", 10.0, loop=EventLoop())
+        with pytest.raises(ConfigError):
+            bucket.consume(amount)
+        assert bucket.consumed_total == 0.0
 
 
 class TestEquilibriumIdentity:
@@ -155,3 +185,108 @@ class TestEquilibriumIdentity:
         mean_overlapped = sum(j.contended_time_s for j in overlapped.jobs) / 4
         mean_spread = sum(j.contended_time_s for j in spread.jobs) / 4
         assert mean_overlapped > mean_spread * 1.05
+
+    def test_empty_batch_reports_idle_utilization(self):
+        engine = EventScheduler(self.model())
+        demand = TierDemand(
+            cpu_time_s=0.1, slow_read_stall_s=0.05, slow_read_ops=2e5
+        )
+        engine.run_synchronized([demand] * 5)
+        assert engine.utilization_summary()["slow_read"]["peak_rho"] > 0.0
+        assert engine.run_synchronized([]) == ([], {r: 1.0 for r in RESOURCES})
+        idle = {"mean_rho": 0.0, "peak_rho": 0.0, "peak_inflation": 1.0}
+        assert engine.utilization_summary() == {r: idle for r in RESOURCES}
+
+    @pytest.mark.parametrize("arrival", [math.nan, math.inf])
+    def test_non_finite_arrival_rejected(self, arrival):
+        demand = TierDemand(cpu_time_s=0.1)
+        with pytest.raises(ConfigError):
+            TimelineJob(arrival, demand)
+        job = TimelineJob(0.0, demand)
+        job.arrival_s = arrival
+        with pytest.raises(ConfigError):
+            EventScheduler(self.model()).run_timeline([job])
+
+    def test_staggered_timeline_summary_pinned(self):
+        """Four overlapping jobs, one per resource mix; the makespan,
+        finish times and utilization summary were recorded as
+        ``float.hex`` from the sample-tuple summary this engine
+        replaced."""
+        jobs = [
+            TimelineJob(
+                0.0,
+                TierDemand(cpu_time_s=0.1, ssd_stall_s=0.4, ssd_ops=2.4e5),
+                "a",
+            ),
+            TimelineJob(
+                0.05,
+                TierDemand(
+                    cpu_time_s=0.2,
+                    slow_read_stall_s=0.1,
+                    slow_read_ops=3e5,
+                    uffd_stall_s=0.05,
+                    uffd_ops=2e4,
+                ),
+                "b",
+            ),
+            TimelineJob(
+                0.12,
+                TierDemand(
+                    cpu_time_s=0.05,
+                    slow_write_stall_s=0.08,
+                    slow_write_ops=1e5,
+                    fast_stall_s=0.01,
+                    fast_bytes=5e8,
+                ),
+                "c",
+            ),
+            TimelineJob(
+                0.9,
+                TierDemand(cpu_time_s=0.3, ssd_stall_s=0.1, ssd_ops=5e4),
+                "d",
+            ),
+        ]
+        engine = EventScheduler(self.model())
+        result = engine.run_timeline(jobs)
+        assert result.makespan_s.hex() == "0x1.96b78832ed283p+3"
+        assert [j.finish_s.hex() for j in result.jobs] == [
+            "0x1.96b78832ed283p+3",
+            "0x1.b4493b4493b45p-2",
+            "0x1.83101a873eb7bp-2",
+            "0x1.6666666666663p+3",
+        ]
+        pinned = {
+            "fast": (
+                "0x1.91b27848109f6p-11",
+                "0x1.107a76db6db6dp-5",
+                "0x1.08ced3715c2edp+0",
+            ),
+            "slow_read": (
+                "0x1.f6f8345563ecdp-10",
+                "0x1.d41d41d41d41cp-5",
+                "0x1.0f83e0f83e0f8p+0",
+            ),
+            "slow_write": (
+                "0x1.c14a6853b907cp-7",
+                "0x1.30c30c30c30c2p-1",
+                "0x1.3c3c3c3c3c3c2p+1",
+            ),
+            "ssd": (
+                "0x1.14ecb785a6e61p+0",
+                "0x1.199999999999ap+0",
+                "0x1.8fffffffffffap+6",
+            ),
+            "uffd": (
+                "0x1.3a5b20b55e741p-7",
+                "0x1.2492492492492p-2",
+                "0x1.6666666666666p+0",
+            ),
+        }
+        got = {
+            r: tuple(
+                s[k].hex() for k in ("mean_rho", "peak_rho", "peak_inflation")
+            )
+            for r, s in result.utilization.items()
+        }
+        assert got == pinned
+        assert engine.utilization_summary() == result.utilization
