@@ -10,7 +10,9 @@ ladder's rungs sit as a function of the fraction of hosts down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 from .. import config
 from ..errors import ConfigError
@@ -65,6 +67,16 @@ class ClusterConfig:
     """Root seed; per-host fault substreams derive from it."""
 
     def __post_init__(self) -> None:
+        # Every field is a finite number; one with an integer default
+        # must be an integer (a bool is neither).
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+            if isinstance(self.__dataclass_fields__[name].default, int):
+                if not isinstance(value, Integral):
+                    raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_hosts < 1:
             raise ConfigError("a cluster needs at least one host")
         if not 1 <= self.replication_factor <= self.n_hosts:

@@ -37,17 +37,8 @@ class Host:
         """Requests killed in flight by this host's crashes."""
         self.adoptions = 0
         """Functions whose prepared state this host adopted from a peer."""
-        self._evicted_windows: set[tuple[float, float]] = set()
 
     # -- fault-domain queries -------------------------------------------------
-
-    def down_at(self, t_s: float) -> bool:
-        """Whether the host is crashed at ``t_s``."""
-        return self.spec is not None and self.spec.down_at(t_s)
-
-    def partitioned_at(self, t_s: float) -> bool:
-        """Whether the host is partitioned at ``t_s``."""
-        return self.spec is not None and self.spec.partitioned_at(t_s)
 
     def routable_at(self, t_s: float) -> bool:
         """Whether a request can be dispatched to the host at ``t_s``."""
@@ -69,22 +60,20 @@ class Host:
 
     # -- crash semantics ------------------------------------------------------
 
-    def apply_crash_eviction(self, window: tuple[float, float]) -> bool:
-        """Evict the host's in-memory state for one crash window.
+    def crash(self) -> None:
+        """Lose the host's in-memory state at a crash.
 
-        Keep-alive residents and pre-warm predictor state live in host
-        memory, so a crash loses them; at-rest snapshot files survive.
-        Idempotent per window; returns True the first time.
+        Keep-alive residents, pre-warm predictor state and the serve
+        state (busy cores, queue and in-flight counts, capacity leases)
+        live in host memory, so a crash loses them; at-rest snapshot
+        files survive.
         """
-        if window in self._evicted_windows:
-            return False
-        self._evicted_windows.add(window)
         platform = self.platform
         if platform.keepalive is not None:
             platform.keepalive.shrink_to(0.0)
         if platform.prewarm is not None:
             platform.prewarm.predictors.clear()
-        return True
+        platform.reset_serve_state()
 
     # -- replication ----------------------------------------------------------
 

@@ -98,7 +98,8 @@ class DurabilityManager:
         # read rate; its scans queue only behind each other.
         self._ssd_iops = OPTANE_SSD_SPEC.random_read_iops
         self._devices: dict[int, StorageDevice] = {}
-        self._next_scrub_s = self.cfg.interval_s
+        self.next_scrub_s = self.cfg.interval_s
+        """When the next scrub pass is due."""
         self._clock_s = 0.0
 
     # -- plumbing ---------------------------------------------------------------
@@ -238,15 +239,6 @@ class DurabilityManager:
 
     # -- the clock --------------------------------------------------------------
 
-    def scrub_boundaries(self, horizon_s: float) -> list[float]:
-        """Scrub tick times up to ``horizon_s`` (for wave splitting)."""
-        ticks = []
-        t = self._next_scrub_s
-        while t <= horizon_s:
-            ticks.append(t)
-            t += self.cfg.interval_s
-        return ticks
-
     def advance_to(self, t_s: float) -> None:
         """Advance the durability clock: register, age, and run due
         scrub passes up to ``t_s``."""
@@ -254,11 +246,11 @@ class DurabilityManager:
         # New files are discovered *at* the advance target: a copy ages
         # only between boundaries at which it demonstrably existed.
         self.refresh(t_s)
-        while self._next_scrub_s <= t_s:
-            tick = self._next_scrub_s
+        while self.next_scrub_s <= t_s:
+            tick = self.next_scrub_s
             self._age_all(tick)
             self._scrub(tick)
-            self._next_scrub_s += self.cfg.interval_s
+            self.next_scrub_s += self.cfg.interval_s
         self._age_all(t_s)
         self._clock_s = t_s
 

@@ -13,6 +13,7 @@ suite asserts on the real experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .. import config
@@ -41,9 +42,11 @@ def _check_windows(name: str, windows, *, with_multiplier: bool) -> None:
         if len(window) != expected:
             raise ConfigError(f"{name} entries need {expected} fields: {window}")
         start, end = window[0], window[1]
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise ConfigError(f"{name} window edges must be finite: {window}")
         if end <= start:
             raise ConfigError(f"{name} window must satisfy start < end: {window}")
-        if with_multiplier and window[2] < 1.0:
+        if with_multiplier and not window[2] >= 1.0:
             raise ConfigError(f"{name} multiplier must be >= 1: {window}")
 
 

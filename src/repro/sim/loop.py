@@ -66,8 +66,10 @@ class EventLoop:
     * :meth:`schedule` queues a callback after a non-negative delay;
       :meth:`schedule_at` queues at an absolute time (never in the past).
     * :meth:`run` drains the heap; :meth:`run_while_category` drains only
-      while events of one category remain queued, for callers that
-      interleave simulated batches with carried-over state.
+      while events of one category remain queued, so state past a
+      batch's last decision stays queued for the next batch, and
+      :meth:`drain_category` flushes one category without moving the
+      clock.
     * Determinism: identical schedules replay identically — the heap key
       is ``(time, priority, seq)`` and ``seq`` is assigned at scheduling
       time, so ties never compare callbacks.
@@ -192,9 +194,10 @@ class EventLoop:
     def run_while_category(self, category: str) -> float:
         """Drain events while any event of ``category`` remains queued.
 
-        The platform uses this to stop once no arrival-category events
-        remain, so state that outlives the batch (capacity leases) can be
-        carried over instead of force-expired.
+        The platform and the cluster fleet use this to stop once the
+        last arrival has been decided, so state that outlives the batch
+        (busy cores, counts, capacity leases) stays queued for the next
+        one instead of being force-expired.
         """
         while self.live_count(category) > 0:
             entry = self._pop()
@@ -203,22 +206,19 @@ class EventLoop:
             self._dispatch(entry)
         return self.now
 
-    def drain_category(self, category: str) -> int:
-        """Run only the remaining events of one category, in heap order.
+    def drain_category(self, category: str) -> None:
+        """Run the remaining events of one category, in heap order, now.
 
         Used to flush deferred telemetry emissions that time-stamp past
-        the final arrival; other remaining events are left untouched.
-        Returns the number of events run.
+        the final arrival.  Each callback still receives its own time,
+        but the clock stays where it was, so the other events — left
+        queued untouched — and the next batch keep their place on the
+        timeline.
         """
-        remaining: list[_Entry] = []
-        ran = 0
-        while (entry := self._pop()) is not None:
-            if entry.category == category:
-                self._dispatch(entry)
-                ran += 1
-            else:
-                remaining.append(entry)
-        for entry in remaining:
-            heapq.heappush(self._heap, entry)
-            self._live[entry.category] = self._live.get(entry.category, 0) + 1
-        return ran
+        ours = [e for e in self._heap if e.category == category and not e.cancelled]
+        for entry in ours:
+            entry.cancelled = True
+        self._live[category] = 0
+        ours.sort()
+        for entry in ours:
+            entry.callback(entry.time)

@@ -614,10 +614,12 @@ class TestFailedRequestAccounting:
         ]
         assert len(events) == 1
         # The entry's telemetry carries the core's true free time (the
-        # fresh serve() batch starts from idle cores) and the wait.
-        assert events[0].detail["free_at_s"] == 0.0
-        assert events[0].detail["queue_delay_s"] == pytest.approx(
-            log[0].start_s - log[0].arrival_s
+        # first call's request still holds the one core: serve state
+        # carries across calls) and the wait.
+        assert events[0].detail["free_at_s"] == round(busy_until, 6)
+        assert log[0].start_s == busy_until
+        assert events[0].detail["queue_delay_s"] == round(
+            log[0].start_s - log[0].arrival_s, 6
         )
 
 
