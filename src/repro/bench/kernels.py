@@ -23,7 +23,7 @@ dominates real runs:
   mid-stream (kills, re-dispatch, re-placement, fleet ladder).
 * ``scrub_fleet`` — the same fleet under elevated bit-rot with a 1s
   scrub cadence: at-rest aging, token-bucket scrub I/O and chunk repair
-  from replicas on every wave boundary.
+  from replicas at every fleet maintenance event.
 
 Kernels tagged ``smoke`` form the CI subset
 (``python -m repro bench --filter smoke``).
@@ -270,9 +270,9 @@ def _scrub_fleet_setup():
 
 
 def _scrub_fleet_run(mods):
-    # The durability plane end to end: at-rest aging at every wave
-    # boundary, scrub passes on the event loop (token-bucket contention
-    # against restores) and chunk repair from replicas.
+    # The durability plane end to end: at-rest aging at every fleet
+    # maintenance event, scrub passes on the event loop (token-bucket
+    # contention against restores) and chunk repair from replicas.
     plan = mods["FaultPlan"](
         bitrot=mods["BitRotSpec"](
             ssd_rate_per_page_s=2e-5,

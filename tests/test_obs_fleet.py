@@ -116,8 +116,8 @@ class TestFleetReport:
         ).read_text()
 
     def test_scrub_scenario_matches_golden_fixtures(self):
-        # Bit rot, scrub passes and repairs all run through the cluster's
-        # serve waves, so this pins the durability path end to end.
+        # Bit rot, scrub passes and repairs all run on the cluster's
+        # fleet timeline, so this pins the durability path end to end.
         result = fleet_report.run("scrub")
         assert result.cluster.durability.summary()["scrub_passes"] > 0
         assert result.alerts_jsonl == (
