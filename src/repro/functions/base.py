@@ -22,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import config, rng as rng_mod
-from ..errors import ConfigError
+from ..errors import AddressSpaceError, ConfigError
 from ..obs import profile as profile_mod
 from ..trace import cache as trace_cache
 from ..trace.allocator import GuestAllocator
-from ..trace.events import InvocationTrace
+from ..trace.events import InvocationTrace, int32_column
 from ..trace.synth import Band, banded_histogram
 
 __all__ = ["InputSpec", "FunctionModel", "INPUT_LABELS"]
@@ -236,9 +236,13 @@ class FunctionModel:
 
         Each epoch keeps only its nonzero mask and its nonzero counts, so
         the full per-epoch draws are freed as the loop goes.  The counts
-        are then joined into the trace's counts column and each mask
-        compresses the pages straight into its slice of the pages column.
+        are then joined into the trace's int32 counts column and each
+        mask compresses the pages straight into its slice of the int32
+        pages column.  No epoch count exceeds its page's invocation
+        count, so checking the invocation histogram once covers them all.
         """
+        pages = int32_column(pages, "pages", AddressSpaceError)
+        counts = int32_column(counts, "counts", ConfigError)
         n = self.n_epochs
         weights = rng.dirichlet(np.full(n, 20.0)) if n > 1 else np.ones(1)
         remaining = counts.copy()
@@ -259,7 +263,7 @@ class FunctionModel:
                 remaining = remaining - take
         ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum([t.size for t in taken], out=ptr[1:])
-        flat_counts = np.concatenate(taken)
+        flat_counts = np.concatenate(taken, dtype=np.int32, casting="same_kind")
         del taken
         flat_pages = np.empty_like(flat_counts)
         for nz, lo, hi in zip(masks, ptr[:-1], ptr[1:]):

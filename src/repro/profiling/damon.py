@@ -239,8 +239,12 @@ class DamonProfiler:
             # a boundary search over the *bounds* (O(R log P)) instead of
             # a per-page search (O(P log R)), and the per-region sums are
             # segment reductions.  Both bincount and reduceat accumulate
-            # in page order, so the sums are bit-identical.
-            pos = np.searchsorted(epoch.pages, self._bounds)
+            # in page order, so the sums are bit-identical.  The keys take
+            # the pages' dtype: mixed dtypes would make searchsorted copy
+            # the (much longer) page column to the wider one.
+            pos = np.searchsorted(
+                epoch.pages, self._bounds.astype(epoch.pages.dtype, copy=False)
+            )
             nonempty = pos[:-1] < pos[1:]
             p_sum = np.zeros(self.n_regions)
             if nonempty.any():

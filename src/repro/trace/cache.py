@@ -8,15 +8,16 @@ over and over: Figure 9 replays one seed range through four systems
 is recomputation.  Traces are immutable, so handing the same object to
 every system is safe and their ``cached_property`` views are shared too.
 
-The cache is bounded by *bytes*, not entries: one pyaes trace is ~180 KB
-while a video-processing trace is tens of MB, so an entry-count bound
-would either thrash on big traces or hoard memory on small ones.  At the
+The cache is bounded by *bytes*, not entries: a trace's int32 columns
+cost 8 bytes per page-epoch, so one pyaes input-IV trace is ~88 KB while
+a pagerank one is ~11 MB, and an entry-count bound would either thrash
+on big traces or hoard memory on small ones.  At the
 default 1.5 GB budget both a full C=1000 seed range of the Figure 9
-function *and* the fleet study's full profiling working set (~0.9 GB
-across the Table I + extended suites) fit, which turns repeated
-preparation passes into one synthesis pass each.  The old 256 MB default
-thrashed at fleet scale: 334 synthesis misses per ``fleet_study`` run
-with an ~8 % hit rate.
+function *and* the fleet study's full profiling working set (334 traces,
+~0.39 GB across the Table I + extended suites at 30 requests per
+function) fit, which turns repeated preparation passes into one
+synthesis pass each.  The old 256 MB default thrashed at fleet scale:
+334 synthesis misses per ``fleet_study`` run with an ~8 % hit rate.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ DEFAULT_BUDGET_BYTES = 1536 * 1024 * 1024
 
 
 def _trace_nbytes(trace: "InvocationTrace") -> int:
-    """Approximate retained size: the flat page/count columns dominate."""
+    """Approximate retained size: the flat int32 page/count columns
+    dominate, 8 bytes per page-epoch."""
     return trace.pages.nbytes + trace.counts.nbytes or 1
 
 

@@ -504,7 +504,7 @@ class TestFirstTouchCensus:
         ref_pages = trace.pages[first_idx]
         ref_epoch = np.searchsorted(trace.epoch_ptr, first_idx, side="right") - 1
         seen = np.zeros(trace.n_pages, dtype=bool)
-        cold = _cold_touches(trace, seen)
+        cold = _cold_touches(trace.pages.astype(np.intp), trace.epoch_ptr, seen)
         pages = np.concatenate(cold)
         epochs = np.repeat(np.arange(len(cold)), [c.size for c in cold])
         order = np.argsort(pages)

@@ -7,12 +7,13 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.trace import TraceCache, shared_trace_cache
+from repro.trace.cache import _trace_nbytes
 
 from conftest import make_trace
 
 
 def sized_trace(n_hot_pages: int):
-    """A trace whose epoch arrays retain ~16 bytes per hot page."""
+    """A trace whose epoch arrays retain 8 bytes per hot page."""
     pages = tuple(range(n_hot_pages))
     counts = (1,) * n_hot_pages
     return make_trace(n_pages=max(n_hot_pages, 8), pages=pages, counts=counts)
@@ -119,6 +120,12 @@ class TestSynthesisIntegration:
             assert a.cpu_time_s == b.cpu_time_s
             assert np.array_equal(a.pages, b.pages)
             assert np.array_equal(a.counts, b.counts)
+
+    def test_synthesized_trace_costs_8_bytes_per_element(self, tiny_function):
+        """The int32 columns are all a cached trace is charged for."""
+        trace = tiny_function.trace(3, 11)
+        assert trace.pages.size > 0
+        assert _trace_nbytes(trace) == 8 * trace.pages.size
 
     def test_distinct_seeds_are_distinct_entries(self, tiny_function):
         cache = shared_trace_cache()
