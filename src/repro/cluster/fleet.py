@@ -422,14 +422,19 @@ class ClusterPlatform:
     ) -> None:
         """Schedule a repair copy back onto ``host`` after a durability
         eviction, through the same pending-replacement bookkeeping host
-        crashes use (effective after ``re_replication_delay_s``)."""
+        crashes use (effective after ``re_replication_delay_s``).  A
+        maintenance event at the landing time applies the copy, as a
+        crash re-placement's landing edge does."""
+        effective = t_s + self.config.re_replication_delay_s
         self._pending_replacements.append(
-            _PendingReplacement(
-                t_s + self.config.re_replication_delay_s,
-                function,
-                host,
-                force=True,
-            )
+            _PendingReplacement(effective, function, host, force=True)
+        )
+        # A batch's settling scrub runs at its latest finish, which can
+        # precede the fleet clock (a request shed after re-dispatch
+        # finishes at its arrival); such a copy is due at once.
+        self.loop.schedule_at(
+            max(effective, self.loop.now), self._maintain,
+            priority=PRIORITY_RELEASE,
         )
 
     def _adoption_source(
