@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -126,18 +127,22 @@ def _event_row(event):
 
 @contextmanager
 def failing_every(n: int):
-    """Fail every ``n``-th invocation with an injected fault.
+    """Fail every ``n``-th invocation of each platform with an injected
+    fault.
 
     The controller's recovery chain always ends in a lazy restore that
     succeeds, so nothing in the fault plan alone fails a request; this
-    stands in for a fault the whole chain could not absorb."""
+    stands in for a fault the whole chain could not absorb.  Each
+    platform counts its own invocations, so which cluster request fails
+    depends on its host's calls, not on the order hosts are called in."""
     original = ServerlessPlatform._invoke
-    calls = [0]
+    calls: Counter[int] = Counter()
 
     def flaky(self, dep, input_index, **kwargs):
-        calls[0] += 1
-        if calls[0] % n == 0:
-            raise FaultInjected(f"injected failure of invocation {calls[0]}")
+        calls[id(self)] += 1
+        count = calls[id(self)]
+        if count % n == 0:
+            raise FaultInjected(f"injected failure of invocation {count}")
         return original(self, dep, input_index, **kwargs)
 
     ServerlessPlatform._invoke = flaky
