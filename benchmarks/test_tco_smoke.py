@@ -2,9 +2,9 @@
 
 Reproduces the frontier on a small grid (one function, two budgets) and
 diffs the rendered table byte-for-byte against the committed golden
-fixture — the sweep is deterministic (fixed evaluation-trace seed, hill
-climbing over measured executions), so any drift means the compressed-
-tier model or the optimizer changed.  The acceptance claims (all-DRAM
+fixture — the sweep is deterministic (fixed evaluation-trace seed, an
+exact search over measured executions), so any drift means the
+compressed-tier model or the optimizer changed.  The acceptance claims (all-DRAM
 endpoint at 1.0, compressed frontier below the two-tier frontier) are
 asserted directly as well, so the job fails loudly even if someone
 regenerates the fixture.

@@ -383,6 +383,9 @@ def main(argv: list[str] | None = None) -> int:
         from .core.toss import TossConfig
         from .faults.plan import FaultPlan, HostFaultSpec
 
+        requests = steady_requests(
+            n_requests=args.requests, duration_s=args.duration
+        )
         plan = None
         if args.crash:
             plan = FaultPlan(
@@ -404,11 +407,7 @@ def main(argv: list[str] | None = None) -> int:
             plan=plan,
         )
         fleet.deploy_fleet(list(FLEET_SUITE))
-        fleet.serve(
-            steady_requests(
-                n_requests=args.requests, duration_s=args.duration
-            )
-        )
+        fleet.serve(requests)
         table = Table(
             f"Cluster fleet: {args.hosts} hosts, replication "
             f"{args.replication}, {args.requests} requests",

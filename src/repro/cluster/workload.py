@@ -10,6 +10,9 @@ balance.
 
 from __future__ import annotations
 
+from numbers import Integral
+
+from ..errors import ConfigError
 from ..functions.base import FunctionModel, InputSpec
 from ..platform.overload import RequestClass
 from ..trace.synth import Band
@@ -61,8 +64,17 @@ def steady_requests(
 
     Requests round-robin over the functions and their inputs at evenly
     spaced arrivals; every ``batch_every``-th request is batch-class
-    (sheddable), the rest are latency-class.
+    (sheddable), the rest are latency-class.  A negative or non-integer
+    ``n_requests`` raises :class:`~repro.errors.ConfigError`.
     """
+    if (
+        isinstance(n_requests, bool)
+        or not isinstance(n_requests, Integral)
+        or n_requests < 0
+    ):
+        raise ConfigError(
+            f"n_requests must be a non-negative integer, got {n_requests!r}"
+        )
     requests: list[tuple[float, str, int, RequestClass]] = []
     step = duration_s / max(n_requests, 1)
     for i in range(n_requests):

@@ -7,31 +7,30 @@ regions (bins merging); access-count merging happened earlier, when the
 unified pattern produced its regions.
 
 Equation 1 is a capacity-weighted price times a slowdown, so it holds for
-any number of tiers.  On an N-tier memory system (software compressed
-tiers, :mod:`repro.memsim.compressed`) two searches place bins on the
-chain's stable tier ids, both greedy single-bin-move hill climbs
-(:func:`_climb`) that differ in objective, candidate order and round
-bound:
+any number of tiers.  Putting a bin on a tier adds a fixed amount to the
+time and a fixed amount to the price, so the cheapest placement under
+any slowdown budget lies on the (time, price) Pareto frontier, which
+:func:`_pareto_choices` builds exactly, bin by bin.  Two callers feed it
+an option table on an N-tier memory system (software compressed tiers,
+:mod:`repro.memsim.compressed`):
 
 * :func:`spread_bins_across_tiers` -- the cheap snapshot-build-time
   mapping, scored by an Equation-1 *estimate* anchored at the measured
   two-tier analysis, so snapshot bins land on DRAM / compressed-DRAM /
   PMEM as the chain offers.  Without middle tiers it is the identity and
   the classic two-tier snapshot is produced byte-identically.
-* :func:`search_tier_placement` -- the measured search: every candidate
-  move is timed on the profiling trace under the trial placement, as the
-  paper's bin profiling does.  It keeps per-epoch, per-tier access
-  tallies for the current placement and each bin's share of them, so a
-  candidate costs work in epochs x tiers rather than in guest pages.
-  The tallies are sums of integer trace counts, exact in float64, so
-  the result is bit-identical to replaying the trace on each trial
-  placement.
+* :func:`search_tier_placement` -- the measured search: a bin's options
+  are timed on the profiling trace, as the paper's bin profiling does,
+  from per-epoch access tallies, so an option costs work in epochs x
+  tiers rather than in guest pages.  The chosen placement is re-scored
+  from its tallies, which are sums of integer trace counts, exact in
+  float64, so the result is bit-identical to replaying the trace on it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,42 +51,56 @@ __all__ = [
     "spread_bins_across_tiers",
 ]
 
-SEARCH_ROUNDS = 200
-"""Round bound of :func:`search_tier_placement`'s hill climb."""
 
+def _pareto_choices(
+    start: tuple[float, float],
+    d_time: np.ndarray,
+    d_price: np.ndarray,
+    *,
+    base_time: float,
+    max_time: float = math.inf,
+) -> np.ndarray:
+    """Every (time, price)-Pareto-optimal choice of one option per bin,
+    cheapest first.
 
-def _climb(
-    assign: list[int],
-    tiers: Sequence[int],
-    evaluate: Callable[[int, int], float | None],
-    current: float,
-    rounds: int,
-) -> Iterator[tuple[int, int]]:
-    """Hill-climb single-bin tier moves, yielding each applied move.
+    Choosing option ``k`` for bin ``b`` adds ``d_time[b, k]`` and
+    ``d_price[b, k]`` to ``start``'s (time, price).  Equation 1,
+    ``max(1, time / base_time) * price``, rises with both, so its minimum
+    under a time budget lies on the Pareto frontier.  The frontier is
+    built bin by bin: every point is extended by every option, points
+    over ``max_time`` are dropped, and a point is kept only if it is
+    strictly cheaper than every point at most as slow.
 
-    ``assign[b]`` is bin ``b``'s tier id and is updated in place.
-    ``evaluate(b, t)`` is the objective after moving bin ``b`` to tier
-    ``t``, or ``None`` when the move is infeasible.  Each round applies
-    the lowest-objective move that beats ``current`` by more than 1e-12
-    (the first found wins ties) and yields its ``(b, t)``; the climb
-    stops when no move helps or after ``rounds`` rounds.
+    Returns one row of option indices per frontier point, sorted by
+    Equation 1.  Equal costs keep the faster point first; of equal
+    points the one built from lower option indices survives.  No row
+    comes back when every choice is over ``max_time``.
     """
-    for _ in range(rounds):
-        best: tuple[float, int, int] | None = None
-        for b, at in enumerate(assign):
-            for t in tiers:
-                if t == at:
-                    continue
-                objective = evaluate(b, t)
-                if objective is not None and objective < current - 1e-12 and (
-                    best is None or objective < best[0]
-                ):
-                    best = (objective, b, t)
-        if best is None:
-            return
-        current, b, t = best
-        assign[b] = t
-        yield b, t
+    n_bins, n_options = d_time.shape
+    time = np.array([start[0]])
+    price = np.array([start[1]])
+    parents: list[np.ndarray] = []
+    options: list[np.ndarray] = []
+    for b in range(n_bins):
+        t = (time[:, None] + d_time[b]).ravel()
+        p = (price[:, None] + d_price[b]).ravel()
+        order = np.lexsort((p, t))
+        order = order[t[order] <= max_time]
+        p_sorted = p[order]
+        keep = np.ones(order.size, dtype=bool)
+        keep[1:] = p_sorted[1:] < np.minimum.accumulate(p_sorted)[:-1]
+        order = order[keep]
+        time, price = t[order], p[order]
+        parents.append(order // n_options)
+        options.append(order % n_options)
+    # The frontier is in time order, so a stable sort breaks cost ties
+    # toward the faster point.
+    point = np.argsort(np.maximum(1.0, time / base_time) * price, kind="stable")
+    choices = np.empty((point.size, n_bins), dtype=np.intp)
+    for b in range(n_bins - 1, -1, -1):
+        choices[:, b] = options[b][point]
+        point = parents[b][point]
+    return choices
 
 
 def spread_bins_across_tiers(
@@ -95,17 +108,15 @@ def spread_bins_across_tiers(
 ) -> np.ndarray:
     """Re-assign offloaded bins across the memory system's tier chain.
 
-    Starts from the two-tier placement (everything offloaded sits on the
-    slow tier) and hill-climbs single-bin moves onto middle tiers using
-    an Equation-1 *estimate*: each bin's measured incremental slowdown is
-    scaled by the candidate tier's latency position between the fast and
-    slow tiers, and its price share moves to the candidate's price.  The
-    estimate anchors exactly at the measured two-tier point (all bins on
-    the slow tier reproduce ``analysis.expected_slowdown`` and
-    ``analysis.cost``-shaped terms), so a move is applied only when it
-    improves on the measured configuration's estimate.  The measured
-    search (per-move executions) is :func:`search_tier_placement`; this
-    spread is the cheap snapshot-build-time mapping.
+    Each offloaded bin goes to the slow tier or a middle tier, whichever
+    assignment minimises an Equation-1 *estimate*: each bin's measured
+    incremental slowdown is scaled by the candidate tier's latency
+    position between the fast and slow tiers, and its price share moves
+    to the candidate's price.  The estimate anchors exactly at the
+    measured two-tier point (all bins on the slow tier reproduce
+    ``analysis.expected_slowdown`` and ``analysis.cost``-shaped terms).
+    The measured search is :func:`search_tier_placement`; this spread is
+    the cheap snapshot-build-time mapping.
 
     Returns a new placement array; without middle tiers it is an
     unmodified copy.
@@ -118,20 +129,21 @@ def spread_bins_across_tiers(
     lat_slow = float(lat[int(Tier.SLOW)])
     span = max(lat_slow - lat_fast, 1e-18)
     candidates = (int(Tier.SLOW), *range(2, 2 + len(memory.middle)))
-    price = {t: memory.price_relative(t) for t in candidates}
+    price = np.array([memory.price_relative(t) for t in candidates])
     # Latency position of each candidate between fast (0) and slow (1):
     # the share of a bin's measured slow-tier slowdown it retains there.
-    scale = {
-        t: min(max((float(lat[t]) - lat_fast) / span, 0.0), 1.0)
-        for t in candidates
-    }
+    scale = np.array(
+        [
+            min(max((float(lat[t]) - lat_fast) / span, 0.0), 1.0)
+            for t in candidates
+        ]
+    )
 
     bins = analysis.selected_bins
     if not bins:
         return placement
-    delta = [max(float(b.incremental_slowdown), 0.0) for b in bins]
-    frac = [b.n_pages / analysis.n_pages for b in bins]
-    assign = [int(Tier.SLOW)] * len(bins)
+    delta = np.array([max(float(b.incremental_slowdown), 0.0) for b in bins])
+    frac = np.array([b.n_pages / analysis.n_pages for b in bins])
 
     # Price of everything *not* being moved (fast pages plus zero-page
     # offload already resting on the slow tier).
@@ -144,24 +156,15 @@ def spread_bins_across_tiers(
     fixed_price = fixed_fast * memory.price_relative(Tier.FAST)
     fixed_price += fixed_slow * memory.price_relative(Tier.SLOW)
 
-    def estimate(assignment: list[int]) -> float:
-        sd = analysis.expected_slowdown - sum(
-            delta[i] * (1.0 - scale[t]) for i, t in enumerate(assignment)
-        )
-        total_price = fixed_price + sum(
-            frac[i] * price[t] for i, t in enumerate(assignment)
-        )
-        return max(sd, 1.0) * total_price
-
-    def evaluate(b: int, t: int) -> float:
-        trial = list(assign)
-        trial[b] = t
-        return estimate(trial)
-
-    rounds = len(bins) * len(candidates)
-    for b, t in _climb(assign, candidates, evaluate, estimate(assign), rounds):
-        for region in bins[b].regions:
-            placement[region.start_page : region.end_page] = t
+    choice = _pareto_choices(
+        (analysis.expected_slowdown, fixed_price),
+        -np.outer(delta, 1.0 - scale),
+        np.outer(frac, price),
+        base_time=1.0,
+    )[0]
+    for b, k in zip(bins, choice.tolist()):
+        for region in b.regions:
+            placement[region.start_page : region.end_page] = candidates[k]
     return placement
 
 
@@ -176,7 +179,6 @@ class TierPlacement:
     """Normalised Equation-1 cost (all-fast = 1.0)."""
     tier_fractions: tuple[float, ...]
     """Share of guest memory on each tier, in chain order."""
-    moves: int
 
 
 def search_tier_placement(
@@ -185,32 +187,26 @@ def search_tier_placement(
     memory: MemorySystem,
     *,
     slowdown_threshold: float | None = None,
-    seed_placement: np.ndarray | None = None,
 ) -> TierPlacement:
     """Minimum-cost placement of the pattern's bins on ``memory``'s chain.
 
-    Packs the pattern into the analyzer's equal-access bins, starts with
-    every bin on the fast tier and every zero-accessed region on the
-    terminal (slow) tier, then hill-climbs single-bin moves over the
-    tiers in chain order.  Each trial placement is scored by Equation 1
-    (:func:`~repro.core.cost.normalized_cost_tiers`) at the slowdown
-    ``profile_trace`` takes on it; moves whose slowdown exceeds
-    ``slowdown_threshold`` are skipped, exactly like Section V-C's
-    client knob.
+    Packs the pattern into the analyzer's equal-access bins and puts
+    every zero-accessed region on the terminal (slow) tier.  Each bin may
+    go to any tier: per epoch, its accesses times that tier's latency add
+    to the time ``profile_trace`` takes, and its pages times the tier's
+    price add to the price.  :func:`_pareto_choices` orders the Pareto
+    frontier of those options by Equation 1
+    (:func:`~repro.core.cost.normalized_cost_tiers`); the first point
+    whose re-scored slowdown is within ``slowdown_threshold`` (Section
+    V-C's client knob) wins.  If none is, every bin stays on the fast
+    tier.
 
-    The trace is tallied once: per epoch, the accesses landing on each
-    tier under the current placement, and each bin's share of them.
-    Moving bin ``b`` to tier ``t`` subtracts ``b``'s share and adds its
-    total to ``t``.  Every tally is a sum of integer counts below 2**53,
-    so it is exact in float64 in any summation order, and the trial's
-    time, tier fractions, cost and slowdown are bit-identical to
-    replaying the trace on the trial placement page by page.
-
-    ``seed_placement`` (tier ids) starts the climb from a known placement
-    instead.  Every applied move strictly lowers the cost, so the result
-    never costs more than its seed.  Tier ids are stable, so a two-tier
-    placement seeds any richer chain verbatim: adding tiers then never
-    raises the cost at a fixed slowdown budget.
+    The trace is tallied once: per epoch, each bin's accesses, and the
+    accesses of the pages no bin covers on their tiers.  A placement's
+    per-tier tallies are sums of those integer counts below 2**53, so
+    they are exact in float64 in any summation order, and the chosen
+    placement's time, tier fractions, cost and slowdown are bit-identical
+    to replaying the trace on it page by page.
     """
     if pattern.n_pages != profile_trace.n_pages:
         raise AnalysisError("pattern and profiling trace cover different guests")
@@ -223,59 +219,36 @@ def search_tier_placement(
         min_region_pages=binner.min_region_pages,
     )
     bins = binner._pack_bins([r for r in regions if r.value > 0])
+    n_bins = len(bins)
 
-    if seed_placement is None:
-        placement = np.full(n_pages, int(Tier.FAST), dtype=np.uint8)
-        for region in regions:
-            if region.value <= 0:
-                placement[region.start_page : region.end_page] = int(Tier.SLOW)
-    else:
-        placement = np.asarray(seed_placement, dtype=np.uint8).copy()
-        if placement.shape != (n_pages,):
-            raise AnalysisError("seed placement shape does not match guest")
-        if placement.size and int(placement.max()) >= n_tiers:
-            raise AnalysisError(
-                f"seed placement references tier {int(placement.max())}, "
-                f"chain has {n_tiers}"
-            )
+    placement = np.full(n_pages, int(Tier.FAST), dtype=np.uint8)
+    for region in regions:
+        if region.value <= 0:
+            placement[region.start_page : region.end_page] = int(Tier.SLOW)
 
-    # ``tally[e, k]`` is epoch ``e``'s access count on the ``k``-th tier in
-    # chain order and ``pages[k]`` that tier's page count.  Row ``b`` of
-    # ``bin_tally``/``bin_pages`` is bin ``b``'s share of them under the
-    # current placement; the last row holds the pages no bin covers,
-    # which never move.  All are exact integer sums (see above), so a
-    # move is exact subtraction and addition.
+    # Tier k in chain order is column k.  A page's key is its bin, or
+    # ``n_bins + k`` for a page no bin covers, which stays on its tier k.
+    # ``totals[key, e]`` is the key's access count in epoch ``e`` and
+    # ``sizes[key]`` its page count; all are exact integer sums.
     ids = list(memory.tier_ids)
     col = np.empty(n_tiers, dtype=np.int64)
     col[ids] = np.arange(n_tiers)
-    slot = np.full(n_pages, len(bins), dtype=np.int64)
+    key = n_bins + col[placement]
     for b, regions_b in enumerate(bins):
         for region in regions_b:
-            slot[region.start_page : region.end_page] = b
-    page_key = slot * n_tiers + col[placement]
-    n_slots = len(bins) + 1
+            key[region.start_page : region.end_page] = b
+    n_keys = n_bins + n_tiers
     epochs = profile_trace.epochs
     n_epochs = len(epochs)
     epoch_of = np.repeat(
         np.arange(n_epochs, dtype=np.int64), np.diff(profile_trace.epoch_ptr)
     )
-    bin_tally = (
-        np.bincount(
-            epoch_of * (n_slots * n_tiers) + page_key[profile_trace.pages],
-            weights=profile_trace.counts,
-            minlength=n_epochs * n_slots * n_tiers,
-        )
-        .reshape(n_epochs, n_slots, n_tiers)
-        .transpose(1, 0, 2)
-        .copy()
-    )
-    bin_pages = np.bincount(page_key, minlength=n_slots * n_tiers).reshape(
-        n_slots, n_tiers
-    )
-    bin_total = bin_tally.sum(axis=2)
-    bin_size = bin_pages.sum(axis=1)
-    tally = bin_tally.sum(axis=0)
-    pages = bin_pages.sum(axis=0)
+    totals = np.bincount(
+        key[profile_trace.pages] * n_epochs + epoch_of,
+        weights=profile_trace.counts,
+        minlength=n_keys * n_epochs,
+    ).reshape(n_keys, n_epochs)
+    sizes = np.bincount(key, minlength=n_keys)
     # Each epoch's latency vector (chain order) is resolved once per search.
     latency = memory.access_latency_by_id
     lat = np.array(
@@ -286,8 +259,7 @@ def search_tier_placement(
 
     def time_s(tl: np.ndarray) -> float:
         # The row sums reduce each epoch's products as the per-epoch 1-D
-        # ``.sum()`` of the replay did, and the epochs fold in the same
-        # order (tests/test_perf_identity.py pins the replay).
+        # ``.sum()`` of a replay does, and the epochs fold in order.
         total = 0.0
         for cpu_s, has_pages, access_s in zip(
             cpu, touched, (tl * lat).sum(axis=1).tolist()
@@ -297,54 +269,56 @@ def search_tier_placement(
                 total += access_s
         return total
 
-    all_fast = np.zeros_like(tally)
-    all_fast[:, col[int(Tier.FAST)]] = tally.sum(axis=1)
+    all_fast = np.zeros((n_epochs, n_tiers))
+    all_fast[:, col[int(Tier.FAST)]] = totals.sum(axis=0)
     base_time = time_s(all_fast)
     if base_time <= 0:
         raise AnalysisError("profiling trace has zero duration")
 
-    def score(tl: np.ndarray, pg: np.ndarray) -> tuple[float, float]:
-        sd = normalized_slowdown(time_s(tl), base_time)
-        return normalized_cost_tiers(sd, pg / n_pages, memory), sd
+    def tallies(choice: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-epoch, per-tier accesses and per-tier pages when bin ``b``
+        sits wholly on the tier in chain position ``choice[b]``."""
+        onehot = np.zeros((n_keys, n_tiers), dtype=np.int64)
+        onehot[np.arange(n_bins), choice] = 1
+        onehot[n_bins:] = np.eye(n_tiers, dtype=np.int64)
+        return totals.T @ onehot, sizes @ onehot
 
-    def moved(b: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Tallies and page counts with bin ``b`` wholly on tier ``t``."""
-        k = col[t]
-        trial = tally - bin_tally[b]
-        trial[:, k] += bin_total[b]
-        trial_pages = pages - bin_pages[b]
-        trial_pages[k] += bin_size[b]
-        return trial, trial_pages
+    # The option table, in chain order; its float sums order the
+    # frontier, and the chosen point is re-scored from its tallies.
+    price = np.array([memory.price_relative(t) for t in ids])
+    bin_totals = totals[:n_bins]
+    fixed = totals[n_bins:].T
+    start = (
+        sum(cpu) + float((fixed * lat).sum()),
+        float(sizes[n_bins:] @ price) / n_pages,
+    )
+    max_time = math.inf
+    if slowdown_threshold is not None:
+        # Relative slack for the rounding by which the option sums can
+        # differ from the re-scored time; the re-score decides.
+        max_time = base_time * (1.0 + slowdown_threshold) * (1.0 + 1e-9)
+    choices = _pareto_choices(
+        start,
+        bin_totals @ lat,
+        np.outer(sizes[:n_bins] / n_pages, price),
+        base_time=base_time,
+        max_time=max_time,
+    )
 
-    def evaluate(b: int, t: int) -> float | None:
-        cost, sd = score(*moved(b, t))
-        if slowdown_threshold is not None and sd - 1.0 > slowdown_threshold:
-            return None
-        return cost
-
-    # A bin's starting tier comes from the (possibly seeded) placement so
-    # the "skip the current tier" test stays truthful.
-    assign = [int(placement[b[0].start_page]) for b in bins]
-    moves = 0
-    for b, t in _climb(
-        assign, ids, evaluate, score(tally, pages)[0], SEARCH_ROUNDS
-    ):
-        tally, pages = moved(b, t)
-        k = col[t]
-        bin_tally[b] = 0.0
-        bin_tally[b, :, k] = bin_total[b]
-        bin_pages[b] = 0
-        bin_pages[b, k] = bin_size[b]
-        for region in bins[b]:
-            placement[region.start_page : region.end_page] = t
-        moves += 1
-    cost, slowdown = score(tally, pages)
+    for choice in (*choices, np.zeros(n_bins, dtype=np.intp)):
+        tl, pg = tallies(choice)
+        slowdown = normalized_slowdown(time_s(tl), base_time)
+        if slowdown_threshold is None or slowdown - 1.0 <= slowdown_threshold:
+            break
+    cost = normalized_cost_tiers(slowdown, pg / n_pages, memory)
+    for regions_b, k in zip(bins, choice.tolist()):
+        for region in regions_b:
+            placement[region.start_page : region.end_page] = ids[k]
     return TierPlacement(
         placement=placement,
         slowdown=slowdown,
         cost=cost,
-        tier_fractions=tuple(float(f) for f in pages / n_pages),
-        moves=moves,
+        tier_fractions=tuple(float(f) for f in pg / n_pages),
     )
 
 

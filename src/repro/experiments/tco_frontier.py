@@ -7,12 +7,11 @@ normalised memory cost each configuration reaches within each budget.
 The all-DRAM configuration anchors the frontier at cost 1.0 / slowdown
 1.0; every other point trades slowdown for TCO.
 
-Each compressed configuration's search is *seeded* with the two-tier
-optimum, which is valid on every chain because tier ids are stable; per
-the hill-climbing guarantee of
-:func:`repro.core.tiering.search_tier_placement`, adding a compressed
-tier can never report a higher cost than the two-tier point at the same
-budget.
+:func:`repro.core.tiering.search_tier_placement` finds the exact minimum
+at each budget, so a chain whose tiers include another's never reports a
+higher cost than it at the same budget.  ``dram+zstd`` does not include
+the PMEM tier of ``dram+pmem``, so for it the same ordering is a checked
+claim, not a guarantee.
 """
 
 from __future__ import annotations
@@ -122,9 +121,7 @@ def run(
     For every function the converged unified access pattern and a fixed
     evaluation trace drive one
     :func:`~repro.core.tiering.search_tier_placement` per (configuration,
-    budget), called as :meth:`MultiTierAnalyzer.analyze`; compressed
-    configurations are seeded with the two-tier result so the frontier is
-    monotone by construction.
+    budget), called as :meth:`MultiTierAnalyzer.analyze`.
     """
     names = function_names or ["float_operation", "json_load_dump", "pyaes"]
     swept = configs if configs is not None else default_configs()
@@ -145,22 +142,14 @@ def run(
 
     points: list[FrontierPoint] = []
     for threshold in slowdown_thresholds:
-        # Two-tier searches first: they run unseeded and their
-        # placements seed every later configuration at this budget.
-        two_tier: dict[str, np.ndarray] = {}
         for cfg_name, memory in swept:
             analyzer = MultiTierAnalyzer(memory)
             costs: dict[str, float] = {}
             slowdowns: list[float] = []
             for name, pattern, trace in prepared:
                 result = analyzer.analyze(
-                    pattern,
-                    trace,
-                    slowdown_threshold=threshold,
-                    seed_placement=two_tier.get(name),
+                    pattern, trace, slowdown_threshold=threshold
                 )
-                if cfg_name == TWO_TIER_NAME:
-                    two_tier[name] = result.placement
                 costs[name] = result.cost
                 slowdowns.append(result.slowdown)
             point = FrontierPoint(

@@ -25,7 +25,6 @@ from .overload import (
     OverloadConfig,
     OverloadPolicy,
     RequestClass,
-    RequestShed,
     ShedReason,
 )
 
@@ -52,6 +51,5 @@ __all__ = [
     "OverloadConfig",
     "OverloadPolicy",
     "RequestClass",
-    "RequestShed",
     "ShedReason",
 ]

@@ -55,7 +55,6 @@ class HostCapacity:
         self.slow_mb = float(slow_mb)
         self._resident: list[ResidentVM] = []
         self._names: set[str] = set()
-        self._fill_seq = 0
         self._used_fast = 0.0
         self._used_slow = 0.0
 
@@ -149,23 +148,10 @@ class HostCapacity:
         self._used_fast = sum(vm.fast_mb for vm in self._resident)
         self._used_slow = sum(vm.slow_mb for vm in self._resident)
 
-    def fill_with(self, vm: ResidentVM, limit: int = 100_000) -> int:
-        """Admit copies of ``vm`` until the host is full; returns count.
-
-        Generated names carry a monotonically increasing per-host
-        sequence so repeated ``fill_with`` calls on one host never
-        collide with names admitted earlier.
-        """
-        admitted = 0
-        while admitted < limit and self.admit(
-            ResidentVM(f"{vm.name}#{self._fill_seq}", vm.fast_mb, vm.slow_mb)
-        ):
-            admitted += 1
-            self._fill_seq += 1
-        return admitted
-
     def fill_count(self, vm: ResidentVM, limit: int = 100_000) -> int:
-        """How many copies of ``vm`` :meth:`fill_with` would admit.
+        """How many copies of ``vm`` (at most ``limit``) :meth:`admit`
+        would take, one after another, before the first one that does not
+        fit.
 
         Pure counting — no resident VMs are materialised and the host is
         left untouched.  Bit-identical to the admit loop: the loop's

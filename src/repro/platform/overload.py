@@ -8,7 +8,7 @@ policy layer the platform consults before and after every request:
 
 * **bounded admission** — queue-depth/queue-delay limits with priority
   classes (:class:`RequestClass`).  Batch traffic over the limit is shed
-  with a typed decision (:class:`RequestShed`); latency traffic is never
+  with a typed reason (:class:`ShedReason`); latency traffic is never
   shed by a limit — it is forced onto the cheap all-DRAM fallback path
   instead, so the queue drains.
 * **deadlines** — each request's deadline defaults to its DRAM-baseline
@@ -42,7 +42,6 @@ from ..errors import ConfigError
 __all__ = [
     "RequestClass",
     "ShedReason",
-    "RequestShed",
     "OverloadConfig",
     "BreakerState",
     "CircuitBreaker",
@@ -69,18 +68,6 @@ class ShedReason(enum.Enum):
     DEADLINE = "deadline"
     BREAKER_OPEN = "breaker-open"
     SHEDDING = "shedding"
-
-
-@dataclass(frozen=True)
-class RequestShed:
-    """One typed shed decision (the request was rejected, not queued)."""
-
-    function: str
-    input_index: int
-    arrival_s: float
-    request_class: RequestClass
-    reason: ShedReason
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -481,12 +468,11 @@ class DegradationLadder:
 
 @dataclass
 class OverloadPolicy:
-    """Composes config, per-function breakers, the ladder, and shed log."""
+    """Composes config, per-function breakers and the ladder."""
 
     config: OverloadConfig = field(default_factory=OverloadConfig)
     ladder: DegradationLadder = field(init=False)
     breakers: dict[str, CircuitBreaker] = field(init=False, default_factory=dict)
-    sheds: list[RequestShed] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
         self.ladder = DegradationLadder(self.config)
@@ -531,7 +517,3 @@ class OverloadPolicy:
         ):
             return ShedReason.FUNCTION_DEPTH
         return None
-
-    def record_shed(self, shed: RequestShed) -> None:
-        """Append one shed decision to the policy's log."""
-        self.sheds.append(shed)

@@ -50,7 +50,6 @@ from .overload import (
     OverloadConfig,
     OverloadPolicy,
     RequestClass,
-    RequestShed,
     ShedReason,
 )
 from .prewarm import PrewarmPolicy
@@ -776,16 +775,6 @@ class ServerlessPlatform:
         tl, obs = self._timeline, t.obs
         name, invocation = entry.function, t.dep.invocations
         if entry.shed:
-            if self.overload is not None:
-                self.overload.record_shed(
-                    RequestShed(
-                        function=name,
-                        input_index=entry.input_index,
-                        arrival_s=entry.arrival_s,
-                        request_class=t.req_class,
-                        reason=t.shed,
-                    )
-                )
             # Stamped — and emitted — at the arrival that decided it.
             tl.defer_emit(
                 obs,

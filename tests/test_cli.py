@@ -78,3 +78,8 @@ class TestCli:
         with pytest.raises(ConfigError, match=r"host 9\b.*n_hosts=4"):
             main(["cluster", "--hosts", "4", "--crash", "9"])
         assert capsys.readouterr().out == ""
+
+    def test_cluster_negative_request_count_rejected(self, capsys):
+        with pytest.raises(ConfigError, match=r"n_requests.*-1"):
+            main(["cluster", "--requests", "-1"])
+        assert capsys.readouterr().out == ""

@@ -438,6 +438,19 @@ class TestValidationAndConfig:
                 ClusterConfig(n_hosts=n_hosts), plan=crash_plan(spec_host)
             )
 
+    @pytest.mark.parametrize(
+        "n_requests",
+        [-1, 2.5, 4.0, True],
+        ids=["negative", "fraction", "float", "bool"],
+    )
+    def test_steady_request_count_rejected_by_name(self, n_requests):
+        with pytest.raises(ConfigError, match="n_requests") as info:
+            steady_requests(n_requests=n_requests, duration_s=1.0)
+        assert repr(n_requests) in str(info.value)
+
+    def test_steady_zero_requests_is_empty(self):
+        assert steady_requests(n_requests=0, duration_s=1.0) == []
+
     def test_serve_cannot_go_back_in_time(self):
         cluster = make_cluster(n_hosts=2)
         cluster.serve([(1.0, "fleet_api", 0)])

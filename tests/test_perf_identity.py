@@ -1,19 +1,26 @@
 """Bit-identity tests for the optimised hot paths.
 
-The vectorised DAMON profiler, the flattened, memoised contention
-solver and the incremental N-tier placement search replaced loop-heavy
-implementations whose exact floating-point results the golden fixtures
-(Figures 7-9, the Perfetto trace, the TCO frontier) depend on.  These
-tests pin the *pre-change* implementations as references inside the
-test file and assert the production code reproduces their output bit
-for bit on seeded inputs — not approximately, exactly.
+The vectorised DAMON profiler and the flattened, memoised contention
+solver replaced loop-heavy implementations whose exact floating-point
+results the golden fixtures (Figures 7-9, the Perfetto trace) depend on.
+These tests pin the *pre-change* implementations as references inside
+the test file and assert the production code reproduces their output
+bit for bit on seeded inputs — not approximately, exactly.  The N-tier
+placement search is checked against brute force over every bin
+assignment: on profiled guests its cost must equal the minimum bit for
+bit (it feeds the TCO frontier fixture).
 
 Hypothesis properties additionally check DAMON's region adaptation
-against the reference on drawn region values, and the solver memo:
-answering a solve from the cache must never change ``contended_times``.
+against the reference on drawn region values, the solver memo
+(answering a solve from the cache must never change
+``contended_times``), and the placement search on drawn guests and
+tier chains.
 """
 
 from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -21,14 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.analysis import ProfilingAnalyzer
-from repro.core.cost import normalized_cost_tiers
-from repro.core.tiering import (
-    SEARCH_ROUNDS,
-    TierPlacement,
-    _climb,
-    search_tier_placement,
-)
-from repro.errors import AnalysisError, ProfilingError
+from repro.core.tiering import search_tier_placement
+from repro.errors import ProfilingError
 from repro.memsim.bandwidth import RESOURCES, ContentionModel, TierDemand
 from repro.memsim.compressed import compressed_memory_system
 from repro.memsim.presets import CXL_DDR4_SPEC, NVME_AS_MEMORY_SPEC
@@ -39,12 +40,11 @@ from repro.memsim.tiers import (
     PMEM_SPEC,
     MemorySystem,
     Tier,
+    TierSpec,
 )
 from repro.profiling.damon import DamonConfig, DamonProfiler, DamonSnapshot
-from repro.profiling.unified import UnifiedAccessPattern
 from repro.regions import Region
-from repro.sim.timing import normalized_slowdown
-from repro.trace.events import InvocationTrace
+from repro.trace.events import AccessEpoch, InvocationTrace
 from repro.vm.microvm import EpochRecord
 
 from test_core_analysis import profiled_pattern
@@ -164,107 +164,6 @@ class ReferenceContentionModel(ContentionModel):
             if delta <= self.tolerance:
                 break
         return times, inflation
-
-
-def reference_search_tier_placement(
-    pattern: UnifiedAccessPattern,
-    profile_trace: InvocationTrace,
-    memory: MemorySystem,
-    *,
-    slowdown_threshold: float | None = None,
-    seed_placement: np.ndarray | None = None,
-) -> TierPlacement:
-    """``search_tier_placement`` as it was before the incremental
-    tallies: every candidate move copies the placement and replays the
-    trace on it (pinned verbatim)."""
-    if pattern.n_pages != profile_trace.n_pages:
-        raise AnalysisError("pattern and profiling trace cover different guests")
-    n_pages = pattern.n_pages
-    n_tiers = memory.n_tiers
-    binner = ProfilingAnalyzer()
-    regions = pattern.regions(
-        merge_tolerance=binner.merge_tolerance,
-        min_region_pages=binner.min_region_pages,
-    )
-    bins = binner._pack_bins([r for r in regions if r.value > 0])
-
-    if seed_placement is None:
-        placement = np.full(n_pages, int(Tier.FAST), dtype=np.uint8)
-        for region in regions:
-            if region.value <= 0:
-                placement[region.start_page : region.end_page] = int(Tier.SLOW)
-    else:
-        placement = np.asarray(seed_placement, dtype=np.uint8).copy()
-        if placement.shape != (n_pages,):
-            raise AnalysisError("seed placement shape does not match guest")
-        if placement.size and int(placement.max()) >= n_tiers:
-            raise AnalysisError(
-                f"seed placement references tier {int(placement.max())}, "
-                f"chain has {n_tiers}"
-            )
-
-    # Per-id tallies are summed in chain order; each epoch's latency
-    # vector is resolved once per search, not once per evaluation.
-    ids = list(memory.tier_ids)
-    epochs = [
-        (
-            epoch.cpu_time_s,
-            epoch.pages,
-            epoch.counts,
-            memory.access_latency_by_id(
-                epoch.random_fraction, epoch.store_fraction
-            )[ids],
-        )
-        for epoch in profile_trace.epochs
-    ]
-
-    def time_s(pl: np.ndarray) -> float:
-        total = 0.0
-        for cpu_s, pages, counts, lat in epochs:
-            total += cpu_s
-            if pages.size:
-                per_id = np.bincount(pl[pages], weights=counts, minlength=n_tiers)
-                total += float((per_id[ids] * lat).sum())
-        return total
-
-    base_time = time_s(np.full(n_pages, int(Tier.FAST), dtype=np.uint8))
-    if base_time <= 0:
-        raise AnalysisError("profiling trace has zero duration")
-
-    def fractions(pl: np.ndarray) -> np.ndarray:
-        return (np.bincount(pl, minlength=n_tiers) / n_pages)[ids]
-
-    def score(pl: np.ndarray) -> tuple[float, float]:
-        sd = normalized_slowdown(time_s(pl), base_time)
-        return normalized_cost_tiers(sd, fractions(pl), memory), sd
-
-    def evaluate(b: int, t: int) -> float | None:
-        trial = placement.copy()
-        for region in bins[b]:
-            trial[region.start_page : region.end_page] = t
-        cost, sd = score(trial)
-        if slowdown_threshold is not None and sd - 1.0 > slowdown_threshold:
-            return None
-        return cost
-
-    # A bin's starting tier comes from the (possibly seeded) placement so
-    # the "skip the current tier" test stays truthful.
-    assign = [int(placement[b[0].start_page]) for b in bins]
-    moves = 0
-    for b, t in _climb(assign, ids, evaluate, score(placement)[0], SEARCH_ROUNDS):
-        for region in bins[b]:
-            placement[region.start_page : region.end_page] = t
-        moves += 1
-    # The replay is deterministic: re-scoring the final placement gives
-    # the bits the climb saw.
-    cost, slowdown = score(placement)
-    return TierPlacement(
-        placement=placement,
-        slowdown=slowdown,
-        cost=cost,
-        tier_fractions=tuple(float(f) for f in fractions(placement)),
-        moves=moves,
-    )
 
 
 # -- input generators ----------------------------------------------------------
@@ -506,46 +405,213 @@ CHAINS = {
 }
 
 
-def seed_placements(pattern, trace) -> dict[str, np.ndarray | None]:
-    """No seed, the two-tier optimum, and a seed that spreads the widest
-    bin over two tiers (half of each region on the middle tier id 2)."""
+def brute_force_scores(pattern, trace, memory):
+    """Slowdown and Equation-1 cost of every bin-to-tier assignment.
+
+    Row ``i`` is the ``i``-th assignment of ``itertools.product`` over
+    chain positions, one per analyzer bin; pages outside the bins stay
+    where the search puts them (zero-accessed regions on the slow tier,
+    the rest on the fast tier).  Each epoch's accesses are tallied per
+    bin from the epoch's own arrays, so an assignment's per-tier tallies
+    are exact integer sums, and its time folds epoch by epoch as a replay
+    of that placement does.  Every cost therefore carries the bits a
+    page-by-page replay gives.
+    """
     analyzer = ProfilingAnalyzer()
-    two_tier = analyzer.analyze(pattern, trace).placement
     regions = pattern.regions(
         merge_tolerance=analyzer.merge_tolerance,
         min_region_pages=analyzer.min_region_pages,
     )
     bins = analyzer._pack_bins([r for r in regions if r.value > 0])
-    widest = max(bins, key=lambda b: sum(r.n_pages for r in b))
-    split = two_tier.copy()
-    for region in widest:
-        half = region.start_page + max(1, region.n_pages // 2)
-        split[region.start_page : half] = 2
-        split[half : region.end_page] = int(Tier.SLOW)
-    return {"none": None, "two_tier": two_tier, "split_bin": split}
+    ids = list(memory.tier_ids)
+    n_bins, n_tiers = len(bins), len(ids)
+    # A page's key is its bin, or n_bins + the chain position of its tier.
+    key = np.full(pattern.n_pages, n_bins, dtype=np.intp)
+    for region in regions:
+        if region.value <= 0:
+            key[region.start_page : region.end_page] = n_bins + ids.index(
+                int(Tier.SLOW)
+            )
+    for b, regions_b in enumerate(bins):
+        for region in regions_b:
+            key[region.start_page : region.end_page] = b
+    assign = np.array(
+        list(itertools.product(range(n_tiers), repeat=n_bins)), dtype=np.intp
+    ).reshape(-1, n_bins)
+    rows = np.arange(len(assign))
+
+    def per_tier(per_key: np.ndarray) -> np.ndarray:
+        out = np.tile(per_key[n_bins:], (len(assign), 1))
+        for b in range(n_bins):
+            out[rows, assign[:, b]] += per_key[b]
+        return out
+
+    n_keys = n_bins + n_tiers
+    time = np.zeros(len(assign))
+    base = 0.0
+    for epoch in trace.epochs:
+        lat = memory.access_latency_by_id(
+            epoch.random_fraction, epoch.store_fraction
+        )[ids]
+        per_key = np.bincount(
+            key[epoch.pages.astype(np.intp)],
+            weights=epoch.counts,
+            minlength=n_keys,
+        )
+        all_fast = np.zeros((1, n_tiers))
+        all_fast[0, 0] = per_key.sum()
+        time += epoch.cpu_time_s
+        base += epoch.cpu_time_s
+        if epoch.pages.size:
+            time += (per_tier(per_key) * lat).sum(axis=1)
+            base += float((all_fast * lat).sum(axis=1)[0])
+    slowdown = np.maximum(1.0, time / base)
+    fractions = per_tier(np.bincount(key, minlength=n_keys)) / pattern.n_pages
+    price = np.zeros(len(assign))
+    for k, spec in enumerate(memory.chain):
+        price = price + fractions[:, k] * (
+            spec.cost_per_mb / memory.fast.cost_per_mb
+        )
+    return bins, slowdown, slowdown * price
+
+
+def search_against_brute_force(pattern, trace, memory, threshold):
+    """Run the search and return its result with the brute-force minimum
+    cost within the budget (``None`` when no assignment is within it).
+
+    The search's placement must re-score exactly as a replay of it does,
+    and with no assignment inside the budget every bin stays on the fast
+    tier."""
+    result = search_tier_placement(
+        pattern, trace, memory, slowdown_threshold=threshold
+    )
+    bins, slowdown, cost = brute_force_scores(pattern, trace, memory)
+    ids = list(memory.tier_ids)
+    row = 0
+    for regions_b in bins:
+        tier = int(result.placement[regions_b[0].start_page])
+        row = row * len(ids) + ids.index(tier)
+    assert result.cost == cost[row]
+    assert result.slowdown == slowdown[row]
+    within = np.ones(len(cost), dtype=bool)
+    if threshold is not None:
+        within = slowdown - 1.0 <= threshold
+    if not within.any():
+        assert row == 0
+        return result, None
+    return result, float(cost[within].min())
 
 
 class TestTierSearchBitIdentity:
+    """The search's placement is the exact optimum over all 3**10 bin
+    assignments of a profiled guest, with or without a budget."""
+
     @pytest.mark.parametrize("chain", sorted(CHAINS))
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_search_matches_reference_exactly(self, tiny_function, chain, seed):
         memory = CHAINS[chain]
         pattern = profiled_pattern(tiny_function, seed=seed)
         trace = tiny_function.trace(seed % tiny_function.n_inputs, 100 + seed)
-        for name, seeded in seed_placements(pattern, trace).items():
-            for threshold in (None, 0.01, 0.3):
-                kwargs = dict(slowdown_threshold=threshold, seed_placement=seeded)
-                new = search_tier_placement(pattern, trace, memory, **kwargs)
-                ref = reference_search_tier_placement(
-                    pattern, trace, memory, **kwargs
-                )
-                case = (name, threshold)
-                assert new.placement.dtype == ref.placement.dtype, case
-                assert np.array_equal(new.placement, ref.placement), case
-                assert new.cost == ref.cost, case
-                assert new.slowdown == ref.slowdown, case
-                assert new.tier_fractions == ref.tier_fractions, case
-                assert new.moves == ref.moves, case
+        for threshold in (None, 0.01, 0.3):
+            result, best = search_against_brute_force(
+                pattern, trace, memory, threshold
+            )
+            assert result.cost == best
+            assert threshold is None or result.slowdown - 1.0 <= threshold
+
+
+@dataclass(frozen=True)
+class DrawnPattern:
+    """A pattern whose regions are given (the search reads nothing else)."""
+
+    n_pages: int
+    drawn: tuple[Region, ...]
+
+    def regions(self, **_) -> list[Region]:
+        return list(self.drawn)
+
+
+@st.composite
+def drawn_chains(draw) -> MemorySystem:
+    """2-4 tiers below DRAM, each no faster and no pricier than above."""
+    specs = [DRAM_SPEC]
+    for i in range(draw(st.integers(1, 3))):
+        above = specs[-1]
+        specs.append(
+            TierSpec(
+                name=f"tier{i}",
+                load_latency_s=above.load_latency_s * draw(st.floats(1.0, 20.0)),
+                store_latency_s=above.store_latency_s * draw(st.floats(0.5, 20.0)),
+                bandwidth_bps=above.bandwidth_bps,
+                access_bytes=above.access_bytes,
+                cost_per_mb=above.cost_per_mb * draw(st.floats(0.0, 1.0)),
+                random_penalty=draw(st.floats(1.0, 4.0)),
+            )
+        )
+    return MemorySystem(fast=specs[0], middle=tuple(specs[1:-1]), slow=specs[-1])
+
+
+@st.composite
+def drawn_guests(draw) -> tuple[DrawnPattern, InvocationTrace]:
+    """Up to 8 one-to-three-page live regions (so at most 8 bins) between
+    zero-accessed gaps, and a 1-3 epoch trace that may touch any page."""
+    regions: list[Region] = []
+    start = live = 0
+    for _ in range(draw(st.integers(1, 8))):
+        gap = draw(st.integers(0, 3))
+        if gap:
+            regions.append(Region(start, gap, 0.0))
+            start += gap
+        size = draw(st.integers(1, 3))
+        if live + size > 8:
+            break
+        regions.append(Region(start, size, draw(st.floats(1.0, 1e4))))
+        start += size
+        live += size
+    n_pages = start
+    epochs = []
+    for _ in range(draw(st.integers(1, 3))):
+        pages = sorted(
+            draw(st.sets(st.integers(0, n_pages - 1), max_size=n_pages))
+        )
+        counts = draw(
+            st.lists(st.integers(1, 10_000), min_size=len(pages), max_size=len(pages))
+        )
+        epochs.append(
+            AccessEpoch(
+                cpu_time_s=draw(st.floats(1e-6, 1e-3)),
+                pages=np.array(pages, dtype=np.int64),
+                counts=np.array(counts, dtype=np.int64),
+                random_fraction=draw(st.floats(0.0, 1.0)),
+                store_fraction=draw(st.floats(0.0, 1.0)),
+            )
+        )
+    return DrawnPattern(n_pages, tuple(regions)), InvocationTrace(
+        n_pages=n_pages, epochs=tuple(epochs)
+    )
+
+
+class TestTierSearchExact:
+    @given(
+        guest=drawn_guests(),
+        memory=drawn_chains(),
+        threshold=st.none() | st.sampled_from([0.0, 0.01, 0.05, 0.3]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_brute_force(self, guest, memory, threshold):
+        """The search's cost is the brute-force minimum and its slowdown
+        within the budget.  Assignments whose costs tie in real arithmetic
+        (drawn tiers may be identical) can differ in the last bits of
+        their re-scored costs, and ranking those bits takes enumeration,
+        so the comparison allows rounding."""
+        pattern, trace = guest
+        result, best = search_against_brute_force(
+            pattern, trace, memory, threshold
+        )
+        if best is not None:
+            assert result.cost <= best + 1e-12 * max(best, 1.0)
+            if threshold is not None:
+                assert result.slowdown - 1.0 <= threshold + 1e-12
 
 
 # -- contention solver ---------------------------------------------------------

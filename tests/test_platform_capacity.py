@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchedulerError
 from repro.functions.extended import EXTENDED_SUITE, get_extended_function
@@ -50,19 +52,53 @@ class TestHostCapacity:
         host.release("a")
         assert host.admit(ResidentVM("a", 128, 0))
 
-    def test_fill_with(self):
+    def test_fill_count(self):
         host = HostCapacity(1024, 8192)
-        count = host.fill_with(ResidentVM("f", 128, 896))
-        assert count == 8  # 8 * 128 = 1024 MB of DRAM
-        assert host.used_fast_mb == pytest.approx(1024)
+        assert host.fill_count(ResidentVM("f", 128, 896)) == 8  # 8 * 128 MB
+        assert host.fill_count(ResidentVM("f", 128, 896), limit=3) == 3
+        assert host.resident_count == 0 and host.used_fast_mb == 0.0
 
-    def test_repeated_fill_with_never_collides(self):
-        host = HostCapacity(1024, 8192)
-        assert host.fill_with(ResidentVM("f", 128, 896)) == 8
-        for i in range(8):
-            host.release(f"f#{i}")
-        # A second fill on the same host generates fresh names.
-        assert host.fill_with(ResidentVM("f", 128, 896)) == 8
+    @given(
+        budget=st.tuples(
+            st.floats(1.0, 4096.0), st.floats(0.0, 4096.0) | st.just(0.0)
+        ),
+        vm=st.tuples(
+            st.floats(0.0, 512.0) | st.sampled_from([0.1, 0.3, 128.0]),
+            st.floats(0.0, 512.0) | st.sampled_from([0.0, 0.7, 896.0]),
+        ).filter(lambda v: v[0] + v[1] > 0),
+        residents=st.lists(
+            st.tuples(st.floats(0.0, 1024.0), st.floats(0.0, 1024.0)).filter(
+                lambda v: v[0] + v[1] > 0
+            ),
+            max_size=6,
+        ),
+        released=st.sets(st.integers(0, 5)),
+        limit=st.integers(0, 300),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fill_count_matches_admit_loop(
+        self, budget, vm, residents, released, limit
+    ):
+        """``fill_count`` counts exactly the copies an admit loop takes,
+        after any mix of admitted and released residents."""
+        host = HostCapacity(*budget)
+        admitted_residents = [
+            i
+            for i, (fast_mb, slow_mb) in enumerate(residents)
+            if host.admit(ResidentVM(f"r{i}", fast_mb, slow_mb))
+        ]
+        for i in admitted_residents:
+            if i in released:
+                host.release(f"r{i}")
+        used = (host.used_fast_mb, host.used_slow_mb, host.resident_count)
+        count = host.fill_count(ResidentVM("f", *vm), limit=limit)
+        assert (host.used_fast_mb, host.used_slow_mb, host.resident_count) == used
+        admitted = 0
+        while admitted < limit and host.admit(
+            ResidentVM(f"f#{admitted}", *vm)
+        ):
+            admitted += 1
+        assert count == admitted
 
     def test_invalid_inputs(self):
         with pytest.raises(SchedulerError):

@@ -337,8 +337,7 @@ class TestBoundedAdmission:
         # Latency traffic over the limit fell back instead of queueing.
         forced = [e for e in log if e.request_class == "latency" and e.degraded]
         assert forced
-        # Shed decisions reach the policy log and telemetry, symmetrically.
-        assert len(platform.overload.sheds) == len(shed)
+        # Every shed decision reaches telemetry.
         events = telemetry.of_kind(EventKind.REQUEST_SHED)
         assert len(events) == len(shed)
         assert all(e.detail["reason"] == "queue-depth" for e in events)

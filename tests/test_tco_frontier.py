@@ -85,7 +85,9 @@ class TestFrontierShape:
 
 class TestFrontierClaims:
     def test_compressed_never_worse_at_fixed_budget(self, result):
-        """Seeded search: richer chains are monotone point-by-point."""
+        """Every compressed chain sits at or below the two-tier point at
+        each budget: guaranteed for ``dram+lz4+pmem`` (its tiers include
+        ``dram+pmem``'s and the search is exact), checked for the rest."""
         two = {
             p.threshold: p.cost
             for p in result.points
