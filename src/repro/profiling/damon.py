@@ -192,25 +192,34 @@ class DamonProfiler:
         if not epochs:
             raise ProfilingError("cannot profile an empty invocation")
         # Each window's counters are spread onto pages before adapting, so
-        # the output is independent of later boundary moves.  ``step`` is
-        # the per-page total's difference array: a window adds each
-        # region's count at its start and takes it off at its end.
-        step = np.zeros(self.n_pages + 1, dtype=np.int64)
+        # the output is independent of later boundary moves.  The per-page
+        # total is constant between consecutive points of the union of
+        # every window's boundaries and the final ones, so it is kept per
+        # piece of that union, never per page: ``step`` is its difference
+        # array, to which a window adds each region's count at its start
+        # and takes it off at its end.
+        windows = []
         total_samples = 0
         for epoch in epochs:
             values, samples = self._aggregate(epoch)
-            counts = values.astype(np.int64)
-            step[self._bounds[:-1]] += counts
-            step[self._bounds[1:]] -= counts
+            windows.append((self._bounds, values.astype(np.int64)))
             total_samples += samples
             self._adapt(values, samples)
+        cuts = np.unique(np.concatenate([b for b, _ in windows] + [self._bounds]))
+        step = np.zeros(cuts.size, dtype=np.int64)
+        for bounds, counts in windows:
+            step[np.searchsorted(cuts, bounds[:-1])] += counts
+            step[np.searchsorted(cuts, bounds[1:])] -= counts
         # Re-encode the accumulated per-page observations as regions using
         # the final boundaries (what the exported DAMON file contains).
         # The counts are integers, so every sum is exact and the means
         # match the per-slice float ``.mean()`` loop bit for bit.
-        total = np.cumsum(step[:-1])
+        piece_sums = np.cumsum(step[:-1]) * np.diff(cuts)
         sizes = np.diff(self._bounds)
-        means = np.add.reduceat(total, self._bounds[:-1]) / sizes
+        means = (
+            np.add.reduceat(piece_sums, np.searchsorted(cuts, self._bounds[:-1]))
+            / sizes
+        )
         return DamonSnapshot(
             n_pages=self.n_pages,
             bounds=self._bounds,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,3 +166,24 @@ class TestDeterminism:
         a = profiler(seed=5).profile([record(8192, [0, 1], [100, 100])])
         b = profiler(seed=5).profile([record(8192, [0, 1], [100, 100])])
         np.testing.assert_array_equal(a.page_values(), b.page_values())
+
+
+class TestMemory:
+    def test_profile_allocates_no_guest_sized_array(self):
+        """A profiling pass over a large, sparsely touched guest keeps its
+        per-page observations per region piece, never per page: nothing
+        it allocates comes near one int64 per guest page."""
+        n_pages = 262_144
+        p = profiler(n_pages=n_pages)
+        epochs = [
+            record(n_pages, np.arange(0, 4096, 8) + 1000 * e, [50] * 512)
+            for e in range(4)
+        ]
+        p.profile(epochs)  # warm the boundaries and any lazy imports
+        tracemalloc.start()
+        try:
+            p.profile(epochs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n_pages * 8 // 4
