@@ -107,10 +107,12 @@ def normalized_cost_tiers(
             f"cannot normalize cost: fast tier {memory.fast.name!r} is free "
             "(cost_per_mb=0)"
         )
-    return slowdown * sum(
-        f * (spec.cost_per_mb / fast_price)
-        for f, spec in zip(fractions, chain)
-    )
+    # An explicit left fold: from Python 3.12 ``sum()`` of floats is
+    # compensated, which would round the price differently per version.
+    price = 0.0
+    for f, spec in zip(fractions, chain):
+        price += f * (spec.cost_per_mb / fast_price)
+    return slowdown * price
 
 
 @dataclass(frozen=True)

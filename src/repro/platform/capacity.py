@@ -42,10 +42,11 @@ class HostCapacity:
 
     Used-memory totals are kept as running left-fold sums so admission
     checks are O(1) rather than re-summing every resident VM.  The cache
-    is bit-identical to ``sum(vm.fast_mb for vm in resident)``: IEEE-754
-    addition folds left, so ``sum(xs + [x]) == sum(xs) + x`` exactly,
-    which is the update :meth:`admit` applies; :meth:`release` re-folds
-    the remaining list from scratch, matching a fresh ``sum``.
+    is bit-identical to a left fold ``total += vm.fast_mb`` over the
+    resident list in admission order: extending the list by ``x`` adds
+    ``x`` to the fold, which is the update :meth:`admit` applies;
+    :meth:`release` re-folds the remaining list from scratch.  (Not
+    ``sum()``: from Python 3.12 it compensates float rounding.)
     """
 
     def __init__(self, fast_mb: float, slow_mb: float) -> None:
@@ -142,11 +143,12 @@ class HostCapacity:
                 del self._resident[i]
                 break
         self._names.discard(name)
-        # Re-fold from scratch: identical to what a fresh sum() over the
-        # remaining residents would produce (removal breaks the
-        # incremental left-fold identity, re-summing restores it).
-        self._used_fast = sum(vm.fast_mb for vm in self._resident)
-        self._used_slow = sum(vm.slow_mb for vm in self._resident)
+        # Re-fold from scratch: removal breaks the incremental left-fold
+        # identity, re-folding the remaining residents restores it.
+        self._used_fast = self._used_slow = 0.0
+        for vm in self._resident:
+            self._used_fast += vm.fast_mb
+            self._used_slow += vm.slow_mb
 
     def fill_count(self, vm: ResidentVM, limit: int = 100_000) -> int:
         """How many copies of ``vm`` (at most ``limit``) :meth:`admit`

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import builtins
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,33 @@ def _no_leaked_observation():
         "test leaked an active observation or profiler: use the "
         "observing()/profiling() context managers or deactivate()"
     )
+
+
+def neumaier_sum(iterable, start=0):
+    """``sum()`` as Python 3.12 computes it: floats are added with
+    Neumaier compensation, so the result is not the left fold."""
+    items = list(iterable)
+    if not items or not all(isinstance(x, float) for x in items):
+        return _BUILTIN_SUM(items, start)
+    total, comp = float(start), 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    return total + comp
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+@pytest.fixture
+def compensated_sum(monkeypatch):
+    """Run the test with the builtin ``sum`` summing floats as Python
+    3.12 does, whatever the interpreter."""
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
 
 
 @pytest.fixture

@@ -146,6 +146,15 @@ class TestNormalizedCostTiers:
             pytest.approx(0.5)
         )
 
+    def test_prices_fold_left(self, compensated_sum):
+        """The per-tier price terms add left to right on any Python: a
+        left fold of (0.3, 0.6, 0.1) is 0.9999999999999999, where the
+        compensated ``sum()`` of Python 3.12 gives 1.0."""
+        memory = MemorySystem(fast=DRAM_SPEC, middle=(DRAM_SPEC,), slow=DRAM_SPEC)
+        terms = (0.3, 0.6, 0.1)
+        assert sum(terms) == 1.0
+        assert normalized_cost_tiers(1.0, terms, memory) == (0.3 + 0.6) + 0.1
+
     def test_validation(self):
         with pytest.raises(AnalysisError):
             normalized_cost_tiers(0.9, [1.0, 0.0])

@@ -29,6 +29,21 @@ class TestHostCapacity:
         host.release("a")
         assert host.used_fast_mb == 0
 
+    def test_release_refolds_left(self, compensated_sum):
+        """After a release the totals are the left fold of the residents
+        still admitted, the same bits admission built, on any Python: a
+        left fold of (0.3, 0.6, 0.1) is 0.9999999999999999, where the
+        compensated ``sum()`` of Python 3.12 gives 1.0."""
+        host = HostCapacity(1024, 1024)
+        for i, mb in enumerate((0.3, 0.6, 0.1)):
+            host.admit(ResidentVM(f"vm{i}", mb, mb))
+        folded = host.used_fast_mb
+        assert folded == (0.3 + 0.6) + 0.1 != sum((0.3, 0.6, 0.1))
+        host.admit(ResidentVM("last", 5.0, 5.0))
+        host.release("last")
+        assert host.used_fast_mb == folded
+        assert host.used_slow_mb == folded
+
     def test_unknown_release_is_a_typed_error(self):
         """Satellite: a double release (or a release of a name never
         admitted) is an accounting bug and must surface, not be
