@@ -1,4 +1,4 @@
-"""Property tests for the analyzer's equal-access binning."""
+"""Property tests for the analyzer's equal-access binning (:func:`pack_bins`)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.analysis import ProfilingAnalyzer
+from repro.core.analysis import pack_bins
 from repro.regions import Region
 
 
@@ -36,8 +36,7 @@ class TestQuantileBinning:
     @given(regions=region_lists(), n_bins=st.integers(min_value=1, max_value=12))
     @settings(max_examples=80, deadline=None)
     def test_bins_partition_pages(self, regions, n_bins):
-        analyzer = ProfilingAnalyzer(n_bins=n_bins)
-        bins = analyzer._pack_bins(regions)
+        bins = pack_bins(regions, n_bins)
         total_pages = sum(r.n_pages for r in regions)
         binned_pages = sum(r.n_pages for b in bins for r in b)
         assert binned_pages == total_pages
@@ -51,8 +50,7 @@ class TestQuantileBinning:
     @given(regions=region_lists(), n_bins=st.integers(min_value=1, max_value=12))
     @settings(max_examples=80, deadline=None)
     def test_weight_conserved(self, regions, n_bins):
-        analyzer = ProfilingAnalyzer(n_bins=n_bins)
-        bins = analyzer._pack_bins(regions)
+        bins = pack_bins(regions, n_bins)
         total = sum(r.value * r.n_pages for r in regions)
         binned = sum(r.value * r.n_pages for b in bins for r in b)
         # Splitting preserves density, so total weight drifts only by the
@@ -63,8 +61,7 @@ class TestQuantileBinning:
     @settings(max_examples=60, deadline=None)
     def test_bins_density_sorted(self, regions):
         """Quantile bins are ordered: later bins have hotter regions."""
-        analyzer = ProfilingAnalyzer(n_bins=5)
-        bins = analyzer._pack_bins(regions)
+        bins = pack_bins(regions, 5)
         max_prev = -np.inf
         for b in bins:
             values = [r.value for r in b]
@@ -75,8 +72,7 @@ class TestQuantileBinning:
     @settings(max_examples=60, deadline=None)
     def test_mostly_equal_access_weights(self, regions):
         """Section V-C: bins are 'mostly equally accessed'."""
-        analyzer = ProfilingAnalyzer(n_bins=10)
-        bins = analyzer._pack_bins(regions)
+        bins = pack_bins(regions, 10)
         if len(bins) < 2:
             return
         weights = [sum(r.value * r.n_pages for r in b) for b in bins]
@@ -90,6 +86,5 @@ class TestQuantileBinning:
 
     def test_greedy_mode_places_all_items(self):
         regions = [Region(i * 10, 10, float(i + 1)) for i in range(7)]
-        analyzer = ProfilingAnalyzer(n_bins=3, pack_mode="greedy")
-        bins = analyzer._pack_bins(regions)
+        bins = pack_bins(regions, 3, "greedy")
         assert sum(len(b) for b in bins) == 7
