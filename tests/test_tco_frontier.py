@@ -8,14 +8,14 @@ from repro.experiments import tco_frontier
 
 FLOAT_PIN = {
     ("dram+pmem", 0.05): (
-        "0x1.c144b190fcd0ap-2",
-        "0x1.0acbf0276c8e8p+0",
-        {"float_operation": "0x1.c144b190fcd0ap-2"},
+        "0x1.c144b190fcd0cp-2",
+        "0x1.0acbf0276c8e9p+0",
+        {"float_operation": "0x1.c144b190fcd0cp-2"},
     ),
     ("dram+lz4+pmem", 0.05): (
-        "0x1.9c94091f78ad0p-2",
-        "0x1.01dc85b3ab6c2p+0",
-        {"float_operation": "0x1.9c94091f78ad0p-2"},
+        "0x1.9c94091f78acfp-2",
+        "0x1.01dc85b3ab6c1p+0",
+        {"float_operation": "0x1.9c94091f78acfp-2"},
     ),
     ("dram+zstd", 0.05): (
         "0x1.2a587a2d57ad4p-2",
@@ -23,19 +23,19 @@ FLOAT_PIN = {
         {"float_operation": "0x1.2a587a2d57ad4p-2"},
     ),
     ("dram+lz4+zstd", 0.05): (
-        "0x1.2a2375111497ep-2",
-        "0x1.0472c6babf9a1p+0",
-        {"float_operation": "0x1.2a2375111497ep-2"},
+        "0x1.2a2375111497fp-2",
+        "0x1.0472c6babf9a2p+0",
+        {"float_operation": "0x1.2a2375111497fp-2"},
     ),
     ("dram+pmem", 0.3): (
-        "0x1.bab4761958830p-2",
-        "0x1.10346ca57d29dp+0",
-        {"float_operation": "0x1.bab4761958830p-2"},
+        "0x1.bab4761958831p-2",
+        "0x1.10346ca57d29ep+0",
+        {"float_operation": "0x1.bab4761958831p-2"},
     ),
     ("dram+lz4+pmem", 0.3): (
-        "0x1.9c94091f78ad0p-2",
-        "0x1.01dc85b3ab6c2p+0",
-        {"float_operation": "0x1.9c94091f78ad0p-2"},
+        "0x1.9c94091f78acfp-2",
+        "0x1.01dc85b3ab6c1p+0",
+        {"float_operation": "0x1.9c94091f78acfp-2"},
     ),
     ("dram+zstd", 0.3): (
         "0x1.2a587a2d57ad4p-2",
@@ -43,9 +43,9 @@ FLOAT_PIN = {
         {"float_operation": "0x1.2a587a2d57ad4p-2"},
     ),
     ("dram+lz4+zstd", 0.3): (
-        "0x1.2a2375111497ep-2",
-        "0x1.0472c6babf9a1p+0",
-        {"float_operation": "0x1.2a2375111497ep-2"},
+        "0x1.2a2375111497fp-2",
+        "0x1.0472c6babf9a2p+0",
+        {"float_operation": "0x1.2a2375111497fp-2"},
     ),
 }
 """``float.hex`` of every small-grid point's (cost, slowdown, per-function
