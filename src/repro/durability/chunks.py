@@ -59,8 +59,12 @@ def chunk_digests(
     n = checksums.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.uint64)
-    positions = np.arange(n, dtype=np.uint64) % np.uint64(chunk_pages)
-    salted = (checksums ^ (positions * _POSITION_SALT)) * _CHUNK_MIX
+    # One chunk's position salts, tiled to the page count, then mixed in
+    # place: the only page-length array is ``salted`` itself.
+    salts = np.arange(min(chunk_pages, n), dtype=np.uint64) * _POSITION_SALT
+    salted = np.resize(salts, n)
+    salted ^= checksums
+    salted *= _CHUNK_MIX
     starts = np.arange(0, n, chunk_pages)
     return np.bitwise_xor.reduceat(salted, starts)
 

@@ -1,27 +1,25 @@
-"""The background scrubber: periodic integrity reads on the event loop.
+"""The background scrubber: periodic integrity reads paced by the SSD.
 
 A scrub pass walks every registered snapshot copy chunk by chunk,
 re-reading content and comparing each chunk's digest against the trusted
-:class:`~repro.durability.chunks.ChunkIndex`.  Each copy's scan is a
-chain of callbacks on the deterministic
-:class:`~repro.sim.loop.EventLoop`, one per chunk, and each chunk draws
-its read operations from the pass's one SSD
-:class:`~repro.sim.resources.TokenBucket`, so the scans of a pass queue
-behind each other; nothing else draws from that bucket.  The bucket
-*is* the rate limit: a pass can never read faster than the device turns
-over operations, and scanning more copies stretches the pass.
+:class:`~repro.durability.chunks.ChunkIndex`.  All copies scan at once
+and every chunk read debits its operations from the pass's one SSD
+budget: operations refill at ``ssd_iops`` per second up to one second's
+worth, a debit past zero is queueing, and a chunk's scan ends after its
+ops at the nominal rate plus that queueing delay.  The budget *is* the
+rate limit: a pass can never read faster than the device turns over
+operations, and scanning more copies stretches the pass.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..sim.loop import EventLoop
-from ..sim.resources import TokenBucket
 from ..vm.snapshot import SingleTierSnapshot
 from .chunks import DEFAULT_CHUNK_PAGES, ChunkIndex
 
@@ -45,7 +43,9 @@ class ScrubConfig:
     def __post_init__(self) -> None:
         if not 0 < self.interval_s < math.inf:
             raise ConfigError("scrub interval_s must be positive and finite")
-        if not (isinstance(self.chunk_pages, int) and self.chunk_pages >= 1):
+        if isinstance(self.chunk_pages, bool) or not (
+            isinstance(self.chunk_pages, int) and self.chunk_pages >= 1
+        ):
             raise ConfigError("scrub chunk_pages must be an integer >= 1")
         if not 0 < self.ops_per_page < math.inf:
             raise ConfigError("scrub ops_per_page must be positive and finite")
@@ -61,8 +61,8 @@ class ScrubReport:
     chunks_scanned: int = 0
     ops_consumed: float = 0.0
     queued_s: float = 0.0
-    """Token-bucket backlog the pass absorbed (contention between the
-    pass's copy scans on the one SSD bucket)."""
+    """Seconds the pass's chunk reads queued on the SSD's operation
+    budget (contention between the pass's copy scans on one device)."""
     bad: list[tuple[int, list[int]]] = field(default_factory=list)
     """``(copy_id, bad_chunk_ids)`` per copy with detected damage."""
 
@@ -72,46 +72,6 @@ class ScrubReport:
         return self.finished_s - self.started_s
 
 
-def _schedule_scan(
-    loop: EventLoop,
-    copy_id: int,
-    snapshot: SingleTierSnapshot,
-    index: ChunkIndex,
-    bucket: TokenBucket,
-    cfg: ScrubConfig,
-    report: ScrubReport,
-) -> None:
-    """Queue one copy's scan: one callback per chunk, then the check.
-
-    Each chunk's callback debits its reads from the shared bucket and
-    queues the next step after the chunk's uncontended device time (ops
-    at the bucket's nominal rate) plus whatever backlog the bucket
-    already carries.  Detection compares the whole copy's live digests
-    once the scan I/O has been paid — the damage set is what the reads
-    saw.
-    """
-    chunk = 0
-
-    def step(_now: float) -> None:
-        nonlocal chunk
-        if chunk == index.n_chunks:
-            bad = [int(c) for c in np.asarray(index.bad_chunks(snapshot))]
-            report.copies_scanned += 1
-            if bad:
-                report.bad.append((copy_id, bad))
-            return
-        start, end = index.chunk_bounds(chunk)
-        chunk += 1
-        ops = (end - start) * cfg.ops_per_page
-        wait = bucket.consume(ops)
-        report.queued_s += wait
-        report.ops_consumed += ops
-        report.chunks_scanned += 1
-        loop.schedule(ops / bucket.rate_per_s + wait, step)
-
-    loop.schedule(0.0, step)
-
-
 def run_scrub_pass(
     copies: list[tuple[int, SingleTierSnapshot, ChunkIndex]],
     cfg: ScrubConfig,
@@ -119,18 +79,55 @@ def run_scrub_pass(
     ssd_iops: float,
     start_s: float = 0.0,
 ) -> ScrubReport:
-    """Run one full scrub pass over ``copies`` on a fresh event loop.
+    """Run one full scrub pass over ``copies`` starting at ``start_s``.
 
-    The pass builds one SSD token bucket refilling at ``ssd_iops``
-    operations per second.  All copies scan concurrently and queue on
-    that bucket; the report's ``duration_s`` is when the last scan
-    finished.
+    The copies' chunk chains merge on one ``(time, seq, copy)`` heap, so
+    simultaneous steps run in the order they were queued.  Each step
+    either reads the copy's next chunk — refilling the SSD budget for
+    the time since the last read, debiting the chunk's ops and queueing
+    the copy's next step after the chunk's device time plus any wait —
+    or, past the last chunk, compares the whole copy's live digests:
+    the damage set is what the reads saw.  The report's ``duration_s``
+    is when the last scan finished.
     """
-    loop = EventLoop(start_s=start_s)
-    bucket = TokenBucket("ssd", ssd_iops, loop=loop)
+    if not 0 < ssd_iops < math.inf:
+        raise ConfigError(
+            f"scrub ssd_iops must be positive and finite, not {ssd_iops}"
+        )
+    if not 0 <= start_s < math.inf:
+        raise ConfigError(
+            f"scrub start_s must be finite and >= 0, not {start_s}"
+        )
+    rate = float(ssd_iops)
+    now = float(start_s)
+    tokens = rate
+    refilled_s = now
     report = ScrubReport(started_s=start_s)
-    for copy_id, snapshot, index in copies:
-        _schedule_scan(loop, copy_id, snapshot, index, bucket, cfg, report)
-    report.finished_s = loop.run()
+    next_chunk = [0] * len(copies)
+    heap: list[tuple[float, int, int]] = [(now, k, k) for k in range(len(copies))]
+    seq = len(copies)
+    while heap:
+        now, _, k = heapq.heappop(heap)
+        copy_id, snapshot, index = copies[k]
+        chunk = next_chunk[k]
+        if chunk == index.n_chunks:
+            bad = [int(c) for c in np.asarray(index.bad_chunks(snapshot))]
+            report.copies_scanned += 1
+            if bad:
+                report.bad.append((copy_id, bad))
+            continue
+        next_chunk[k] = chunk + 1
+        start, end = index.chunk_bounds(chunk)
+        ops = (end - start) * cfg.ops_per_page
+        tokens = min(rate, tokens + (now - refilled_s) * rate)
+        refilled_s = now
+        tokens -= ops
+        wait = 0.0 if tokens >= 0 else -tokens / rate
+        report.queued_s += wait
+        report.ops_consumed += ops
+        report.chunks_scanned += 1
+        heapq.heappush(heap, (now + (ops / rate + wait), seq, k))
+        seq += 1
+    report.finished_s = now
     report.bad.sort()
     return report

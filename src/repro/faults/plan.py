@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from .. import config
 from ..errors import ConfigError
@@ -210,13 +211,17 @@ class BitRotSpec:
             ("ssd_rate_per_page_s", self.ssd_rate_per_page_s),
             ("latent_sector_rate_per_s", self.latent_sector_rate_per_s),
         ):
-            if value < 0.0:
-                raise ConfigError(f"{label} must be non-negative, got {value}")
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(
+                    f"{label} must be non-negative and finite, got {value}"
+                )
         _check_rate("torn_write_rate", self.torn_write_rate)
-        if self.latent_sector_pages < 1:
-            raise ConfigError("latent_sector_pages must be >= 1")
-        if self.torn_write_pages < 1:
-            raise ConfigError("torn_write_pages must be >= 1")
+        for label, pages in (
+            ("latent_sector_pages", self.latent_sector_pages),
+            ("torn_write_pages", self.torn_write_pages),
+        ):
+            if isinstance(pages, bool) or not isinstance(pages, Integral) or pages < 1:
+                raise ConfigError(f"{label} must be an integer >= 1, got {pages!r}")
 
     def rate_for(self, media_class: str) -> float:
         """The scattered per-page rot rate of one media class."""

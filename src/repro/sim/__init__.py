@@ -2,8 +2,7 @@
 
 This package is the shared timing substrate the platform runs on: one
 :class:`~repro.sim.loop.EventLoop` of plain callbacks with a stable
-``(time, priority, seq)`` heap, a rate-limiting
-:class:`~repro.sim.resources.TokenBucket`, and an engine
+``(time, priority, seq)`` heap, and an engine
 (:class:`~repro.sim.contention.EventScheduler`) that turns
 shared-hardware contention into an emergent property of the event
 schedule instead of a per-batch fixed-point solve.  Both of its modes
@@ -15,15 +14,14 @@ Layers above:
 * :mod:`repro.memsim.bandwidth` exposes its per-resource capacities to
   the engine (``ContentionModel.capacities``); the analytic solver stays
   as the single-batch equilibrium the engine reproduces byte-for-byte.
-* :mod:`repro.durability.scrub` runs each scrub scan as a chain of
-  per-chunk callbacks that draw their SSD reads from a token bucket.
+* :mod:`repro.durability.scrub` merges its copies' per-chunk reads on
+  one heap, paced by the SSD's operation budget.
 * :mod:`repro.platform.scheduler` is a thin shim over the engine;
   :meth:`repro.platform.server.ServerlessPlatform.serve` schedules
   arrivals, capacity leases and telemetry on one timeline.
 """
 
 from .loop import EventLoop
-from .resources import TokenBucket
 from .contention import EventScheduler, TimelineJob
 from .timing import InvocationTiming, normalized_slowdown
 
@@ -32,6 +30,5 @@ __all__ = [
     "EventScheduler",
     "InvocationTiming",
     "TimelineJob",
-    "TokenBucket",
     "normalized_slowdown",
 ]

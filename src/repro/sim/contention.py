@@ -8,14 +8,15 @@ per-resource capacities and the M/M/1 inflation law):
   one instant and measured at its contention equilibrium.  The
   equilibrium is the analytic fixed point, computed by the *same*
   solver call the old wave scheduler used, so results are byte-identical
-  to the pre-kernel code; the batch is then replayed on the event loop
-  to record per-resource occupancy over time.
+  to the pre-kernel code; the batch's completions are then replayed in
+  one vectorised pass to record per-resource occupancy over time.
 * :meth:`EventScheduler.run_timeline` — an open stream of jobs with
   arbitrary arrival times.  Nothing is solved per-batch: each job drains
   its remaining CPU and per-resource stall work under the inflation
   implied by *whoever is active right now*, and the schedule re-evaluates
   whenever a job arrives or finishes.  Contention — who slowed whom, and
-  when — emerges from the event schedule.
+  when — emerges from the schedule, which is a walk over the sorted
+  arrivals and the one pending completion time.
 
 The quasi-static rate law: while active, a job offers each resource
 ``work / nominal_time`` operations per second (its uncontended rate);
@@ -35,9 +36,8 @@ from typing import Iterable
 import numpy as np
 import numpy.typing as npt
 
-from ..errors import ConfigError, SchedulerError
+from ..errors import ConfigError
 from ..memsim.bandwidth import RESOURCES, ContentionModel, TierDemand
-from .loop import EventLoop, _Entry
 
 __all__ = [
     "EventScheduler",
@@ -174,10 +174,9 @@ class EventScheduler:
         Returns each invocation's contended end-to-end time plus the
         converged per-resource inflation factors — byte-identical to the
         analytic model, because the equilibrium *is* the analytic solve.
-        The batch is then replayed on an event loop: completions are
-        events, and every completion re-samples the per-resource offered
-        load, which is how the utilization telemetry in Figure 9 is
-        produced.
+        The batch's completions are then replayed, and every completion
+        re-samples the per-resource offered load, which is how the
+        utilization telemetry in Figure 9 is produced.
         """
         if not demands:
             self._events = _NO_EVENTS
@@ -232,93 +231,64 @@ class EventScheduler:
         work at the implied pace.  An arrival raises inflation mid-flight
         for everyone already running; a completion lowers it — keep-alive
         hits, prewarm completions and staggered restores interleave
-        instead of being batched into waves.
+        instead of being batched into waves.  Arrivals run in
+        ``(arrival_s, label)`` order, and an arrival due at the pending
+        completion instant runs before that completion.
         """
         ordered = sorted(jobs, key=lambda j: (j.arrival_s, j.label))
-        if not ordered:
-            self._events = _NO_EVENTS
-            return TimelineResult(
-                jobs=(), makespan_s=0.0, utilization=self.utilization_summary()
-            )
-        loop = EventLoop()
+        for job in ordered:
+            if not 0 <= job.arrival_s < math.inf:
+                raise ConfigError(
+                    f"jobs arrive at a finite t >= 0, not {job.arrival_s}"
+                )
         capacities = self.contention.capacities
         inflate = self.contention._inflation
         active: list[TimelineJob] = []
         times: list[float] = []
         rhos: list[list[float]] = []
         infls: list[list[float]] = []
-        advance_entry: _Entry | None = None
-        last_eval = loop.now
-
-        def offered_rho() -> list[float]:
-            return [
-                sum(j._rates[r] for j in active) / capacities[r]
-                for r in RESOURCES
-            ]
-
-        def current_inflation() -> dict[str, float]:
-            return dict(zip(RESOURCES, map(inflate, offered_rho())))
-
-        def drain_elapsed(infl: dict[str, float]) -> None:
-            nonlocal last_eval
-            elapsed = loop.now - last_eval
-            last_eval = loop.now
-            if elapsed <= 0:
-                return
-            for job in active:
-                remaining = job._remaining_wall_s(infl)
-                if remaining <= 0:
-                    continue
-                job._drain(min(1.0, elapsed / remaining))
-
-        def reschedule() -> None:
-            nonlocal advance_entry
-            if advance_entry is not None:
-                loop.cancel(advance_entry)
-                advance_entry = None
-            if not active:
-                return
-            rho = offered_rho()
-            infl = dict(zip(RESOURCES, map(inflate, rho)))
-            times.append(loop.now)
-            rhos.append(rho)
-            infls.append(list(infl.values()))
-            horizon = min(j._remaining_wall_s(infl) for j in active)
-            advance_entry = loop.schedule(
-                max(horizon, 0.0), advance, category="advance"
-            )
-
-        def advance(_now: float) -> None:
-            nonlocal advance_entry
-            advance_entry = None
-            infl_before = current_inflation()
-            drain_elapsed(infl_before)
-            finished = [j for j in active if j._remaining_wall_s(infl_before) <= 1e-12]
-            for job in finished:
-                job.finish_s = loop.now
-                active.remove(job)
-            reschedule()
-
-        def arrive(job: TimelineJob) -> None:
-            def _fire(_now: float) -> None:
-                infl_before = current_inflation()
-                drain_elapsed(infl_before)
-                job.start_s = loop.now
+        infl: dict[str, float] = {}
+        done_s = math.inf  # the one pending completion time
+        now = last_eval = 0.0
+        i = 0
+        while i < len(ordered) or done_s < math.inf:
+            # An arrival due at the completion instant runs first.
+            arriving = i < len(ordered) and float(ordered[i].arrival_s) <= done_s
+            now = float(ordered[i].arrival_s) if arriving else done_s
+            elapsed = now - last_eval
+            last_eval = now
+            if elapsed > 0:
+                for job in active:
+                    remaining = job._remaining_wall_s(infl)
+                    if remaining > 0:
+                        job._drain(min(1.0, elapsed / remaining))
+            if arriving:
+                job = ordered[i]
+                i += 1
+                job.start_s = now
                 job._activate()
                 active.append(job)
-                reschedule()
-
-            loop.schedule_at(job.arrival_s, _fire)
-
-        for job in ordered:
-            arrive(job)
-        loop.run()
-        if active:  # pragma: no cover - defensive
-            raise SchedulerError("timeline ended with unfinished jobs")
+            else:
+                finished = [j for j in active if j._remaining_wall_s(infl) <= 1e-12]
+                for job in finished:
+                    job.finish_s = now
+                    active.remove(job)
+            done_s = math.inf
+            if active:
+                rho = [
+                    sum(j._rates[r] for j in active) / capacities[r]
+                    for r in RESOURCES
+                ]
+                infl = dict(zip(RESOURCES, map(inflate, rho)))
+                times.append(now)
+                rhos.append(rho)
+                infls.append(list(infl.values()))
+                horizon = min(j._remaining_wall_s(infl) for j in active)
+                done_s = now + max(horizon, 0.0)
         self._events = (np.array(times), np.array(rhos), np.array(infls))
         return TimelineResult(
             jobs=tuple(ordered),
-            makespan_s=loop.now,
+            makespan_s=now,
             utilization=self.utilization_summary(),
         )
 

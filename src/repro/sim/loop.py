@@ -8,12 +8,14 @@ bookkeeping that "happened by" time *t* is visible to decisions made *at*
 simultaneous same-band events FIFO — scheduling order is replay order,
 always.
 
-Events are plain callbacks; work that spans simulated time (a scrub
-scan, a job draining under contention) re-schedules its own next step.
+Events are plain callbacks, and a callback may schedule further events.
 This keeps the kernel free of threads and real time: a million simulated
 seconds cost whatever the event count costs, nothing sleeps.  Event
 times must be finite and not in the past; scheduling at ``NaN`` or
-infinity raises :class:`~repro.errors.ConfigError`.
+infinity raises :class:`~repro.errors.ConfigError`.  The serving
+platform and the cluster fleet share this one timeline; computations no
+outside event can reach (the contention timeline, the scrub pass) run
+as direct loops instead.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ class _Entry:
 class EventLoop:
     """A stable-ordered discrete-event loop.
 
-    * :meth:`schedule` queues a callback after a non-negative delay;
-      :meth:`schedule_at` queues at an absolute time (never in the past).
+    * :meth:`schedule_at` queues a callback at an absolute time (never
+      in the past); :meth:`schedule_batch` queues many at once.
     * :meth:`run` drains the heap; :meth:`run_while_category` drains only
       while events of one category remain queued, so state past a
       batch's last decision stays queued for the next batch, and
@@ -75,32 +77,13 @@ class EventLoop:
       time, so ties never compare callbacks.
     """
 
-    def __init__(self, *, start_s: float = 0.0) -> None:
-        if not 0 <= start_s < math.inf:
-            raise ConfigError(
-                f"simulation must start at a finite t >= 0, not {start_s}"
-            )
-        self.now = float(start_s)
+    def __init__(self) -> None:
+        self.now = 0.0
         self._heap: list[_Entry] = []
         self._seq = 0
         self._live: dict[str, int] = {}
 
     # -- scheduling ------------------------------------------------------------
-
-    def schedule(
-        self,
-        delay_s: float,
-        callback: Callable[[float], None],
-        *,
-        priority: int = PRIORITY_DEFAULT,
-        category: str = "",
-    ) -> _Entry:
-        """Queue ``callback(now)`` after ``delay_s`` simulated seconds."""
-        if not delay_s >= 0:
-            raise ConfigError(f"cannot schedule after a delay of {delay_s} s")
-        return self.schedule_at(
-            self.now + delay_s, callback, priority=priority, category=category
-        )
 
     def schedule_at(
         self,

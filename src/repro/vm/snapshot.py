@@ -53,7 +53,9 @@ def checksum_pages(page_versions: np.ndarray) -> np.ndarray:
     version flip changes the checksum, and recomputation is vectorised.
     """
     v = np.asarray(page_versions, dtype=np.uint64)
-    return (v * _CHECKSUM_MULT) ^ (v >> _CHECKSUM_SHIFT)
+    out = v * _CHECKSUM_MULT
+    out ^= v >> _CHECKSUM_SHIFT
+    return out
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.durability import ChunkIndex, chunk_digests, content_key
+from repro.durability.chunks import _CHUNK_MIX, _POSITION_SALT
 from repro.errors import ConfigError, SnapshotError
 from repro.vm.snapshot import SingleTierSnapshot, checksum_pages
 
@@ -49,6 +50,35 @@ class TestChunkDigests:
         assert np.array_equal(
             chunk_digests(a.page_checksums, 256),
             chunk_digests(b.page_checksums, 256),
+        )
+
+
+def _parent_chunk_digests(checksums, chunk_pages):
+    """The page-length expression ``chunk_digests`` replaced."""
+    n = checksums.shape[0]
+    positions = np.arange(n, dtype=np.uint64) % np.uint64(chunk_pages)
+    salted = (checksums ^ (positions * _POSITION_SALT)) * _CHUNK_MIX
+    return np.bitwise_xor.reduceat(salted, np.arange(0, n, chunk_pages))
+
+
+class TestInPlaceDigests:
+    @given(
+        st.lists(
+            st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=600
+        ),
+        st.one_of(st.just(1), st.integers(min_value=1, max_value=700)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_digests_and_checksums_match_page_length_expressions(
+        self, versions, chunk_pages
+    ):
+        v = np.array(versions, dtype=np.uint64)
+        checksums = checksum_pages(v)
+        parent = (v * np.uint64(0x9E3779B97F4A7C15)) ^ (v >> np.uint64(7))
+        np.testing.assert_array_equal(checksums, parent)
+        np.testing.assert_array_equal(
+            chunk_digests(checksums, chunk_pages),
+            _parent_chunk_digests(parent, chunk_pages),
         )
 
 

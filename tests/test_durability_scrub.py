@@ -1,9 +1,11 @@
-"""Background scrubbing: config, token-bucket pacing, bad-chunk reports."""
+"""Background scrubbing: config, SSD pacing, I/O accounting, bad-chunk reports."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.durability import ChunkIndex, ScrubConfig, run_scrub_pass
 from repro.errors import ConfigError
@@ -35,6 +37,7 @@ class TestScrubConfig:
             {"ops_per_page": float("nan")},
             {"ops_per_page": float("inf")},
             {"chunk_pages": 1.5},
+            {"chunk_pages": True},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -123,3 +126,59 @@ class TestRunScrubPass:
         assert report.ops_consumed.hex() == "0x1.7040000000000p+10"
         assert report.bad == [(11, [1, 4])]
         assert (report.copies_scanned, report.chunks_scanned) == (3, 16)
+
+
+class TestScrubPassAccounting:
+    """The pass's SSD budget starts with one second of IOPS and refills
+    at ``ssd_iops``: it hands out every op the chunks ask for, and a pass
+    that reads more than the opening burst takes at least the time to
+    refill the rest."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=900),
+                st.sampled_from([1, 50, 128, 256]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.floats(min_value=0.05, max_value=4.0),
+        st.one_of(
+            st.floats(min_value=1e5, max_value=1e9),
+            st.floats(min_value=20.0, max_value=2000.0),
+        ),
+        st.floats(min_value=0.0, max_value=1e6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_pass_accounts_every_op(self, sizes, ops_per_page, ssd_iops, start_s):
+        copies = [
+            (i, s, ChunkIndex.for_snapshot(s, chunk_pages))
+            for i, (n_pages, chunk_pages) in enumerate(sizes)
+            for s in [snap(n_pages)]
+        ]
+        cfg = ScrubConfig(ops_per_page=ops_per_page)
+        report = run_scrub_pass(copies, cfg, ssd_iops=ssd_iops, start_s=start_s)
+        pages = sum(n_pages for n_pages, _ in sizes)
+        assert report.ops_consumed == pytest.approx(pages * ops_per_page, rel=1e-12)
+        assert report.chunks_scanned == sum(
+            index.n_chunks for _, _, index in copies
+        )
+        assert report.queued_s >= 0.0
+        floor_s = (report.ops_consumed - ssd_iops) / ssd_iops
+        assert report.duration_s >= floor_s - 1e-9 * max(1.0, start_s, floor_s)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"ssd_iops": float("nan")},
+            {"ssd_iops": float("inf")},
+            {"ssd_iops": 0.0},
+            {"ssd_iops": 10.0, "start_s": float("nan")},
+            {"ssd_iops": 10.0, "start_s": float("inf")},
+            {"ssd_iops": 10.0, "start_s": -1.0},
+        ],
+    )
+    def test_invalid_pass_inputs_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            run_scrub_pass([], ScrubConfig(), **kwargs)

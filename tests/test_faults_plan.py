@@ -9,6 +9,7 @@ from repro import faults
 from repro.errors import ConfigError
 from repro.faults import (
     ZERO_PLAN,
+    BitRotSpec,
     FaultInjector,
     FaultPlan,
     HostFaultSpec,
@@ -44,6 +45,28 @@ class TestPlanValidation:
             SnapshotFaultSpec(corruption_rate=-0.1)
         with pytest.raises(ConfigError):
             ProfilerFaultSpec(sample_loss_rate=2.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (rate, bad)
+            for rate in (
+                "dram_rate_per_page_s",
+                "pmem_rate_per_page_s",
+                "ssd_rate_per_page_s",
+                "latent_sector_rate_per_s",
+            )
+            for bad in (float("nan"), float("inf"))
+        ]
+        + [
+            (pages, bad)
+            for pages in ("latent_sector_pages", "torn_write_pages")
+            for bad in (2.5, True)
+        ],
+    )
+    def test_bitrot_rejects_bad_values(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            BitRotSpec(**{field: value})
 
     def test_windows_validated(self):
         with pytest.raises(ConfigError):

@@ -107,7 +107,9 @@ class TestDrainOrder:
         assert batch_loop.now == scalar_loop.now
 
     def test_schedule_batch_rejects_past_and_bad_shapes(self):
-        loop = EventLoop(start_s=5.0)
+        loop = EventLoop()
+        loop.schedule_at(5.0, lambda _n: None)
+        loop.run()
         with pytest.raises(ConfigError):
             loop.schedule_batch([6.0, 4.0], lambda _n: None)
         with pytest.raises(ConfigError):

@@ -1,9 +1,8 @@
 """Property tests for the event kernel (:mod:`repro.sim`).
 
 The kernel's contract is determinism: identical schedules replay
-identically, simultaneous events fire FIFO in scheduling order, time
-never runs backwards, and a token bucket accounts for every token it
-hands out.
+identically, simultaneous events fire FIFO in scheduling order, and
+time never runs backwards.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from repro.errors import ConfigError
 from repro.memsim.bandwidth import RESOURCES, ContentionModel, TierDemand
 from repro.memsim.storage import OPTANE_SSD_SPEC
 from repro.memsim.tiers import DEFAULT_MEMORY_SYSTEM
-from repro.sim import EventLoop, EventScheduler, TimelineJob, TokenBucket
+from repro.sim import EventLoop, EventScheduler, TimelineJob
 
 DELAYS = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
@@ -37,8 +36,10 @@ class TestDeterminism:
         def trace(schedule):
             loop = EventLoop()
             order: list[int] = []
-            for i, (delay, priority) in enumerate(schedule):
-                loop.schedule(delay, lambda _n, i=i: order.append(i), priority=priority)
+            for i, (at_s, priority) in enumerate(schedule):
+                loop.schedule_at(
+                    at_s, lambda _n, i=i: order.append(i), priority=priority
+                )
             loop.run()
             return order
 
@@ -50,16 +51,16 @@ class TestDeterminism:
         loop = EventLoop()
         order: list[int] = []
         for i in range(n):
-            loop.schedule(1.0, lambda _n, i=i: order.append(i))
+            loop.schedule_at(1.0, lambda _n, i=i: order.append(i))
         loop.run()
         assert order == list(range(n))
 
     def test_priority_bands_order_same_instant(self):
         loop = EventLoop()
         order: list[str] = []
-        loop.schedule(1.0, lambda _n: order.append("arrival"), priority=2)
-        loop.schedule(1.0, lambda _n: order.append("release"), priority=0)
-        loop.schedule(1.0, lambda _n: order.append("emit"), priority=1)
+        loop.schedule_at(1.0, lambda _n: order.append("arrival"), priority=2)
+        loop.schedule_at(1.0, lambda _n: order.append("release"), priority=0)
+        loop.schedule_at(1.0, lambda _n: order.append("emit"), priority=1)
         loop.run()
         assert order == ["release", "emit", "arrival"]
 
@@ -67,69 +68,38 @@ class TestDeterminism:
     @settings(max_examples=25, deadline=None)
     def test_negative_delays_rejected(self, delay):
         loop = EventLoop()
+        loop.schedule_at(5.0, lambda _n: None)
+        loop.run()
         with pytest.raises(ConfigError):
-            loop.schedule(delay, lambda _n: None)
+            loop.schedule_at(loop.now + delay, lambda _n: None)
 
     def test_scheduling_in_the_past_rejected(self):
         loop = EventLoop()
-        loop.schedule(5.0, lambda _n: None)
+        loop.schedule_at(5.0, lambda _n: None)
         loop.run()
         with pytest.raises(ConfigError):
             loop.schedule_at(4.0, lambda _n: None)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_times_rejected(self, bad):
-        loop = EventLoop(start_s=1.0)
-        with pytest.raises(ConfigError):
-            loop.schedule(bad, lambda _n: None)
+        loop = EventLoop()
+        loop.schedule_at(1.0, lambda _n: None)
+        loop.run()
         with pytest.raises(ConfigError):
             loop.schedule_at(bad, lambda _n: None)
         with pytest.raises(ConfigError):
-            loop.schedule_batch([2.0, bad], lambda _n: None)
+            loop.schedule_at(loop.now + bad, lambda _n: None)
         with pytest.raises(ConfigError):
-            EventLoop(start_s=bad)
+            loop.schedule_batch([2.0, bad], lambda _n: None)
         assert loop.live_count("") == 0
 
     def test_time_is_monotone_across_dispatch(self):
         loop = EventLoop()
         seen: list[float] = []
         for d in (3.0, 1.0, 2.0, 1.0):
-            loop.schedule(d, lambda _n: seen.append(loop.now))
+            loop.schedule_at(d, lambda _n: seen.append(loop.now))
         loop.run()
         assert seen == sorted(seen)
-
-
-class TestResourceConservation:
-    @given(
-        st.lists(st.floats(min_value=0.1, max_value=50.0), min_size=1, max_size=30)
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_bucket_accounts_every_token(self, amounts):
-        loop = EventLoop()
-        bucket = TokenBucket("ssd", 10.0, loop=loop)
-        for amount in amounts:
-            wait = bucket.consume(amount)
-            assert wait >= 0.0
-            loop.schedule(wait, lambda _n: None)
-            loop.run()
-        assert bucket.consumed_total == pytest.approx(sum(amounts))
-        # Every debt was waited out, so the backlog is clear.
-        assert bucket.backlog_s == pytest.approx(0.0, abs=1e-9)
-
-    @pytest.mark.parametrize(
-        "rate, burst",
-        [(math.nan, None), (math.inf, None), (1.0, math.nan), (1.0, math.inf)],
-    )
-    def test_invalid_bucket_rejected(self, rate, burst):
-        with pytest.raises(ConfigError):
-            TokenBucket("ssd", rate, loop=EventLoop(), burst=burst)
-
-    @pytest.mark.parametrize("amount", [math.nan, math.inf])
-    def test_invalid_consume_rejected(self, amount):
-        bucket = TokenBucket("ssd", 10.0, loop=EventLoop())
-        with pytest.raises(ConfigError):
-            bucket.consume(amount)
-        assert bucket.consumed_total == 0.0
 
 
 class TestEquilibriumIdentity:
