@@ -254,7 +254,7 @@ class FunctionModel:
                 take = remaining
             else:
                 p = min(1.0, max(0.0, weights[e] / remaining_weight))
-                take = rng.binomial(remaining, p)
+                take = rng_mod.binomial(rng, remaining, p)
                 remaining_weight -= weights[e]
             nz = take > 0
             masks.append(nz)
