@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError
 from repro.trace.synth import (
     Band,
+    _largest,
     banded_histogram,
     uniform_histogram,
     zipf_histogram,
@@ -104,3 +105,74 @@ class TestZipfAndUniform:
             zipf_histogram(0, 10, 1.0, rng)
         with pytest.raises(ConfigError):
             zipf_histogram(10, 10, -1.0, rng)
+
+
+def _argsort_normalize(weights: np.ndarray, total: int) -> np.ndarray:
+    """``_normalize_to_total`` as it was with full ``argsort`` top-k."""
+    if total == 0:
+        return np.zeros(weights.size, dtype=np.int64)
+    wsum = float(weights.sum())
+    if wsum <= 0:
+        weights = np.ones_like(weights)
+        wsum = float(weights.size)
+    if total < weights.size:
+        counts = np.zeros(weights.size, dtype=np.int64)
+        counts[np.argsort(weights)[::-1][:total]] = 1
+        return counts
+    counts = np.ones(weights.size, dtype=np.int64)
+    remaining = total - weights.size
+    raw = (weights / wsum) * remaining
+    if not np.all(np.isfinite(raw)):
+        raw = np.full(weights.size, remaining / weights.size)
+    extra = np.floor(raw).astype(np.int64)
+    counts += extra
+    shortfall = total - int(counts.sum())
+    if shortfall > 0:
+        remainders = raw - extra
+        counts[np.argsort(remainders)[::-1][:shortfall]] += 1
+    return counts
+
+
+class TestTopK:
+    """The partition top-k selects exactly the pages ``argsort`` did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]) | st.floats(0, 10),
+            min_size=1,
+            max_size=200,
+        ),
+        data=st.data(),
+    )
+    def test_largest_matches_argsort(self, values, data):
+        values = np.array(values)
+        k = data.draw(st.integers(1, values.size))
+        np.testing.assert_array_equal(
+            np.sort(_largest(values, k)), np.sort(np.argsort(values)[::-1][:k])
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ws=st.integers(1, 400),
+        total=st.integers(0, 5000),
+        shares=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+        noise=st.sampled_from([0.0, 0.0, 0.05]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_counts_match_argsort_normalisation(self, ws, total, shares, noise, seed):
+        # noise=0 spreads each band evenly: equal weights, tied remainders.
+        bands = tuple(Band(s / sum(shares), s / sum(shares)) for s in shares)
+        hist = banded_histogram(ws, total, bands, np.random.default_rng(seed), noise=noise)
+        weights = np.zeros(ws)
+        start = 0
+        for i, band in enumerate(bands):
+            end = ws if i == len(bands) - 1 else min(ws, start + max(1, round(band.page_share * ws)))
+            if end > start:
+                weights[start:end] = band.access_share / (end - start)
+            start = end
+            if start >= ws:
+                break
+        if noise:
+            weights *= np.random.default_rng(seed).lognormal(0.0, noise, size=ws)
+        np.testing.assert_array_equal(hist, _argsort_normalize(weights, total))
