@@ -196,32 +196,30 @@ def _absorb_slivers(regions: list[Region], min_pages: int) -> list[Region]:
     """Merge regions smaller than ``min_pages`` into a neighbour.
 
     Prefers the neighbour with the closer value so a 2-page jitter sliver
-    between two bands joins the band it resembles.
+    between two bands joins the band it resembles.  Regions are merged
+    first sliver first; every region before a merge is at least
+    ``min_pages`` and stays so, so the scan resumes at the merge index.
     """
     out = list(regions)
-    changed = True
-    while changed and len(out) > 1:
-        changed = False
-        for i, region in enumerate(out):
-            if region.n_pages >= min_pages:
-                continue
-            left = out[i - 1] if i > 0 else None
-            right = out[i + 1] if i + 1 < len(out) else None
-            if left is None and right is None:
-                break
-            if right is None or (
-                left is not None
-                and abs(left.value - region.value) <= abs(right.value - region.value)
-            ):
-                total = left.n_pages + region.n_pages
-                value = (left.value * left.n_pages + region.value * region.n_pages) / total
-                out[i - 1] = Region(left.start_page, total, value)
-                del out[i]
-            else:
-                total = right.n_pages + region.n_pages
-                value = (right.value * right.n_pages + region.value * region.n_pages) / total
-                out[i] = Region(region.start_page, total, value)
-                del out[i + 1]
-            changed = True
-            break
+    i = 0
+    while i < len(out) and len(out) > 1:
+        region = out[i]
+        if region.n_pages >= min_pages:
+            i += 1
+            continue
+        left = out[i - 1] if i > 0 else None
+        right = out[i + 1] if i + 1 < len(out) else None
+        if right is None or (
+            left is not None
+            and abs(left.value - region.value) <= abs(right.value - region.value)
+        ):
+            total = left.n_pages + region.n_pages
+            value = (left.value * left.n_pages + region.value * region.n_pages) / total
+            out[i - 1] = Region(left.start_page, total, value)
+            del out[i]
+        else:
+            total = right.n_pages + region.n_pages
+            value = (right.value * right.n_pages + region.value * region.n_pages) / total
+            out[i] = Region(region.start_page, total, value)
+            del out[i + 1]
     return out

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ProfilingError
 from repro.profiling.damon import DamonSnapshot
-from repro.profiling.unified import UnifiedAccessPattern
+from repro.profiling.unified import UnifiedAccessPattern, _absorb_slivers
 from repro.regions import Region, validate_partition
 
 
@@ -143,3 +145,56 @@ class TestRegions:
         regions = p.regions(merge_tolerance=1000.0)
         zeros = [r for r in regions if r.value == 0]
         assert zeros, "zero region must survive aggressive merging"
+
+
+def _absorb_slivers_rescan(regions: list[Region], min_pages: int) -> list[Region]:
+    """``_absorb_slivers`` as it was: rescan from region 0 after each merge."""
+    out = list(regions)
+    changed = True
+    while changed and len(out) > 1:
+        changed = False
+        for i, region in enumerate(out):
+            if region.n_pages >= min_pages:
+                continue
+            left = out[i - 1] if i > 0 else None
+            right = out[i + 1] if i + 1 < len(out) else None
+            if left is None and right is None:
+                break
+            if right is None or (
+                left is not None
+                and abs(left.value - region.value) <= abs(right.value - region.value)
+            ):
+                total = left.n_pages + region.n_pages
+                value = (left.value * left.n_pages + region.value * region.n_pages) / total
+                out[i - 1] = Region(left.start_page, total, value)
+                del out[i]
+            else:
+                total = right.n_pages + region.n_pages
+                value = (right.value * right.n_pages + region.value * region.n_pages) / total
+                out[i] = Region(region.start_page, total, value)
+                del out[i + 1]
+            changed = True
+            break
+    return out
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    spans=st.lists(
+        st.tuples(
+            st.integers(1, 12),
+            st.sampled_from([0.0, 1.0, 2.5, 16.0]) | st.floats(0, 1e4),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    min_pages=st.integers(1, 10),
+)
+def test_absorb_slivers_matches_rescan(spans, min_pages):
+    regions, start = [], 0
+    for n_pages, value in spans:
+        regions.append(Region(start, n_pages, value))
+        start += n_pages
+    assert _absorb_slivers(regions, min_pages) == _absorb_slivers_rescan(
+        regions, min_pages
+    )
