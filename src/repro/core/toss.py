@@ -16,7 +16,9 @@ Step IV   — the tiered snapshot is generated; later invocations restore
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 
 from .. import config, faults as faults_mod, rng as rng_mod
 from ..errors import (
@@ -66,12 +68,24 @@ class TossConfig:
     tiered snapshot) instead of retrying the same files forever."""
 
     def __post_init__(self) -> None:
-        if self.min_profiling_invocations < 2:
+        for name, least in (
+            ("convergence_window", 1),
+            ("n_bins", 1),
+            # Two at least: the first profiling invocation warms DAMON up.
+            ("min_profiling_invocations", 2),
+            ("root_seed", 0),
+            ("degrade_after_failures", 1),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise AnalysisError(
+                    f"TossConfig.{name} must be an integer >= {least}, got {value!r}"
+                )
+        bound = self.reprofile_bound
+        if isinstance(bound, bool) or not isinstance(bound, Real) or not 0 < bound < math.inf:
             raise AnalysisError(
-                "need at least two profiling invocations (one DAMON warm-up)"
+                f"TossConfig.reprofile_bound must be a finite positive number, got {bound!r}"
             )
-        if self.degrade_after_failures < 1:
-            raise AnalysisError("degrade_after_failures must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro import config
@@ -74,6 +77,31 @@ class TestLifecycle:
     def test_reprofiling_threshold_must_be_sane(self):
         with pytest.raises(AnalysisError):
             TossConfig(min_profiling_invocations=1)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("n_bins", math.nan),
+            ("n_bins", -1),
+            ("n_bins", 1.5),
+            ("n_bins", True),
+            ("convergence_window", -1),
+            ("root_seed", -1),
+            ("reprofile_bound", math.nan),
+            ("reprofile_bound", -1),
+            ("reprofile_bound", math.inf),
+            ("min_profiling_invocations", math.nan),
+            ("degrade_after_failures", 1.5),
+            ("degrade_after_failures", True),
+        ],
+    )
+    def test_out_of_domain_field_rejected(self, name, value):
+        with pytest.raises(AnalysisError, match=f"TossConfig.{name}"):
+            TossConfig(**{name: value})
+
+    def test_numpy_integer_fields_accepted(self):
+        cfg = TossConfig(root_seed=np.int64(7), n_bins=np.int32(4))
+        assert cfg.root_seed == 7 and cfg.n_bins == 4
 
     def test_total_time_property(self):
         out = InvocationOutcome(
