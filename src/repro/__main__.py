@@ -18,6 +18,7 @@ import sys
 import time
 
 from . import experiments as ex
+from .errors import ReproError
 from .functions import table1
 from .report import Table
 
@@ -151,6 +152,16 @@ def _print_table1() -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the CLI; a rejected input prints ``error: <message>`` on
+    stderr and exits with status 2 instead of a traceback."""
+    try:
+        return _main(argv)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _main(argv: list[str] | None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="TOSS reproduction: regenerate the paper's evaluation.",

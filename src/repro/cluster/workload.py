@@ -10,8 +10,7 @@ balance.
 
 from __future__ import annotations
 
-from numbers import Integral
-
+from ..domains import CountDomain, RealDomain, check_value
 from ..errors import ConfigError
 from ..functions.base import FunctionModel, InputSpec
 from ..platform.overload import RequestClass
@@ -65,16 +64,11 @@ def steady_requests(
     Requests round-robin over the functions and their inputs at evenly
     spaced arrivals; every ``batch_every``-th request is batch-class
     (sheddable), the rest are latency-class.  A negative or non-integer
-    ``n_requests`` raises :class:`~repro.errors.ConfigError`.
+    ``n_requests`` and a negative or non-finite ``duration_s`` raise
+    :class:`~repro.errors.ConfigError`.
     """
-    if (
-        isinstance(n_requests, bool)
-        or not isinstance(n_requests, Integral)
-        or n_requests < 0
-    ):
-        raise ConfigError(
-            f"n_requests must be a non-negative integer, got {n_requests!r}"
-        )
+    check_value(CountDomain(0), n_requests, "n_requests", ConfigError)
+    check_value(RealDomain(0.0, lo_open=False), duration_s, "duration_s", ConfigError)
     requests: list[tuple[float, str, int, RequestClass]] = []
     step = duration_s / max(n_requests, 1)
     for i in range(n_requests):

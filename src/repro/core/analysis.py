@@ -33,6 +33,7 @@ import numpy as np
 
 from .. import config
 from ..binpack import to_constant_bin_number
+from ..domains import OptionalDomain, RealDomain, check_value
 from ..errors import AnalysisError
 from ..memsim.tiers import DEFAULT_MEMORY_SYSTEM, MemorySystem, Tier
 from ..profiling.unified import UnifiedAccessPattern
@@ -91,12 +92,14 @@ class AnalysisResult:
         return tuple(b for b in self.bins if b.selected)
 
 
+SLOWDOWN_THRESHOLD = OptionalDomain(RealDomain(0.0, lo_open=False, hi_open=False))
+"""Section V-C's client slowdown budget: ``None`` is unbounded, and so
+is ``inf``; otherwise a slowdown of at least 0."""
+
+
 def check_slowdown_threshold(threshold: float | None) -> None:
     """Reject a negative or NaN slowdown budget (``None`` is unbounded)."""
-    if threshold is not None and not threshold >= 0:
-        raise AnalysisError(
-            f"slowdown threshold must be non-negative, got {threshold}"
-        )
+    check_value(SLOWDOWN_THRESHOLD, threshold, "slowdown threshold", AnalysisError)
 
 
 def pack_bins(

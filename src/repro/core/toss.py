@@ -16,11 +16,9 @@ Step IV   — the tiered snapshot is generated; later invocations restore
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field, replace
-from numbers import Integral, Real
 
-from .. import config, faults as faults_mod, rng as rng_mod
+from .. import config, domains, faults as faults_mod, rng as rng_mod
 from ..errors import (
     AnalysisError,
     DeadlineExceededError,
@@ -35,7 +33,7 @@ from ..profiling.unified import UnifiedAccessPattern
 from ..vm.restore import lazy_restore, recovering_restore
 from ..vm.snapshot import SingleTierSnapshot, TieredSnapshot
 from ..vm.vmm import VMM
-from .analysis import AnalysisResult, ProfilingAnalyzer
+from .analysis import SLOWDOWN_THRESHOLD, AnalysisResult, ProfilingAnalyzer
 from .reprofile import ReprofilePolicy
 from .telemetry import EventKind, TelemetryEvent, TelemetryLog
 from .tiering import build_tiered_snapshot
@@ -55,37 +53,21 @@ class Phase(enum.Enum):
 class TossConfig:
     """Controller tuning (paper defaults from Sections V and VI-A)."""
 
-    convergence_window: int = config.CONVERGENCE_WINDOW
-    n_bins: int = config.NUM_BINS
-    slowdown_threshold: float | None = None
-    reprofile_bound: float = config.REPROFILE_OVERHEAD_BOUND
-    min_profiling_invocations: int = 3
+    convergence_window: int = domains.count(config.CONVERGENCE_WINDOW, least=1)
+    n_bins: int = domains.count(config.NUM_BINS, least=1)
+    slowdown_threshold: float | None = domains.declare(SLOWDOWN_THRESHOLD, None)
+    reprofile_bound: float = domains.real(config.REPROFILE_OVERHEAD_BOUND, gt=0.0)
+    min_profiling_invocations: int = domains.count(3, least=2)
+    """Two at least: the first profiling invocation warms DAMON up."""
     damon: DamonConfig = field(default_factory=DamonConfig)
-    root_seed: int = config.DEFAULT_SEED
-    degrade_after_failures: int = 3
+    root_seed: int = domains.seed(config.DEFAULT_SEED)
+    degrade_after_failures: int = domains.count(3, least=1)
     """Consecutive tiered-restore failures tolerated before the controller
     degrades the function back to the profiling phase (regenerating the
     tiered snapshot) instead of retrying the same files forever."""
 
     def __post_init__(self) -> None:
-        for name, least in (
-            ("convergence_window", 1),
-            ("n_bins", 1),
-            # Two at least: the first profiling invocation warms DAMON up.
-            ("min_profiling_invocations", 2),
-            ("root_seed", 0),
-            ("degrade_after_failures", 1),
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-                raise AnalysisError(
-                    f"TossConfig.{name} must be an integer >= {least}, got {value!r}"
-                )
-        bound = self.reprofile_bound
-        if isinstance(bound, bool) or not isinstance(bound, Real) or not 0 < bound < math.inf:
-            raise AnalysisError(
-                f"TossConfig.reprofile_bound must be a finite positive number, got {bound!r}"
-            )
+        domains.check_fields(self, AnalysisError)
 
 
 @dataclass(frozen=True)

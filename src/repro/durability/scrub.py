@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import domains
 from ..errors import ConfigError
 from ..vm.snapshot import SingleTierSnapshot
 from .chunks import DEFAULT_CHUNK_PAGES, ChunkIndex
@@ -30,25 +31,18 @@ __all__ = ["ScrubConfig", "ScrubReport", "run_scrub_pass"]
 class ScrubConfig:
     """Tuning for the background scrubber."""
 
-    interval_s: float = 2.0
+    interval_s: float = domains.real(2.0, gt=0.0)
     """Simulated seconds between scrub passes over the registered copies."""
 
-    chunk_pages: int = DEFAULT_CHUNK_PAGES
+    chunk_pages: int = domains.count(DEFAULT_CHUNK_PAGES, least=1)
     """Verification/repair granularity (pages per chunk digest)."""
 
-    ops_per_page: float = 1.0
+    ops_per_page: float = domains.real(1.0, gt=0.0)
     """SSD operations one scrubbed page costs (scrub reads are mostly
     sequential; values below 1.0 model read-ahead coalescing)."""
 
     def __post_init__(self) -> None:
-        if not 0 < self.interval_s < math.inf:
-            raise ConfigError("scrub interval_s must be positive and finite")
-        if isinstance(self.chunk_pages, bool) or not (
-            isinstance(self.chunk_pages, int) and self.chunk_pages >= 1
-        ):
-            raise ConfigError("scrub chunk_pages must be an integer >= 1")
-        if not 0 < self.ops_per_page < math.inf:
-            raise ConfigError("scrub ops_per_page must be positive and finite")
+        domains.check_fields(self, ConfigError)
 
 
 @dataclass

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
-from .. import config
+from .. import config, domains
 from ..errors import ConfigError
 
 __all__ = [
@@ -32,11 +31,6 @@ __all__ = [
 ]
 
 
-def _check_rate(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"{name} must lie in [0, 1], got {value}")
-
-
 def _check_windows(name: str, windows, *, with_multiplier: bool) -> None:
     for window in windows:
         expected = 3 if with_multiplier else 2
@@ -47,8 +41,8 @@ def _check_windows(name: str, windows, *, with_multiplier: bool) -> None:
             raise ConfigError(f"{name} window edges must be finite: {window}")
         if end <= start:
             raise ConfigError(f"{name} window must satisfy start < end: {window}")
-        if with_multiplier and not window[2] >= 1.0:
-            raise ConfigError(f"{name} multiplier must be >= 1: {window}")
+        if with_multiplier and not 1.0 <= window[2] < math.inf:
+            raise ConfigError(f"{name} multiplier must be finite and >= 1: {window}")
 
 
 @dataclass(frozen=True)
@@ -64,25 +58,18 @@ class StorageFaultSpec:
     stall for ``latency_spike_s`` without failing.
     """
 
-    read_error_rate: float = 0.0
-    retry_success_rate: float | None = None
-    max_retries: int = 4
-    backoff_base_s: float = 100e-6
-    backoff_cap_s: float = 10e-3
-    latency_spike_rate: float = 0.0
-    latency_spike_s: float = 2e-3
+    read_error_rate: float = domains.probability(0.0)
+    retry_success_rate: float | None = domains.optional(domains.probability())
+    max_retries: int = domains.count(4, least=1)
+    backoff_base_s: float = domains.real(100e-6, gt=0.0)
+    backoff_cap_s: float = domains.real(10e-3, gt=0.0)
+    latency_spike_rate: float = domains.probability(0.0)
+    latency_spike_s: float = domains.real(2e-3, ge=0.0)
 
     def __post_init__(self) -> None:
-        _check_rate("read_error_rate", self.read_error_rate)
-        _check_rate("latency_spike_rate", self.latency_spike_rate)
-        if self.retry_success_rate is not None:
-            _check_rate("retry_success_rate", self.retry_success_rate)
-        if self.max_retries < 1:
-            raise ConfigError("max_retries must be >= 1")
-        if self.backoff_base_s <= 0 or self.backoff_cap_s < self.backoff_base_s:
-            raise ConfigError("need 0 < backoff_base_s <= backoff_cap_s")
-        if self.latency_spike_s < 0:
-            raise ConfigError("latency_spike_s must be non-negative")
+        domains.check_fields(self, ConfigError)
+        if self.backoff_cap_s < self.backoff_base_s:
+            raise ConfigError("need backoff_base_s <= backoff_cap_s")
 
     @property
     def effective_retry_success_rate(self) -> float:
@@ -137,13 +124,11 @@ class SnapshotFaultSpec:
     regenerated.
     """
 
-    corruption_rate: float = 0.0
-    corrupt_pages: int = 8
+    corruption_rate: float = domains.probability(0.0)
+    corrupt_pages: int = domains.count(8, least=1)
 
     def __post_init__(self) -> None:
-        _check_rate("corruption_rate", self.corruption_rate)
-        if self.corrupt_pages < 1:
-            raise ConfigError("corrupt_pages must be >= 1")
+        domains.check_fields(self, ConfigError)
 
     @property
     def is_zero(self) -> bool:
@@ -160,10 +145,10 @@ class ProfilerFaultSpec:
     pattern; the controller extends profiling instead of crashing.
     """
 
-    sample_loss_rate: float = 0.0
+    sample_loss_rate: float = domains.probability(0.0)
 
     def __post_init__(self) -> None:
-        _check_rate("sample_loss_rate", self.sample_loss_rate)
+        domains.check_fields(self, ConfigError)
 
     @property
     def is_zero(self) -> bool:
@@ -196,32 +181,16 @@ class BitRotSpec:
     All rates default to zero, so this spec is inert unless opted into.
     """
 
-    dram_rate_per_page_s: float = 0.0
-    pmem_rate_per_page_s: float = 0.0
-    ssd_rate_per_page_s: float = 0.0
-    latent_sector_rate_per_s: float = 0.0
-    latent_sector_pages: int = 16
-    torn_write_rate: float = 0.0
-    torn_write_pages: int = 4
+    dram_rate_per_page_s: float = domains.real(0.0, ge=0.0)
+    pmem_rate_per_page_s: float = domains.real(0.0, ge=0.0)
+    ssd_rate_per_page_s: float = domains.real(0.0, ge=0.0)
+    latent_sector_rate_per_s: float = domains.real(0.0, ge=0.0)
+    latent_sector_pages: int = domains.count(16, least=1)
+    torn_write_rate: float = domains.probability(0.0)
+    torn_write_pages: int = domains.count(4, least=1)
 
     def __post_init__(self) -> None:
-        for label, value in (
-            ("dram_rate_per_page_s", self.dram_rate_per_page_s),
-            ("pmem_rate_per_page_s", self.pmem_rate_per_page_s),
-            ("ssd_rate_per_page_s", self.ssd_rate_per_page_s),
-            ("latent_sector_rate_per_s", self.latent_sector_rate_per_s),
-        ):
-            if not 0.0 <= value < math.inf:
-                raise ConfigError(
-                    f"{label} must be non-negative and finite, got {value}"
-                )
-        _check_rate("torn_write_rate", self.torn_write_rate)
-        for label, pages in (
-            ("latent_sector_pages", self.latent_sector_pages),
-            ("torn_write_pages", self.torn_write_pages),
-        ):
-            if isinstance(pages, bool) or not isinstance(pages, Integral) or pages < 1:
-                raise ConfigError(f"{label} must be an integer >= 1, got {pages!r}")
+        domains.check_fields(self, ConfigError)
 
     def rate_for(self, media_class: str) -> float:
         """The scattered per-page rot rate of one media class."""
@@ -267,13 +236,12 @@ class HostFaultSpec:
     nothing running on it is killed.
     """
 
-    host: int
+    host: int = domains.count()
     crash_windows: tuple[tuple[float, float], ...] = ()
     partition_windows: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.host < 0:
-            raise ConfigError(f"host index must be non-negative, got {self.host}")
+        domains.check_fields(self, ConfigError)
         _check_windows("crash_windows", self.crash_windows, with_multiplier=False)
         _check_windows(
             "partition_windows", self.partition_windows, with_multiplier=False
@@ -321,9 +289,10 @@ class FaultPlan:
     profiler: ProfilerFaultSpec = field(default_factory=ProfilerFaultSpec)
     bitrot: BitRotSpec = field(default_factory=BitRotSpec)
     hosts: tuple[HostFaultSpec, ...] = ()
-    seed: int = config.DEFAULT_SEED
+    seed: int = domains.seed(config.DEFAULT_SEED)
 
     def __post_init__(self) -> None:
+        domains.check_fields(self, ConfigError)
         seen: set[int] = set()
         for spec in self.hosts:
             if spec.host in seen:

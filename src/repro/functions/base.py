@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import config, rng as rng_mod
+from .. import config, domains, rng as rng_mod
 from ..errors import AddressSpaceError, ConfigError
 from ..obs import profile as profile_mod
 from ..trace import cache as trace_cache
@@ -57,20 +57,13 @@ class InputSpec:
     """
 
     label: str
-    t_dram_s: float
-    stall_share: float
-    ws_fraction: float
-    variability: float = 0.02
+    t_dram_s: float = domains.real(gt=0.0)
+    stall_share: float = domains.real(gt=0.0, lt=1.0)
+    ws_fraction: float = domains.real(gt=0.0, le=1.0)
+    variability: float = domains.real(0.02, ge=0.0)
 
     def __post_init__(self) -> None:
-        if self.t_dram_s <= 0:
-            raise ConfigError("t_dram_s must be positive")
-        if not 0.0 < self.stall_share < 1.0:
-            raise ConfigError("stall_share must lie in (0, 1)")
-        if not 0.0 < self.ws_fraction <= 1.0:
-            raise ConfigError("ws_fraction must lie in (0, 1]")
-        if self.variability < 0:
-            raise ConfigError("variability must be non-negative")
+        domains.check_fields(self, ConfigError)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 import numpy.typing as npt
 
-from .. import config
+from .. import config, domains
 from ..errors import ConfigError
 from ..obs import profile as profile_mod
 from ..obs import runtime as obs_runtime
@@ -60,34 +60,20 @@ class TierDemand:
     it.  ``cpu_time_s`` is never inflated (each invocation owns a core).
     """
 
-    cpu_time_s: float
-    fast_stall_s: float = 0.0
-    fast_bytes: float = 0.0
-    slow_read_stall_s: float = 0.0
-    slow_read_ops: float = 0.0
-    slow_write_stall_s: float = 0.0
-    slow_write_ops: float = 0.0
-    ssd_stall_s: float = 0.0
-    ssd_ops: float = 0.0
-    uffd_stall_s: float = 0.0
-    uffd_ops: float = 0.0
+    cpu_time_s: float = domains.real(ge=0.0)
+    fast_stall_s: float = domains.real(0.0, ge=0.0)
+    fast_bytes: float = domains.real(0.0, ge=0.0)
+    slow_read_stall_s: float = domains.real(0.0, ge=0.0)
+    slow_read_ops: float = domains.real(0.0, ge=0.0)
+    slow_write_stall_s: float = domains.real(0.0, ge=0.0)
+    slow_write_ops: float = domains.real(0.0, ge=0.0)
+    ssd_stall_s: float = domains.real(0.0, ge=0.0)
+    ssd_ops: float = domains.real(0.0, ge=0.0)
+    uffd_stall_s: float = domains.real(0.0, ge=0.0)
+    uffd_ops: float = domains.real(0.0, ge=0.0)
 
     def __post_init__(self) -> None:
-        for name in (
-            "cpu_time_s",
-            "fast_stall_s",
-            "fast_bytes",
-            "slow_read_stall_s",
-            "slow_read_ops",
-            "slow_write_stall_s",
-            "slow_write_ops",
-            "ssd_stall_s",
-            "ssd_ops",
-            "uffd_stall_s",
-            "uffd_ops",
-        ):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be non-negative and finite")
+        domains.check_fields(self, ConfigError)
 
     @property
     def nominal_time_s(self) -> float:

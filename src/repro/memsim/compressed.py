@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .. import config
+from .. import config, domains
 from ..errors import ConfigError
 from .tiers import DRAM_SPEC, MemorySystem, PMEM_SPEC, TierSpec
 
@@ -50,25 +50,17 @@ class CompressionPoint:
     """One ratio/latency operating point of a software compressed tier."""
 
     name: str
-    ratio: float
+    ratio: float = domains.real(ge=1.0)
     """Logical bytes stored per physical byte (>= 1)."""
-    compress_page_latency_s: float
+    compress_page_latency_s: float = domains.real(ge=0.0)
     """CPU time to compress one page on store-out into the pool."""
-    decompress_page_latency_s: float
+    decompress_page_latency_s: float = domains.real(ge=0.0)
     """CPU time to decompress one page on fault-in from the pool."""
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("compression points need a name")
-        if self.ratio < 1.0:
-            raise ConfigError(
-                f"{self.name}: compression ratio must be >= 1 "
-                f"(got {self.ratio})"
-            )
-        if self.compress_page_latency_s < 0 or self.decompress_page_latency_s < 0:
-            raise ConfigError(
-                f"{self.name}: [de]compression latencies must be non-negative"
-            )
+        domains.check_fields(self, ConfigError)
 
 
 IDENTITY_POINT = CompressionPoint(

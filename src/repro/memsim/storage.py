@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import config, faults
+from .. import config, domains, faults
 from ..errors import ConfigError
 
 __all__ = ["StorageSpec", "StorageDevice", "DEFAULT_SSD"]
@@ -23,23 +23,16 @@ class StorageSpec:
     """Device characteristics of the snapshot storage device."""
 
     name: str
-    seq_read_bps: float
-    seq_write_bps: float
-    random_read_iops: float
-    random_write_iops: float
+    seq_read_bps: float = domains.real(gt=0.0)
+    seq_write_bps: float = domains.real(gt=0.0)
+    random_read_iops: float = domains.real(gt=0.0)
+    random_write_iops: float = domains.real(gt=0.0)
     media_class: str = "ssd"
     """Durability media class (``"dram"``/``"pmem"``/``"ssd"``): selects
     the at-rest bit-rot rate of :class:`repro.faults.BitRotSpec`."""
 
     def __post_init__(self) -> None:
-        for label, value in (
-            ("seq_read_bps", self.seq_read_bps),
-            ("seq_write_bps", self.seq_write_bps),
-            ("random_read_iops", self.random_read_iops),
-            ("random_write_iops", self.random_write_iops),
-        ):
-            if value <= 0:
-                raise ConfigError(f"{self.name}: {label} must be positive")
+        domains.check_fields(self, ConfigError)
 
     @property
     def random_read_latency_s(self) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import config
+from .. import config, domains
 from ..errors import ConfigError
 
 __all__ = ["Tier", "TierSpec", "MemorySystem", "DEFAULT_MEMORY_SYSTEM",
@@ -63,38 +63,24 @@ class TierSpec:
     """
 
     name: str
-    load_latency_s: float
-    store_latency_s: float
-    bandwidth_bps: float
-    access_bytes: int
-    cost_per_mb: float
-    random_penalty: float = 1.0
-    read_ops_cap: float = math.inf
-    write_ops_cap: float = math.inf
+    load_latency_s: float = domains.real(gt=0.0)
+    store_latency_s: float = domains.real(gt=0.0)
+    bandwidth_bps: float = domains.real(gt=0.0)
+    access_bytes: int = domains.count(least=1)
+    # A zero price is a meaningful limit (free archive/compressed
+    # capacity); consumers that form price *ratios* handle it
+    # explicitly (see MemorySystem.cost_ratio).
+    cost_per_mb: float = domains.real(ge=0.0)
+    random_penalty: float = domains.real(1.0, ge=1.0)
+    read_ops_cap: float = domains.real(math.inf, gt=0.0, inf_ok=True)
+    write_ops_cap: float = domains.real(math.inf, gt=0.0, inf_ok=True)
     media_class: str = "dram"
     """Durability media class (``"dram"``/``"pmem"``/``"ssd"``): selects
     the at-rest bit-rot rate of :class:`repro.faults.BitRotSpec` for
     snapshot files resting on this tier."""
 
     def __post_init__(self) -> None:
-        positive = {
-            "load_latency_s": self.load_latency_s,
-            "store_latency_s": self.store_latency_s,
-            "bandwidth_bps": self.bandwidth_bps,
-            "access_bytes": self.access_bytes,
-            "read_ops_cap": self.read_ops_cap,
-            "write_ops_cap": self.write_ops_cap,
-        }
-        for label, value in positive.items():
-            if value <= 0:
-                raise ConfigError(f"{self.name}: {label} must be positive")
-        # A zero price is a meaningful limit (free archive/compressed
-        # capacity); consumers that form price *ratios* handle it
-        # explicitly (see MemorySystem.cost_ratio).
-        if self.cost_per_mb < 0:
-            raise ConfigError(f"{self.name}: cost_per_mb must be non-negative")
-        if self.random_penalty < 1.0:
-            raise ConfigError(f"{self.name}: random penalty must be >= 1")
+        domains.check_fields(self, ConfigError)
 
     def effective_load_latency_s(self, random_fraction: float = 0.0) -> float:
         """Load latency when ``random_fraction`` of accesses stride

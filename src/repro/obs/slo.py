@@ -29,6 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .. import domains
 from ..errors import ConfigError
 
 __all__ = [
@@ -45,23 +46,20 @@ __all__ = [
 class BurnWindow:
     """One long/short window pair with its burn-rate threshold."""
 
-    long_s: float
-    short_s: float
-    threshold: float
+    long_s: float = domains.real(gt=0.0)
+    short_s: float = domains.real(gt=0.0)
+    threshold: float = domains.real(gt=0.0)
     """Burn-rate multiple (1.0 = budget exhausted exactly at period end)
     that fires the alert when exceeded in both windows."""
     severity: str = "page"
 
     def __post_init__(self) -> None:
-        if self.long_s <= 0 or self.short_s <= 0:
-            raise ConfigError("burn windows must be positive")
+        domains.check_fields(self, ConfigError)
         if self.short_s > self.long_s:
             raise ConfigError(
                 f"short window {self.short_s}s exceeds long window "
                 f"{self.long_s}s"
             )
-        if self.threshold <= 0:
-            raise ConfigError("burn threshold must be positive")
 
 
 @dataclass(frozen=True)
@@ -74,26 +72,21 @@ class SloConfig:
     """
 
     name: str = "availability"
-    objective: float = 0.999
+    objective: float = domains.real(0.999, gt=0.0, lt=1.0)
     windows: tuple[BurnWindow, ...] = (
         BurnWindow(long_s=3600.0, short_s=300.0, threshold=14.4,
                    severity="page"),
         BurnWindow(long_s=21600.0, short_s=1800.0, threshold=6.0,
                    severity="ticket"),
     )
-    min_samples: int = 12
+    min_samples: int = domains.count(12, least=1)
     """Long-window samples required before the pair may fire (one early
     failure in an empty window is not a 100 % error rate worth paging)."""
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.objective < 1.0:
-            raise ConfigError(
-                f"objective {self.objective} outside (0, 1)"
-            )
+        domains.check_fields(self, ConfigError)
         if not self.windows:
             raise ConfigError("need at least one burn window")
-        if self.min_samples < 1:
-            raise ConfigError("min_samples must be >= 1")
 
     @property
     def budget(self) -> float:
@@ -313,17 +306,12 @@ class SloFeed:
 class SignalSpec:
     """Anomaly-detector tuning for the signal feed."""
 
-    alpha: float = 0.25
-    z_threshold: float = 4.0
-    warmup: int = 16
+    alpha: float = domains.real(0.25, gt=0.0, le=1.0)
+    z_threshold: float = domains.real(4.0, gt=0.0)
+    warmup: int = domains.count(16, least=2)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigError(f"EWMA alpha {self.alpha} outside (0, 1]")
-        if self.z_threshold <= 0:
-            raise ConfigError("z threshold must be positive")
-        if self.warmup < 2:
-            raise ConfigError("anomaly warmup must be >= 2")
+        domains.check_fields(self, ConfigError)
 
 
 @dataclass(frozen=True)

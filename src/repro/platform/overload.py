@@ -37,6 +37,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass, field
 
+from .. import domains
 from ..errors import ConfigError
 
 __all__ = [
@@ -119,66 +120,43 @@ class OverloadConfig:
       cache is shrunk to while PRESSURED (DEGRADED evicts everything).
     """
 
-    max_queue_depth: int | None = None
-    max_queue_delay_s: float | None = None
-    max_function_depth: int | None = None
-    slo_factor: float | None = None
-    breaker_failures: int | None = None
-    breaker_cooldown_s: float = 5.0
+    max_queue_depth: int | None = domains.optional(domains.count(least=1))
+    max_queue_delay_s: float | None = domains.optional(domains.real(ge=0.0))
+    max_function_depth: int | None = domains.optional(domains.count(least=1))
+    slo_factor: float | None = domains.optional(domains.real(gt=0.0))
+    breaker_failures: int | None = domains.optional(domains.count(least=1))
+    breaker_cooldown_s: float = domains.real(5.0, gt=0.0)
     breaker_fail_fast: bool = False
-    pressured_delay_s: float | None = None
-    degraded_delay_s: float | None = None
-    shedding_delay_s: float | None = None
-    delay_alpha: float = 0.3
-    exit_factor: float = 0.5
-    fault_window: int = 20
-    degraded_fault_rate: float | None = None
-    pressured_capacity_fraction: float | None = None
-    keepalive_pressure_fraction: float = 0.5
+    pressured_delay_s: float | None = domains.optional(domains.real(gt=0.0))
+    degraded_delay_s: float | None = domains.optional(domains.real(gt=0.0))
+    shedding_delay_s: float | None = domains.optional(domains.real(gt=0.0))
+    delay_alpha: float = domains.real(0.3, gt=0.0, le=1.0)
+    exit_factor: float = domains.real(0.5, gt=0.0, lt=1.0)
+    fault_window: int = domains.count(20, least=1)
+    degraded_fault_rate: float | None = domains.optional(
+        domains.real(gt=0.0, le=1.0)
+    )
+    pressured_capacity_fraction: float | None = domains.optional(
+        domains.real(gt=0.0, le=1.0)
+    )
+    keepalive_pressure_fraction: float = domains.probability(0.5)
 
     def __post_init__(self) -> None:
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise ConfigError("max_queue_depth must be >= 1")
-        if self.max_queue_delay_s is not None and self.max_queue_delay_s < 0:
-            raise ConfigError("max_queue_delay_s must be non-negative")
-        if self.max_function_depth is not None and self.max_function_depth < 1:
-            raise ConfigError("max_function_depth must be >= 1")
-        if self.slo_factor is not None and self.slo_factor <= 0:
-            raise ConfigError("slo_factor must be positive")
-        if self.breaker_failures is not None and self.breaker_failures < 1:
-            raise ConfigError("breaker_failures must be >= 1")
-        if self.breaker_cooldown_s <= 0:
-            raise ConfigError("breaker_cooldown_s must be positive")
-        thresholds = [
-            self.pressured_delay_s,
-            self.degraded_delay_s,
-            self.shedding_delay_s,
+        domains.check_fields(self, ConfigError)
+        set_thresholds = [
+            t
+            for t in (
+                self.pressured_delay_s,
+                self.degraded_delay_s,
+                self.shedding_delay_s,
+            )
+            if t is not None
         ]
-        for value in thresholds:
-            if value is not None and value <= 0:
-                raise ConfigError("ladder delay thresholds must be positive")
-        set_thresholds = [t for t in thresholds if t is not None]
         if set_thresholds != sorted(set_thresholds):
             raise ConfigError(
                 "ladder delay thresholds must be non-decreasing "
                 "(pressured <= degraded <= shedding)"
             )
-        if not 0.0 < self.delay_alpha <= 1.0:
-            raise ConfigError("delay_alpha must lie in (0, 1]")
-        if not 0.0 < self.exit_factor < 1.0:
-            raise ConfigError("exit_factor must lie in (0, 1)")
-        if self.fault_window < 1:
-            raise ConfigError("fault_window must be >= 1")
-        if self.degraded_fault_rate is not None and not (
-            0.0 < self.degraded_fault_rate <= 1.0
-        ):
-            raise ConfigError("degraded_fault_rate must lie in (0, 1]")
-        if self.pressured_capacity_fraction is not None and not (
-            0.0 < self.pressured_capacity_fraction <= 1.0
-        ):
-            raise ConfigError("pressured_capacity_fraction must lie in (0, 1]")
-        if not 0.0 <= self.keepalive_pressure_fraction <= 1.0:
-            raise ConfigError("keepalive_pressure_fraction must lie in [0, 1]")
 
     @property
     def is_permissive(self) -> bool:

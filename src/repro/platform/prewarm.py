@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import SchedulerError
+from .. import domains
+from ..errors import ConfigError, SchedulerError
 
 __all__ = ["ArrivalPredictor", "PrewarmPolicy"]
 
@@ -66,11 +67,11 @@ class PrewarmPolicy:
     fire when the prediction is further out than ``horizon_s``.
     """
 
-    margin_s: float = 0.05
-    horizon_s: float = 120.0
+    margin_s: float = domains.real(0.05, ge=0.0)
+    horizon_s: float = domains.real(120.0, ge=0.0)
     predictors: dict[str, ArrivalPredictor] = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
+    hits: int = domains.count(0)
+    misses: int = domains.count(0)
     enabled: bool = True
     """Pressure switch: the overload ladder suspends pre-warming (every
     speculative restore is pinned memory the platform cannot spare) once
@@ -81,6 +82,9 @@ class PrewarmPolicy:
     pre-warming on every host during recovery storms, independently of
     (and overriding) the host's own ladder, which only writes
     :attr:`enabled`."""
+
+    def __post_init__(self) -> None:
+        domains.check_fields(self, ConfigError)
 
     def observe(self, name: str, arrival_s: float) -> None:
         """Feed one arrival into the function's predictor."""

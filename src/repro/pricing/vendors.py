@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .. import config
+from .. import config, domains
 from ..errors import ConfigError
 
 __all__ = ["VendorPlan", "AWS_LAMBDA", "GCP_CLOUD_FUNCTIONS", "bundle_mb"]
@@ -36,15 +36,12 @@ class VendorPlan:
     """
 
     name: str
-    rate_per_mb_ms: float
-    billing_quantum_ms: float
-    per_request: float = 0.0
+    rate_per_mb_ms: float = domains.real(gt=0.0)
+    billing_quantum_ms: float = domains.real(gt=0.0)
+    per_request: float = domains.real(0.0, ge=0.0)
 
     def __post_init__(self) -> None:
-        if self.rate_per_mb_ms <= 0 or self.billing_quantum_ms <= 0:
-            raise ConfigError(f"{self.name}: rates must be positive")
-        if self.per_request < 0:
-            raise ConfigError(f"{self.name}: per-request charge must be >= 0")
+        domains.check_fields(self, ConfigError)
 
     def billable_ms(self, duration_s: float) -> float:
         """Duration rounded up to the billing quantum, in ms."""

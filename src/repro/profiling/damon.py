@@ -23,13 +23,12 @@ region-granularity artefacts.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .. import config
+from .. import config, domains
 from ..errors import ProfilingError
 from ..obs import profile as profile_mod
 from ..regions import Region
@@ -42,29 +41,25 @@ __all__ = ["DamonConfig", "DamonSnapshot", "DamonProfiler"]
 class DamonConfig:
     """DAMON tuning knobs (paper values in Section VI-A)."""
 
-    sampling_interval_s: float = config.DAMON_SAMPLING_INTERVAL_S
-    min_region_pages: int = config.DAMON_MIN_REGION_BYTES // config.PAGE_SIZE
-    min_nr_regions: int = 10
-    max_nr_regions: int = 1000
-    merge_threshold: float = 0.1
+    sampling_interval_s: float = domains.real(
+        config.DAMON_SAMPLING_INTERVAL_S, gt=0.0
+    )
+    min_region_pages: int = domains.count(
+        config.DAMON_MIN_REGION_BYTES // config.PAGE_SIZE, least=1
+    )
+    min_nr_regions: int = domains.count(10, least=1)
+    max_nr_regions: int = domains.count(1000, least=1)
+    merge_threshold: float = domains.real(0.1, ge=0.0)
     """Adjacent regions merge when their nr_accesses differ by at most this
     fraction of the hotter of the pair (with a one-observation floor)."""
 
-    access_bit_scale: float = config.DAMON_ACCESS_BIT_SCALE
+    access_bit_scale: float = domains.real(config.DAMON_ACCESS_BIT_SCALE, gt=0.0)
     """Touches per trace count (accessed bits are set by cache hits too)."""
 
     def __post_init__(self) -> None:
-        interval, scale = self.sampling_interval_s, self.access_bit_scale
-        if not (math.isfinite(interval) and interval > 0):
-            raise ProfilingError("sampling interval must be positive and finite")
-        if not (math.isfinite(scale) and scale > 0):
-            raise ProfilingError("access bit scale must be positive and finite")
-        if not self.merge_threshold >= 0:
-            raise ProfilingError("merge threshold must be non-negative")
-        if self.min_region_pages < 1:
-            raise ProfilingError("minimum region must be at least one page")
-        if not 1 <= self.min_nr_regions <= self.max_nr_regions:
-            raise ProfilingError("need 1 <= min_nr_regions <= max_nr_regions")
+        domains.check_fields(self, ProfilingError)
+        if self.min_nr_regions > self.max_nr_regions:
+            raise ProfilingError("need min_nr_regions <= max_nr_regions")
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import domains
 from ..errors import ConfigError
 
 __all__ = ["Band", "banded_histogram", "zipf_histogram", "uniform_histogram"]
@@ -29,14 +30,11 @@ class Band:
     workloads) and later bands form the colder tail.
     """
 
-    page_share: float
-    access_share: float
+    page_share: float = domains.real(gt=0.0, le=1.0)
+    access_share: float = domains.probability()
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.page_share <= 1.0:
-            raise ConfigError("page_share must lie in (0, 1]")
-        if not 0.0 <= self.access_share <= 1.0:
-            raise ConfigError("access_share must lie in [0, 1]")
+        domains.check_fields(self, ConfigError)
 
 
 def _normalize_to_total(weights: np.ndarray, total: int) -> np.ndarray:

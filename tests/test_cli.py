@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.__main__ import EXPERIMENTS, main
-from repro.errors import ConfigError
 
 
 class TestCli:
@@ -75,11 +76,30 @@ class TestCli:
             main(["observe", "fig42"])
 
     def test_cluster_crash_outside_fleet_rejected(self, capsys):
-        with pytest.raises(ConfigError, match=r"host 9\b.*n_hosts=4"):
-            main(["cluster", "--hosts", "4", "--crash", "9"])
-        assert capsys.readouterr().out == ""
+        assert main(["cluster", "--hosts", "4", "--crash", "9"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error: [^\n]*host 9\b.*n_hosts=4[^\n]*\n", err)
 
     def test_cluster_negative_request_count_rejected(self, capsys):
-        with pytest.raises(ConfigError, match=r"n_requests.*-1"):
-            main(["cluster", "--requests", "-1"])
-        assert capsys.readouterr().out == ""
+        assert main(["cluster", "--requests", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error: n_requests [^\n]*-1\n", err)
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["--hosts", "0"], "ClusterConfig.n_hosts"),
+            (["--replication", "0"], "ClusterConfig.replication_factor"),
+            (["--duration", "nan"], "duration_s"),
+            (["--crash", "-1"], "HostFaultSpec.host"),
+            (["--crash", "0", "--crash-start", "nan"], "crash_windows"),
+        ],
+    )
+    def test_cluster_rejection_is_one_line(self, capsys, args, named):
+        assert main(["cluster", *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and named in err
+        assert err.count("\n") == 1

@@ -44,17 +44,17 @@ class TestConfig:
 
     @pytest.mark.parametrize("bad", [-1e-6, float("nan"), float("inf")])
     def test_invalid_sampling_interval(self, bad):
-        with pytest.raises(ProfilingError, match="sampling interval"):
+        with pytest.raises(ProfilingError, match="DamonConfig.sampling_interval_s"):
             DamonConfig(sampling_interval_s=bad)
 
     @pytest.mark.parametrize("bad", [0.0, -2.0, float("nan"), float("inf")])
     def test_invalid_access_bit_scale(self, bad):
-        with pytest.raises(ProfilingError, match="access bit scale"):
+        with pytest.raises(ProfilingError, match="DamonConfig.access_bit_scale"):
             DamonConfig(access_bit_scale=bad)
 
     @pytest.mark.parametrize("bad", [-0.1, float("nan")])
     def test_invalid_merge_threshold(self, bad):
-        with pytest.raises(ProfilingError, match="merge threshold"):
+        with pytest.raises(ProfilingError, match="DamonConfig.merge_threshold"):
             DamonConfig(merge_threshold=bad)
 
 
