@@ -9,13 +9,12 @@ The CI ``overload-smoke`` job runs this file alone.  Two checks:
   "Overload model") holds its acceptance floor: availability at least
   0.99 for admitted traffic, at most 20 % of batch traffic shed, every
   latency-class request served within deadline or via fallback, and the
-  full degradation-ladder cycle visible in telemetry.
+  full degradation-ladder cycle visible in the ladder's transitions.
 """
 
 from __future__ import annotations
 
 from repro import faults
-from repro.core.telemetry import EventKind, TelemetryLog
 from repro.core.toss import TossConfig
 from repro.experiments import fig7_setup_time
 from repro.faults import FaultInjector, FaultPlan, StorageFaultSpec
@@ -72,14 +71,12 @@ def run_burst_scenario():
         shedding_delay_s=0.120,
         delay_alpha=0.3,
     )
-    telemetry = TelemetryLog()
     platform = ServerlessPlatform(
         n_cores=2,
         toss_cfg=TossConfig(convergence_window=3, min_profiling_invocations=3),
         faults=FaultInjector(
             FaultPlan(ssd=StorageFaultSpec(read_error_rate=1e-3))
         ),
-        telemetry=telemetry,
         overload=cfg,
     )
     platform.deploy(TINY)
@@ -88,11 +85,11 @@ def run_burst_scenario():
     burst = [(2.0 + 0.001 * i, "tiny", 0) for i in range(60)]
     recovery = [(12.0 + 0.5 * i, "tiny", 0) for i in range(8)]
     platform.serve(warmup + background + burst + recovery)
-    return platform, telemetry
+    return platform
 
 
 def test_chaos_burst_scenario_holds_floor(benchmark, emit):
-    platform, telemetry = benchmark.pedantic(
+    platform = benchmark.pedantic(
         run_burst_scenario, rounds=1, iterations=1
     )
 
@@ -104,9 +101,8 @@ def test_chaos_burst_scenario_holds_floor(benchmark, emit):
         and (e.deadline_met or e.degraded)
     )
     transitions = [
-        f"{e.detail['from_state']}->{e.detail['to_state']}"
-        f" @{e.at_s:.3f}s"
-        for e in telemetry.of_kind(EventKind.HEALTH_TRANSITION)
+        f"{old.name}->{new.name} @{at_s:.3f}s"
+        for at_s, old, new in platform.overload.ladder.transitions
     ]
     lines = [
         "chaos + burst overload scenario (2 cores, SSD error storm 1e-3)",
@@ -124,7 +120,7 @@ def test_chaos_burst_scenario_holds_floor(benchmark, emit):
     assert availability >= AVAILABILITY_FLOOR
     assert batch_shed <= BATCH_SHED_CEILING
     assert latency_ok == len(latency)
-    # The full cycle up and back down is visible in telemetry.
+    # The full cycle up and back down is visible in the ladder's record.
     steps = {t.split(" @")[0] for t in transitions}
     assert {
         "HEALTHY->PRESSURED",

@@ -22,6 +22,9 @@ from .base import ServerlessSystem
 
 __all__ = ["TossSystem"]
 
+MAX_PROFILING_INVOCATIONS = 400
+"""Invocations after which profiling that has not converged is an error."""
+
 
 class TossSystem(ServerlessSystem):
     """TOSS with a fully generated tiered snapshot."""
@@ -35,7 +38,6 @@ class TossSystem(ServerlessSystem):
         profiling_inputs: tuple[int, ...] = (0, 1, 2, 3),
         convergence_window: int = 8,
         slowdown_threshold: float | None = None,
-        max_profiling_invocations: int = 400,
         **kwargs,
     ) -> None:
         super().__init__(function, **kwargs)
@@ -48,14 +50,14 @@ class TossSystem(ServerlessSystem):
         )
         self.controller = TossController(function, memory=self.memory, cfg=cfg)
         inputs = itertools.cycle(profiling_inputs)
-        for _ in range(max_profiling_invocations):
+        for _ in range(MAX_PROFILING_INVOCATIONS):
             outcome = self.controller.invoke(next(inputs))
             if outcome.analysis_generated or self.controller.phase is Phase.TIERED:
                 break
         if self.controller.phase is not Phase.TIERED:
             raise AnalysisError(
                 f"{function.name}: profiling did not converge within "
-                f"{max_profiling_invocations} invocations"
+                f"{MAX_PROFILING_INVOCATIONS} invocations"
             )
 
     # -- introspection -------------------------------------------------------

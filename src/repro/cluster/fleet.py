@@ -49,7 +49,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .. import rng as rng_mod
-from ..core.telemetry import TelemetryLog
 from ..core.toss import Phase, TossConfig
 from ..durability import DurabilityManager, ScrubConfig
 from ..errors import ClusterError, ConfigError, SchedulerError
@@ -182,7 +181,6 @@ class ClusterPlatform:
         keepalive_mb: float | None = None,
         prewarm: bool = False,
         overload: OverloadConfig | None = None,
-        telemetry: TelemetryLog | None = None,
         scrub: ScrubConfig | None = None,
     ) -> None:
         for spec in plan.hosts if plan is not None else ():
@@ -236,7 +234,6 @@ class ClusterPlatform:
                 ),
                 prewarm=PrewarmPolicy() if prewarm else None,
                 faults=injector,
-                telemetry=telemetry,
                 overload=OverloadPolicy(overload) if overload is not None else None,
             )
             if config.n_hosts > 1:

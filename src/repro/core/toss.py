@@ -35,7 +35,7 @@ from ..vm.snapshot import SingleTierSnapshot, TieredSnapshot
 from ..vm.vmm import VMM
 from .analysis import SLOWDOWN_THRESHOLD, AnalysisResult, ProfilingAnalyzer
 from .reprofile import ReprofilePolicy
-from .telemetry import EventKind, TelemetryEvent, TelemetryLog
+from .telemetry import EventKind
 from .tiering import build_tiered_snapshot
 
 __all__ = ["Phase", "TossConfig", "InvocationOutcome", "TossController"]
@@ -107,7 +107,6 @@ class TossController:
         *,
         memory: MemorySystem = DEFAULT_MEMORY_SYSTEM,
         cfg: TossConfig = TossConfig(),
-        telemetry: TelemetryLog | None = None,
         faults: "faults_mod.FaultInjector | None" = None,
     ) -> None:
         self.function = function
@@ -118,7 +117,6 @@ class TossController:
             memory = memory.with_fault_hook(faults)
         self.memory = memory
         self.cfg = cfg
-        self.telemetry = telemetry
         self.vmm = VMM(memory, root_seed=cfg.root_seed)
         self.analyzer = ProfilingAnalyzer(memory, n_bins=cfg.n_bins)
         self.phase = Phase.INITIAL
@@ -137,21 +135,12 @@ class TossController:
         return faults_mod.resolve(self.faults)
 
     def _emit(self, kind: EventKind, **detail) -> None:
-        if self.telemetry is not None:
-            self.telemetry.emit(
-                TelemetryEvent(
-                    kind=kind,
-                    function=self.function.name,
-                    invocation=self._seq,
-                    detail=detail,
-                )
-            )
         obs = obs_runtime.active()
         if obs is not None:
             # Milestones land on the active span (or as trace-level
             # instants), so a trace viewer shows *why* an invocation took
             # the path it did next to how long it took.
-            obs.tracer.event(f"telemetry/{kind.value}", attrs=dict(detail))
+            obs.tracer.event(f"telemetry/{kind.value}", attrs=detail)
 
     def _reset_profiling_state(self) -> None:
         """Start (or re-enter) the profiling phase.

@@ -72,28 +72,27 @@ class FunctionModel:
 
     name: str
     description: str
-    guest_mb: int
+    guest_mb: int = domains.count(least=1)
     input_type: str
     inputs: tuple[InputSpec, ...]
     bands: tuple[Band, ...]
-    random_fraction: float = 0.0
-    store_fraction: float = 0.2
-    n_epochs: int = 6
-    scatter_fraction: float = 0.01
-    jitter_pages: int = 64
-    base_page_frac: float = 0.02
-    histogram_noise: float = 0.03
+    random_fraction: float = domains.probability(0.0)
+    store_fraction: float = domains.probability(0.2)
+    n_epochs: int = domains.count(6, least=1)
+    scatter_fraction: float = domains.real(0.01, ge=0.0, lt=1.0)
+    jitter_pages: int = domains.count(64, least=0)
+    base_page_frac: float = domains.real(0.02, ge=0.0, lt=1.0)
+    histogram_noise: float = domains.real(0.03, ge=0.0)
 
     def __post_init__(self) -> None:
-        if self.guest_mb <= 0 or self.guest_mb % config.MEMORY_BUNDLE_MB:
+        domains.check_fields(self, ConfigError)
+        if self.guest_mb % config.MEMORY_BUNDLE_MB:
             raise ConfigError(
                 f"{self.name}: guest memory must be a positive multiple of "
                 f"{config.MEMORY_BUNDLE_MB} MB (Section VI-A)"
             )
         if len(self.inputs) != len(INPUT_LABELS):
             raise ConfigError(f"{self.name}: exactly 4 inputs required (Table I)")
-        if self.n_epochs < 1:
-            raise ConfigError(f"{self.name}: need at least one epoch")
         times = [spec.t_dram_s for spec in self.inputs]
         if times != sorted(times):
             raise ConfigError(

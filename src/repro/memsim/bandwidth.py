@@ -50,6 +50,15 @@ __all__ = ["TierDemand", "ContentionModel", "RESOURCES"]
 RESOURCES = ("fast", "slow_read", "slow_write", "ssd", "uffd")
 """Names of the shared resources, in reporting order."""
 
+MAX_ITERATIONS = 200
+"""Fixed-point iterations before the solver stops without converging."""
+
+TOLERANCE = 1e-9
+"""Largest relative change of any invocation time that counts as converged."""
+
+DAMPING = 0.5
+"""Weight of the new inflation factor in each geometric damping step."""
+
 
 @dataclass(frozen=True)
 class TierDemand:
@@ -126,31 +135,16 @@ class ContentionModel:
         memory: MemorySystem,
         ssd: StorageSpec,
         *,
-        uffd_capacity_ops: float = config.UFFD_HANDLER_OPS_CAP,
-        max_iterations: int = 200,
-        tolerance: float = 1e-9,
-        damping: float = 0.5,
         shared_memo: bool = False,
     ) -> None:
-        if not (isinstance(max_iterations, int) and max_iterations >= 1):
-            raise ConfigError("max_iterations must be an integer >= 1")
-        if not 0 <= tolerance < math.inf:
-            raise ConfigError("tolerance must be non-negative and finite")
-        if not 0.0 < damping <= 1.0:
-            raise ConfigError("damping must lie in (0, 1]")
-        if not 0 < uffd_capacity_ops < math.inf:
-            raise ConfigError("uffd_capacity_ops must be positive and finite")
         self.memory = memory
         self.ssd = ssd
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
-        self.damping = damping
         self._capacity = {
             "fast": memory.fast.bandwidth_bps,
             "slow_read": memory.slow.read_ops_cap,
             "slow_write": memory.slow.write_ops_cap,
             "ssd": ssd.random_read_iops,
-            "uffd": uffd_capacity_ops,
+            "uffd": config.UFFD_HANDLER_OPS_CAP,
         }
         # Software-defined middle tiers (compressed pools) ride the fast
         # tier's channel, so their *effective* logical-byte capacity is
@@ -173,21 +167,12 @@ class ContentionModel:
         ] = OrderedDict()
         self.solve_cache_max = 4096
         self.solve_cache_hits = 0
-        # The fingerprint covers everything _solve_uncached reads: the
-        # per-resource capacities derive from the tier specs and the SSD
-        # spec, and the iteration schedule from the solver knobs.
+        # The fingerprint covers everything _solve_uncached reads that
+        # varies between models: the per-resource capacities derive from
+        # the tier specs and the SSD spec.
         self._shared_key: tuple | None = None
         if shared_memo:
-            self._shared_key = (
-                memory.fast,
-                memory.slow,
-                memory.middle,
-                ssd,
-                uffd_capacity_ops,
-                max_iterations,
-                tolerance,
-                damping,
-            )
+            self._shared_key = (memory.fast, memory.slow, memory.middle, ssd)
 
     @property
     def capacities(self) -> dict[str, float]:
@@ -292,7 +277,7 @@ class ContentionModel:
         works = [d._stalls_and_work() for d in demands]
         capacity = self._capacity
         inflate = self._inflation
-        damping = self.damping
+        damping = DAMPING
         keep = 1.0 - damping
         # Flatten the per-demand work dicts into per-resource columns once:
         # the fixed-point loop then runs on plain lists via C-level
@@ -305,7 +290,7 @@ class ContentionModel:
         stalls = [[w[r][0] for w in works] for r in RESOURCES]
         caps = [capacity[r] for r in RESOURCES]
         infl = [1.0] * len(RESOURCES)
-        for _ in range(self.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             # Geometrically damped update: the M/M/1 map is extremely steep
             # near saturation, and linear damping oscillates between the
             # clamped and unclamped regimes instead of settling on the
@@ -327,7 +312,7 @@ class ContentionModel:
                 abs(a - b) / max(a, 1e-12) for a, b in zip(times, new_times)
             )
             times = new_times
-            if delta <= self.tolerance:
+            if delta <= TOLERANCE:
                 break
         inflation = dict(zip(RESOURCES, infl))
         obs = obs_runtime.active()

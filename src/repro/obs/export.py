@@ -252,9 +252,11 @@ def _bucket_le(upper: float) -> str:
     return _fmt(upper)
 
 
-def prometheus_text(
-    registry: MetricsRegistry, *, quantiles: tuple[float, ...] = (0.5, 0.95, 0.99)
-) -> str:
+QUANTILES = (0.5, 0.95, 0.99)
+"""The histogram quantiles :func:`prometheus_text` renders as gauges."""
+
+
+def prometheus_text(registry: MetricsRegistry) -> str:
     """The registry in Prometheus exposition (text) format.
 
     Histograms render the standard ``_bucket``/``_sum``/``_count``
@@ -264,12 +266,10 @@ def prometheus_text(
     query layer.
     """
     with profile_mod.phase("export/prometheus"):
-        return _prometheus_text(registry, quantiles=quantiles)
+        return _prometheus_text(registry)
 
 
-def _prometheus_text(
-    registry: MetricsRegistry, *, quantiles: tuple[float, ...]
-) -> str:
+def _prometheus_text(registry: MetricsRegistry) -> str:
     lines: list[str] = []
     for family in registry.families():
         if isinstance(family, Counter):
@@ -311,7 +311,7 @@ def _prometheus_text(
                 lines.append(
                     f"{family.name}_count{_labels_text(labels)} {sample.n}"
                 )
-            for q in quantiles:
+            for q in QUANTILES:
                 suffix = f"p{int(round(q * 100))}"
                 lines.append(
                     f"# HELP {family.name}_{suffix} {q:g}-quantile of "

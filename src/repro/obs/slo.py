@@ -248,13 +248,20 @@ class _BurnEvaluator:
         return sum(self._bads)
 
 
+SIGNAL_ALPHA = 0.25
+"""EWMA smoothing factor of every signal's mean and variance."""
+
+SIGNAL_Z_THRESHOLD = 4.0
+"""Absolute z-score at which a signal sample is flagged as an anomaly."""
+
+SIGNAL_WARMUP = 16
+"""Samples a signal's detector folds in before it may flag one."""
+
+
 class _EwmaDetector:
     """EWMA mean/variance with z-score flagging for one signal."""
 
-    def __init__(self, alpha: float, z_threshold: float, warmup: int) -> None:
-        self.alpha = alpha
-        self.z_threshold = z_threshold
-        self.warmup = warmup
+    def __init__(self) -> None:
         self.mean = 0.0
         self.var = 0.0
         self.n = 0
@@ -263,20 +270,20 @@ class _EwmaDetector:
         """Fold a sample in; returns ``(zscore, mean, std)`` when the
         sample is anomalous against the *pre-update* band."""
         flagged: tuple[float, float, float] | None = None
-        if self.n >= self.warmup:
+        if self.n >= SIGNAL_WARMUP:
             std = math.sqrt(self.var)
             if std > 0.0:
                 z = (value - self.mean) / std
-                if abs(z) >= self.z_threshold:
+                if abs(z) >= SIGNAL_Z_THRESHOLD:
                     flagged = (z, self.mean, std)
         if self.n == 0:
             self.mean = value
             self.var = 0.0
         else:
             delta = value - self.mean
-            self.mean += self.alpha * delta
-            self.var = (1.0 - self.alpha) * (
-                self.var + self.alpha * delta * delta
+            self.mean += SIGNAL_ALPHA * delta
+            self.var = (1.0 - SIGNAL_ALPHA) * (
+                self.var + SIGNAL_ALPHA * delta * delta
             )
         self.n += 1
         return flagged
@@ -303,18 +310,6 @@ class SloFeed:
 
 
 @dataclass(frozen=True)
-class SignalSpec:
-    """Anomaly-detector tuning for the signal feed."""
-
-    alpha: float = domains.real(0.25, gt=0.0, le=1.0)
-    z_threshold: float = domains.real(4.0, gt=0.0)
-    warmup: int = domains.count(16, least=2)
-
-    def __post_init__(self) -> None:
-        domains.check_fields(self, ConfigError)
-
-
-@dataclass(frozen=True)
 class _ScopeKey:
     signal: str
     host: str
@@ -325,14 +320,8 @@ class SloTracker(SloFeed):
     host label that appears in the feed, and an EWMA anomaly detector
     per ``(signal, host)`` pair."""
 
-    def __init__(
-        self,
-        config: SloConfig = SloConfig(),
-        *,
-        signals: SignalSpec = SignalSpec(),
-    ) -> None:
+    def __init__(self, config: SloConfig = SloConfig()) -> None:
         self.config = config
-        self.signals = signals
         self._fleet = _BurnEvaluator(config, host="")
         self._hosts: dict[str, _BurnEvaluator] = {}
         self._detectors: dict[tuple[str, str], _EwmaDetector] = {}
@@ -359,11 +348,7 @@ class SloTracker(SloFeed):
         key = (signal, host)
         detector = self._detectors.get(key)
         if detector is None:
-            detector = _EwmaDetector(
-                self.signals.alpha,
-                self.signals.z_threshold,
-                self.signals.warmup,
-            )
+            detector = _EwmaDetector()
             self._detectors[key] = detector
         flagged = detector.observe(float(value))
         if flagged is not None:

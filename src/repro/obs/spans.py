@@ -3,16 +3,15 @@
 A :class:`Span` is one timed operation — a restore phase, a transfer on a
 shared resource, a request's life on the platform.  Spans nest: the
 :class:`Tracer` keeps a stack, so a span opened while another is active
-becomes its child.  All timestamps are *simulated* seconds.  Time comes
-from two places, by design:
-
-* an optional ``clock`` callable (the event loop's ``now``) anchors spans
-  produced while a simulation is running;
-* the tracer's own **cursor** serialises the analytic paths (restores
-  computed as closed-form sums, controller invocations driven outside a
-  loop) onto one deterministic virtual timeline: recording a span with an
-  explicit duration advances the cursor, so consecutive phases lay out
-  left-to-right exactly like the setup-time sum that defines them.
+becomes its child.  All timestamps are *simulated* seconds, read from
+the tracer's own **cursor**.  The cursor serialises the analytic paths
+(restores computed as closed-form sums, controller invocations driven
+outside a loop) onto one deterministic virtual timeline: recording a
+span with an explicit duration advances the cursor, so consecutive
+phases lay out left-to-right exactly like the setup-time sum that
+defines them.  Callers that know simulated time (the platform anchoring
+a request at its start instant) move the cursor with
+:meth:`Tracer.seek` or pass explicit start and end times.
 
 Nothing here reads the wall clock — ever — so traces are reproducible
 and diffable in CI.
@@ -25,7 +24,7 @@ import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Union
+from typing import Iterator, Union
 
 from ..errors import ConfigError
 
@@ -95,8 +94,7 @@ class Tracer:
     instant events in the Perfetto export.
     """
 
-    def __init__(self, clock: Callable[[], float] | None = None) -> None:
-        self._clock = clock
+    def __init__(self) -> None:
         self._cursor = 0.0
         self._ids = itertools.count(1)
         self._stack: list[Span] = []
@@ -107,8 +105,6 @@ class Tracer:
 
     def now(self) -> float:
         """The current position on the trace timeline."""
-        if self._clock is not None:
-            return max(self._cursor, self._clock())
         return self._cursor
 
     def seek(self, at_s: float) -> None:

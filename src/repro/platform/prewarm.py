@@ -22,13 +22,14 @@ from ..errors import ConfigError, SchedulerError
 __all__ = ["ArrivalPredictor", "PrewarmPolicy"]
 
 
+ALPHA = 0.3
+"""EWMA smoothing factor of the inter-arrival gap."""
+
+
 class ArrivalPredictor:
     """EWMA inter-arrival predictor for one function."""
 
-    def __init__(self, *, alpha: float = 0.3) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise SchedulerError("alpha must lie in (0, 1]")
-        self.alpha = alpha
+    def __init__(self) -> None:
         self._last_arrival: float | None = None
         self._ewma_gap: float | None = None
 
@@ -41,7 +42,7 @@ class ArrivalPredictor:
             if self._ewma_gap is None:
                 self._ewma_gap = gap
             else:
-                self._ewma_gap += self.alpha * (gap - self._ewma_gap)
+                self._ewma_gap += ALPHA * (gap - self._ewma_gap)
         self._last_arrival = arrival_s
 
     def predict_next(self) -> float | None:

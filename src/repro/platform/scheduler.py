@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..domains import CountDomain, check_value
 from ..errors import SchedulerError
 from ..memsim.bandwidth import ContentionModel
-from ..memsim.storage import OPTANE_SSD_SPEC, StorageSpec
+from ..memsim.storage import OPTANE_SSD_SPEC
 from ..memsim.tiers import DEFAULT_MEMORY_SYSTEM, MemorySystem
 from ..baselines.base import ServerlessSystem
 from ..sim.contention import EventScheduler, TimelineJob, TimelineResult
@@ -70,16 +71,14 @@ class Scheduler:
         *,
         n_cores: int = 20,
         memory: MemorySystem = DEFAULT_MEMORY_SYSTEM,
-        ssd: StorageSpec = OPTANE_SSD_SPEC,
     ) -> None:
-        if n_cores < 1:
-            raise SchedulerError("need at least one core")
+        check_value(CountDomain(1), n_cores, "n_cores", SchedulerError)
         self.n_cores = n_cores
         self.memory = memory
         # Experiments build a fresh Scheduler per run but replay the same
         # waves; the shared memo keys on the exact hardware fingerprint
         # and demand batch, so hits are bit-identical to cold solves.
-        self.contention = ContentionModel(memory, ssd, shared_memo=True)
+        self.contention = ContentionModel(memory, OPTANE_SSD_SPEC, shared_memo=True)
         self.engine = EventScheduler(self.contention)
 
     def run_concurrent(

@@ -31,8 +31,9 @@ from functools import partial
 from numbers import Integral, Real
 
 from .. import config, faults as faults_mod
-from ..core.telemetry import EventKind, TelemetryEvent, TelemetryLog
+from ..core.telemetry import EventKind
 from ..core.toss import InvocationOutcome, Phase, TossConfig, TossController
+from ..domains import CountDomain, check_value
 from ..errors import FaultInjected, SchedulerError
 from ..functions.base import FunctionModel
 from ..memsim.tiers import DEFAULT_MEMORY_SYSTEM, MemorySystem
@@ -289,9 +290,9 @@ class _Timeline:
         emission observes the state at decision time, only its position
         on the timeline moves.
         """
-        platform = self._platform
-        if platform.telemetry is None and obs is None:
+        if obs is None:
             return
+        platform = self._platform
         platform.loop.schedule_at(
             max(float(when_s), platform.loop.now),
             lambda _now: platform._emit_platform_event(
@@ -344,14 +345,10 @@ class ServerlessPlatform:
         keepalive: "KeepAliveCache | None" = None,
         prewarm: "PrewarmPolicy | None" = None,
         faults: "faults_mod.FaultInjector | None" = None,
-        telemetry: TelemetryLog | None = None,
         overload: "OverloadPolicy | OverloadConfig | None" = None,
         capacity: "HostCapacity | None" = None,
     ) -> None:
-        if isinstance(n_cores, bool) or not isinstance(n_cores, Integral):
-            raise SchedulerError(f"n_cores must be an integer, got {n_cores!r}")
-        if n_cores < 1:
-            raise SchedulerError("need at least one core")
+        check_value(CountDomain(1), n_cores, "n_cores", SchedulerError)
         self.n_cores = int(n_cores)
         self.faults = faults
         if faults is not None and memory.fault_hook is None:
@@ -360,7 +357,6 @@ class ServerlessPlatform:
         self.toss_cfg = toss_cfg if toss_cfg is not None else TossConfig()
         self.keepalive = keepalive
         self.prewarm = prewarm
-        self.telemetry = telemetry
         if isinstance(overload, OverloadConfig):
             overload = OverloadPolicy(overload)
         self.overload = overload
@@ -386,7 +382,6 @@ class ServerlessPlatform:
                     function,
                     memory=self.memory,
                     cfg=self.toss_cfg,
-                    telemetry=self.telemetry,
                     faults=self.faults,
                 ),
             )
@@ -816,16 +811,17 @@ class ServerlessPlatform:
                 )
             if t.lease is not None:
                 self.capacity.release(t.lease)
-            self._emit_platform_event(
-                EventKind.FALLBACK_RESTORE,
-                name,
-                invocation,
-                obs=obs,
-                error=t.error,
-                unserved=True,
-                free_at_s=round(t.free_at, 6),
-                queue_delay_s=round(entry.queue_delay_s, 6),
-            )
+            if obs is not None:
+                self._emit_platform_event(
+                    EventKind.FALLBACK_RESTORE,
+                    name,
+                    invocation,
+                    obs=obs,
+                    error=t.error,
+                    unserved=True,
+                    free_at_s=round(t.free_at, 6),
+                    queue_delay_s=round(entry.queue_delay_s, 6),
+                )
         else:
             if self.overload is not None or self.capacity is not None:
                 tl.hold_slots(name, entry.start_s, entry.finish_s)
@@ -897,7 +893,7 @@ class ServerlessPlatform:
 
         The breaker *state* changes eagerly (the next admission decision
         must see it); only the telemetry record rides the timeline, so a
-        transition observed at a finish appears in the log at that finish.
+        transition observed at a finish appears in the trace at that finish.
         """
         self._timeline.defer_emit(
             t.obs,
@@ -917,29 +913,16 @@ class ServerlessPlatform:
         function: str,
         invocation: int,
         *,
-        obs: obs_runtime.Observation | None,
+        obs: obs_runtime.Observation,
         at_s: float | None = None,
         **detail,
     ) -> None:
-        if self.telemetry is not None:
-            self.telemetry.emit(
-                TelemetryEvent(
-                    kind=kind,
-                    function=function,
-                    invocation=invocation,
-                    detail=detail,
-                    at_s=at_s,
-                )
-            )
-        if obs is not None:
-            # Deferred emissions fire between requests (empty span stack),
-            # so these land as trace-level instants in the export.
-            attrs = {"function": function, "invocation": invocation, **detail}
-            if at_s is not None:
-                attrs["at_s"] = at_s
-            obs.tracer.event(
-                f"{self.span_prefix}telemetry/{kind.value}", attrs=attrs
-            )
+        # Deferred emissions fire between requests (empty span stack),
+        # so these land as trace-level instants in the export.
+        attrs = {"function": function, "invocation": invocation, **detail}
+        if at_s is not None:
+            attrs["at_s"] = at_s
+        obs.tracer.event(f"{self.span_prefix}telemetry/{kind.value}", attrs=attrs)
 
     # -- keep-alive integration ----------------------------------------------------
 

@@ -27,6 +27,16 @@ from .damon import DamonSnapshot
 
 __all__ = ["UnifiedAccessPattern"]
 
+NOISE_FLOOR = 4.0
+"""Per-page DAMON values below this count as unobserved."""
+
+STABILITY_TOLERANCE = 0.01
+"""Fraction of guest pages whose signature bucket may change while the
+file still counts as unchanged."""
+
+PRESENCE_THRESHOLD = 0.25
+"""Share of invocations a page must be observed in to keep its value."""
+
 
 class UnifiedAccessPattern:
     """Running merge of DAMON files with convergence detection."""
@@ -36,25 +46,13 @@ class UnifiedAccessPattern:
         n_pages: int,
         *,
         convergence_window: int = config.CONVERGENCE_WINDOW,
-        noise_floor: float = 4.0,
-        stability_tolerance: float = 0.01,
-        presence_threshold: float = 0.25,
     ) -> None:
         if n_pages <= 0:
             raise ProfilingError("guest must have at least one page")
         if convergence_window < 1:
             raise ProfilingError("convergence window must be >= 1")
-        if noise_floor < 0:
-            raise ProfilingError("noise floor must be non-negative")
-        if not 0.0 <= stability_tolerance < 1.0:
-            raise ProfilingError("stability tolerance must lie in [0, 1)")
-        if not 0.0 < presence_threshold <= 1.0:
-            raise ProfilingError("presence threshold must lie in (0, 1]")
         self.n_pages = int(n_pages)
         self.convergence_window = int(convergence_window)
-        self.noise_floor = float(noise_floor)
-        self.stability_tolerance = float(stability_tolerance)
-        self.presence_threshold = float(presence_threshold)
         self.page_max = np.zeros(self.n_pages, dtype=np.float64)
         self.page_sum = np.zeros(self.n_pages, dtype=np.float64)
         self.page_hits = np.zeros(self.n_pages, dtype=np.int64)
@@ -78,7 +76,7 @@ class UnifiedAccessPattern:
         values = snapshot.page_values()
         np.maximum(self.page_max, values, out=self.page_max)
         self.page_sum += values
-        self.page_hits += values >= self.noise_floor
+        self.page_hits += values >= NOISE_FLOOR
         self.invocations += 1
         signature = self._quantise_monotone(self.page_max)
         if self._signature is None:
@@ -88,7 +86,7 @@ class UnifiedAccessPattern:
             # keeps a few boundary pages hopping buckets forever, which is
             # noise, not new access-pattern information.
             churn = int(np.count_nonzero(signature != self._signature))
-            changed = churn > self.stability_tolerance * self.n_pages
+            changed = churn > STABILITY_TOLERANCE * self.n_pages
         if changed:
             self._stable_count = 0
         else:
@@ -146,8 +144,8 @@ class UnifiedAccessPattern:
         presence = self.page_hits / self.invocations
         with np.errstate(invalid="ignore"):
             conditional = self.page_sum / np.maximum(self.page_hits, 1)
-        values = np.where(presence >= self.presence_threshold, conditional, 0.0)
-        values[values < self.noise_floor] = 0.0
+        values = np.where(presence >= PRESENCE_THRESHOLD, conditional, 0.0)
+        values[values < NOISE_FLOOR] = 0.0
         return values
 
     def observed_mask(self) -> np.ndarray:

@@ -24,13 +24,15 @@ from repro.cluster import (
     fleet_function,
     steady_requests,
 )
-from repro.core.telemetry import EventKind, TelemetryLog
+from repro.core.telemetry import EventKind
 from repro.core.toss import Phase, TossConfig
 from repro.errors import ConfigError, SchedulerError
 from repro.faults.plan import FaultPlan, HostFaultSpec
 from repro.obs import FleetAggregator, Observation, SloTracker, observing
 from repro.platform.overload import HealthState, OverloadConfig
 from repro.platform.server import ServerlessPlatform
+
+from telemetry_events import milestones
 
 SMALL_TOSS = TossConfig(convergence_window=3, min_profiling_invocations=3)
 
@@ -329,7 +331,6 @@ class TestClusterSloFeed:
     attached."""
 
     def run(self, with_aggregator):
-        telemetry = TelemetryLog()
         cluster = ClusterPlatform(
             ClusterConfig(n_hosts=3, replication_factor=1, cores_per_host=2),
             toss_cfg=SMALL_TOSS,
@@ -341,16 +342,19 @@ class TestClusterSloFeed:
                 degraded_delay_s=0.01,
                 shedding_delay_s=0.03,
             ),
-            telemetry=telemetry,
         )
         cluster.deploy_fleet(list(FLEET_SUITE))
         tracker = RecordingTracker()
         aggregator = FleetAggregator(tracker) if with_aggregator else None
-        with observing(Observation(slo=tracker, fleet=aggregator)):
+        obs = Observation(slo=tracker, fleet=aggregator)
+        with observing(obs):
             outcomes = cluster.serve(
                 steady_requests(n_requests=300, duration_s=4.0, batch_every=3)
             )
-        return cluster, outcomes, tracker, telemetry
+        tracers = [obs.tracer]
+        if aggregator is not None:
+            tracers += [child.tracer for _, child in aggregator.host_tracer_items()]
+        return cluster, outcomes, tracker, tracers
 
     @pytest.mark.parametrize(
         "with_aggregator", [False, True], ids=["no-aggregator", "aggregator"]
@@ -372,7 +376,7 @@ class TestClusterSloFeed:
         "with_aggregator", [False, True], ids=["no-aggregator", "aggregator"]
     )
     def test_host_shed_signal_is_the_decision_time_wait(self, with_aggregator):
-        _, outcomes, tracker, telemetry = self.run(with_aggregator)
+        _, outcomes, tracker, tracers = self.run(with_aggregator)
         sheds = [o for o in outcomes if o.host_shed]
         waits = [o.entry.queue_delay_s for o in sheds]
         assert max(waits) > 0.0
@@ -384,8 +388,8 @@ class TestClusterSloFeed:
             assert sample in tracker.signal_log
         # The same wait the host stamped on its shed telemetry.
         stamped = [
-            e.detail["queue_delay_s"]
-            for e in telemetry.of_kind(EventKind.REQUEST_SHED)
+            e.attrs["queue_delay_s"]
+            for e in milestones(*tracers, kind=EventKind.REQUEST_SHED)
         ]
         assert sorted(stamped) == sorted(round(w, 6) for w in waits)
 

@@ -2,7 +2,8 @@
 
 The input classes are found by name: the dataclasses under ``repro``
 whose name ends in Config, Spec, Plan, Policy or Window and that have a
-scalar numeric field.  Every such field must declare a domain
+scalar numeric field, plus :class:`~repro.functions.base.FunctionModel`,
+which the name rule does not reach.  Every such field must declare a domain
 (:mod:`repro.domains`); hypothesis then draws values outside it, which
 must raise the class's error naming ``Class.field``, and values inside
 it, which must not.
@@ -35,11 +36,12 @@ from repro.faults import (
     SnapshotFaultSpec,
     StorageFaultSpec,
 )
-from repro.functions.base import InputSpec
+from repro.functions import get_function
+from repro.functions.base import FunctionModel, InputSpec
 from repro.memsim.compressed import LZ4_POINT, compressed_tier
 from repro.memsim.storage import OPTANE_SSD_SPEC, StorageSpec
 from repro.memsim.tiers import DRAM_SPEC, TierSpec
-from repro.obs.slo import BurnWindow, SignalSpec, SloConfig
+from repro.obs.slo import BurnWindow, SloConfig
 from repro.platform.overload import OverloadConfig
 from repro.platform.prewarm import PrewarmPolicy
 from repro.pricing.vendors import AWS_LAMBDA, VendorPlan
@@ -77,7 +79,7 @@ def _input_classes() -> dict[str, type]:
     return found
 
 
-INPUT_CLASSES = _input_classes()
+INPUT_CLASSES = {**_input_classes(), "FunctionModel": FunctionModel}
 
 EXAMPLES = {
     "TierSpec": DRAM_SPEC,
@@ -87,6 +89,7 @@ EXAMPLES = {
     "InputSpec": InputSpec("N=1", t_dram_s=0.5, stall_share=0.1, ws_fraction=0.2),
     "BurnWindow": BurnWindow(long_s=60.0, short_s=5.0, threshold=2.0),
     "VendorPlan": AWS_LAMBDA,
+    "FunctionModel": get_function("pyaes"),
 }
 """A valid instance of each class with no default constructor."""
 
@@ -121,8 +124,8 @@ def test_discovery_finds_the_twenty_input_classes():
             "OverloadConfig", "SloConfig", "StorageFaultSpec",
             "SnapshotFaultSpec", "ProfilerFaultSpec", "BitRotSpec",
             "HostFaultSpec", "FaultPlan", "TierSpec", "CompressedTierSpec",
-            "StorageSpec", "SignalSpec", "InputSpec", "BurnWindow",
-            "PrewarmPolicy", "VendorPlan",
+            "StorageSpec", "InputSpec", "BurnWindow", "PrewarmPolicy",
+            "VendorPlan", "FunctionModel",
         ]
     )
 
@@ -234,11 +237,6 @@ ACCEPTED_BEFORE = [
         for v in (NAN, INF, 1.5)
     ],
     *[(SloConfig, "min_samples", v) for v in (NAN, INF, 1.5)],
-    *[
-        (SignalSpec, field, v)
-        for field in ("warmup", "z_threshold")
-        for v in (NAN, INF)
-    ],
     (BurnWindow, "long_s", NAN),
     (BurnWindow, "threshold", INF),
     *[
@@ -246,6 +244,11 @@ ACCEPTED_BEFORE = [
         for field in ("margin_s", "horizon_s")
         for v in (NAN, INF, -INF, -1)
     ],
+    (FunctionModel, "histogram_noise", NAN),
+    (FunctionModel, "jitter_pages", 1.5),
+    (FunctionModel, "random_fraction", -0.5),
+    (FunctionModel, "n_epochs", 2.5),
+    (FunctionModel, "base_page_frac", 2.0),
     *[(DamonConfig, "min_region_pages", v) for v in (NAN, INF, 1.5)],
     (DamonConfig, "min_nr_regions", 1.5),
     (DamonConfig, "max_nr_regions", INF),
@@ -278,7 +281,6 @@ ACCEPTED_BEFORE = [
             (DamonConfig, "sampling_interval_s"),
             (OverloadConfig, "delay_alpha"),
             (OverloadConfig, "breaker_cooldown_s"),
-            (SignalSpec, "alpha"),
             (PrewarmPolicy, "margin_s"),
             (InputSpec, "t_dram_s"),
             (TierSpec, "load_latency_s"),

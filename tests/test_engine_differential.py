@@ -5,29 +5,36 @@ Every execute in ``src/`` goes through
 one-trace case.  Each scenario here builds and runs twice: once with
 ``MicroVM.execute`` patched to the scalar loop kept in
 ``scalar_oracle``, once as shipped.  Every request-log entry, every
-telemetry event and every fault-plane counter must come out equal, so
-the kernel is checked on the states a serving stream actually reaches:
-lazy profiling restores through the host page cache, warm keep-alive
-starts, tiered restores under slow-tier backpressure and an outage,
-and a cluster whose hosts crash while bit rot is scrubbed and repaired.
+telemetry event on the trace and every fault-plane counter must come
+out equal, so the kernel is checked on the states a serving stream
+actually reaches: lazy profiling restores through the host page cache,
+warm keep-alive starts, tiered restores under slow-tier backpressure and
+an outage, and a cluster whose hosts crash while bit rot is scrubbed
+and repaired.
 """
 
 from __future__ import annotations
 
 from repro.cluster import FLEET_SUITE, ClusterConfig, ClusterPlatform
 from repro.cluster.workload import steady_requests
-from repro.core.telemetry import EventKind, TelemetryLog
+from repro.core.telemetry import EventKind
 from repro.core.toss import Phase, TossConfig
 from repro.durability import ScrubConfig
 from repro.faults import FaultInjector, FaultPlan, TierFaultSpec
 from repro.faults.plan import BitRotSpec, HostFaultSpec
+from repro.obs.runtime import observing
 from repro.platform.keepalive import KeepAliveCache
 from repro.platform.server import ServerlessPlatform
 from repro.vm.microvm import MicroVM
 
 from scalar_oracle import scalar_execute
+from telemetry_events import kind_of, milestones
 
 TOSS_CFG = TossConfig(convergence_window=3, min_profiling_invocations=3)
+
+
+def _telemetry(tracer):
+    return [(e.name, e.attrs) for e in milestones(tracer)]
 
 
 def _both_engines(scenario, monkeypatch):
@@ -48,7 +55,6 @@ def _platform_stream():
             )
         )
     )
-    telemetry = TelemetryLog()
     platform = ServerlessPlatform(
         n_cores=4,
         toss_cfg=TOSS_CFG,
@@ -56,19 +62,23 @@ def _platform_stream():
         # restores and warm keep-alive starts interleave.
         keepalive=KeepAliveCache(100.0),
         faults=injector,
-        telemetry=telemetry,
     )
     for function in functions:
         platform.deploy(function)
-    log = platform.serve(
-        [(0.05 * i, functions[i % 3].name, i % 4) for i in range(80)]
+    with observing() as obs:
+        log = platform.serve(
+            [(0.05 * i, functions[i % 3].name, i % 4) for i in range(80)]
+        )
+    return (
+        log,
+        _telemetry(obs.tracer),
+        dict(injector.counters),
+        platform.keepalive.hits,
     )
-    return log, telemetry.events, dict(injector.counters), platform.keepalive.hits
 
 
 def _cluster_stream():
     functions = FLEET_SUITE[:2]
-    telemetry = TelemetryLog()
     cluster = ClusterPlatform(
         ClusterConfig(n_hosts=4, replication_factor=2, cores_per_host=2),
         toss_cfg=TOSS_CFG,
@@ -85,13 +95,13 @@ def _cluster_stream():
             seed=11,
         ),
         scrub=ScrubConfig(interval_s=1.0, ops_per_page=0.25),
-        telemetry=telemetry,
     )
     cluster.deploy_fleet(list(functions))
-    outcomes = cluster.serve(
-        steady_requests(n_requests=100, duration_s=4.0, functions=functions)
-    )
-    return outcomes, telemetry.events, cluster.durability.summary()
+    with observing() as obs:
+        outcomes = cluster.serve(
+            steady_requests(n_requests=100, duration_s=4.0, functions=functions)
+        )
+    return outcomes, _telemetry(obs.tracer), cluster.durability.summary()
 
 
 def test_platform_stream_is_engine_independent(monkeypatch):
@@ -100,7 +110,7 @@ def test_platform_stream_is_engine_independent(monkeypatch):
     # The stream reaches every execute path it is meant to cover.
     phases = {e.phase for e in log}
     assert {Phase.PROFILING, Phase.TIERED} <= phases
-    kinds = {e.kind for e in events}
+    kinds = {kind_of(name) for name, _ in events}
     assert {
         EventKind.TIERED_INVOCATION,
         EventKind.TIER_BACKPRESSURE,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.telemetry import EventKind, TelemetryLog
+from repro.core.telemetry import EventKind
 from repro.core.toss import Phase, TossConfig, TossController
 from repro.faults import (
     FaultInjector,
@@ -15,6 +15,8 @@ from repro.faults import (
     TierFaultSpec,
 )
 
+from telemetry_events import kind_of, milestones, observe_calls
+
 
 def controller(function, plan=None, **cfg_kwargs):
     cfg = TossConfig(
@@ -22,14 +24,12 @@ def controller(function, plan=None, **cfg_kwargs):
         min_profiling_invocations=cfg_kwargs.pop("min_profiling_invocations", 3),
         **cfg_kwargs,
     )
-    telemetry = TelemetryLog()
     ctl = TossController(
         function,
         cfg=cfg,
-        telemetry=telemetry,
         faults=FaultInjector(plan) if plan is not None else None,
     )
-    return ctl, telemetry
+    return ctl, observe_calls(ctl, "invoke")
 
 
 def drive_to_tiered(ctl, input_index=3, max_invocations=60):
@@ -45,7 +45,7 @@ def drive_to_tiered(ctl, input_index=3, max_invocations=60):
 class TestCorruptionDegradation:
     def test_corruption_falls_back_and_degrades_immediately(self, tiny_function):
         plan = FaultPlan(snapshot=SnapshotFaultSpec(corruption_rate=1.0))
-        ctl, telemetry = controller(tiny_function, plan)
+        ctl, tracer = controller(tiny_function, plan)
         drive_to_tiered(ctl)
         out = ctl.invoke(3)
         # Served via the lazy fallback: all-DRAM, one absorbed failure.
@@ -59,19 +59,19 @@ class TestCorruptionDegradation:
         assert ctl.phase is Phase.PROFILING
         assert ctl.tiered_snapshot is None
         assert ctl.restore_failures == 1
-        fallbacks = telemetry.of_kind(EventKind.FALLBACK_RESTORE)
+        fallbacks = milestones(tracer, kind=EventKind.FALLBACK_RESTORE)
         assert len(fallbacks) == 1
-        assert fallbacks[0].detail["error"] == "SnapshotCorruptionError"
-        degradations = telemetry.of_kind(EventKind.PHASE_DEGRADED)
+        assert fallbacks[0].attrs["error"] == "SnapshotCorruptionError"
+        degradations = milestones(tracer, kind=EventKind.PHASE_DEGRADED)
         assert len(degradations) == 1
-        assert degradations[0].detail["transition"] == "tiered->profiling"
-        assert degradations[0].detail["reason"] == "snapshot-corruption"
+        assert degradations[0].attrs["transition"] == "tiered->profiling"
+        assert degradations[0].attrs["reason"] == "snapshot-corruption"
         # The fallback source (single-tier file) survived the corruption.
         ctl.single_snapshot.verify()
 
     def test_degraded_function_regrows_a_tiered_snapshot(self, tiny_function):
         plan = FaultPlan(snapshot=SnapshotFaultSpec(corruption_rate=1.0))
-        ctl, telemetry = controller(tiny_function, plan)
+        ctl, tracer = controller(tiny_function, plan)
         drive_to_tiered(ctl)
         ctl.invoke(3)  # corruption -> back to profiling
         assert ctl.phase is Phase.PROFILING
@@ -87,7 +87,7 @@ class TestCorruptionDegradation:
 class TestTransientFailureDegradation:
     def test_degrades_after_consecutive_failures(self, tiny_function):
         plan = FaultPlan(tier=TierFaultSpec(outage_windows=((0.0, 9e9),)))
-        ctl, telemetry = controller(
+        ctl, tracer = controller(
             tiny_function, plan, degrade_after_failures=2
         )
         drive_to_tiered(ctl)
@@ -98,17 +98,17 @@ class TestTransientFailureDegradation:
         assert second.failures == 1
         assert ctl.phase is Phase.PROFILING
         assert ctl.tiered_snapshot is None
-        degradations = telemetry.of_kind(EventKind.PHASE_DEGRADED)
+        degradations = milestones(tracer, kind=EventKind.PHASE_DEGRADED)
         assert len(degradations) == 1
-        assert degradations[0].detail["reason"] == "repeated-failures"
-        assert degradations[0].detail["failures"] == 2
+        assert degradations[0].attrs["reason"] == "repeated-failures"
+        assert degradations[0].attrs["failures"] == 2
         assert ctl.restore_failures == 2
 
     def test_success_resets_the_consecutive_counter(self, tiny_function):
         # Outage for t in [0, 10); the controller's injector clock is
         # advanced manually the way the platform would.
         plan = FaultPlan(tier=TierFaultSpec(outage_windows=((0.0, 10.0),)))
-        ctl, telemetry = controller(
+        ctl, tracer = controller(
             tiny_function, plan, degrade_after_failures=2
         )
         drive_to_tiered(ctl)
@@ -117,7 +117,7 @@ class TestTransientFailureDegradation:
         ctl.faults.advance_to(15.0)
         assert ctl.invoke(3).failures == 0  # outage over: clean restore
         assert ctl.phase is Phase.TIERED
-        assert telemetry.of_kind(EventKind.PHASE_DEGRADED) == []
+        assert milestones(tracer, kind=EventKind.PHASE_DEGRADED) == []
 
 
 class TestRetriesAndBackpressure:
@@ -125,7 +125,7 @@ class TestRetriesAndBackpressure:
         plan = FaultPlan(
             ssd=StorageFaultSpec(read_error_rate=0.9, retry_success_rate=1.0)
         )
-        ctl, telemetry = controller(tiny_function, plan)
+        ctl, tracer = controller(tiny_function, plan)
         drive_to_tiered(ctl)
         out = ctl.invoke(3)
         assert out.retries > 0
@@ -133,9 +133,9 @@ class TestRetriesAndBackpressure:
         assert not out.degraded  # recovered in place, still tiered-served
         assert out.slow_fraction == ctl.slow_fraction > 0.0
         assert ctl.phase is Phase.TIERED
-        retried = telemetry.of_kind(EventKind.RESTORE_RETRIED)
+        retried = milestones(tracer, kind=EventKind.RESTORE_RETRIED)
         assert len(retried) == 1
-        assert retried[0].detail["retries"] == out.retries
+        assert retried[0].attrs["retries"] == out.retries
 
     def test_backpressure_slows_execution_and_marks_degraded(self, tiny_function):
         # The window opens only after profiling has converged (the
@@ -144,7 +144,7 @@ class TestRetriesAndBackpressure:
         plan = FaultPlan(
             tier=TierFaultSpec(backpressure_windows=((100.0, 9e9, 8.0),))
         )
-        faulted, telemetry = controller(tiny_function, plan)
+        faulted, tracer = controller(tiny_function, plan)
         clean, _ = controller(tiny_function)
         drive_to_tiered(faulted)
         drive_to_tiered(clean)
@@ -156,15 +156,15 @@ class TestRetriesAndBackpressure:
         assert out_f.slow_fraction == out_c.slow_fraction > 0.0
         # Slow-tier accesses pay the multiplied latency end to end.
         assert out_f.exec_time_s > out_c.exec_time_s
-        events = telemetry.of_kind(EventKind.TIER_BACKPRESSURE)
+        events = milestones(tracer, kind=EventKind.TIER_BACKPRESSURE)
         assert len(events) == 1
-        assert events[0].detail["multiplier"] == 8.0
+        assert events[0].attrs["multiplier"] == 8.0
 
 
 class TestProfilerSampleLoss:
     def test_sample_loss_extends_profiling(self, tiny_function):
         plan = FaultPlan(profiler=ProfilerFaultSpec(sample_loss_rate=1.0))
-        ctl, telemetry = controller(tiny_function, plan)
+        ctl, tracer = controller(tiny_function, plan)
         for _ in range(10):
             ctl.invoke(3)
         # Every DAMON file was lost: the pattern never folds anything in,
@@ -173,12 +173,12 @@ class TestProfilerSampleLoss:
         assert ctl.pattern.stable_invocations == 0
         extended = [
             e
-            for e in telemetry.of_kind(EventKind.PHASE_DEGRADED)
-            if e.detail["transition"] == "profiling-extended"
+            for e in milestones(tracer, kind=EventKind.PHASE_DEGRADED)
+            if e.attrs["transition"] == "profiling-extended"
         ]
         assert len(extended) == 9  # every profiling invocation after initial
         assert all(
-            e.detail["reason"] == "profiler-sample-loss" for e in extended
+            e.attrs["reason"] == "profiler-sample-loss" for e in extended
         )
         # Loss clears: profiling completes from where it left off.
         ctl.faults = FaultInjector()
@@ -198,7 +198,7 @@ class TestProfilerSampleLoss:
 
 class TestZeroPlanController:
     def test_zero_injector_is_invisible(self, tiny_function):
-        faulted, telemetry = controller(
+        faulted, tracer = controller(
             tiny_function, FaultPlan()
         )
         clean, _ = controller(tiny_function)
@@ -207,7 +207,7 @@ class TestZeroPlanController:
             out_c = clean.invoke(3)
             assert out_f == out_c
         assert faulted.phase is clean.phase
-        kinds = {e.kind for e in telemetry.events}
+        kinds = {kind_of(e.name) for e in milestones(tracer)}
         assert EventKind.PHASE_DEGRADED not in kinds
         assert EventKind.FALLBACK_RESTORE not in kinds
 

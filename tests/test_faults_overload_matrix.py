@@ -21,7 +21,6 @@ from repro.cluster import (
     FLEET_SUITE,
     steady_requests,
 )
-from repro.core.telemetry import EventKind, TelemetryLog
 from repro.core.toss import TossConfig
 from repro.faults.plan import FaultPlan, HostFaultSpec, TierFaultSpec
 from repro.platform.overload import HealthState, OverloadConfig
@@ -43,7 +42,6 @@ TIGHT_OVERLOAD = OverloadConfig(
 
 
 def run_matrix_cell(plan, *, cores_per_host=2, n_requests=240):
-    telemetry = TelemetryLog()
     cluster = ClusterPlatform(
         ClusterConfig(
             n_hosts=4, replication_factor=2, cores_per_host=cores_per_host
@@ -51,13 +49,12 @@ def run_matrix_cell(plan, *, cores_per_host=2, n_requests=240):
         toss_cfg=SMALL_TOSS,
         plan=plan,
         overload=TIGHT_OVERLOAD,
-        telemetry=telemetry,
     )
     cluster.deploy_fleet(list(FLEET_SUITE))
     outcomes = cluster.serve(
         steady_requests(n_requests=n_requests, duration_s=8.0)
     )
-    return cluster, telemetry, outcomes
+    return cluster, outcomes
 
 
 def assert_fully_accounted(cluster, outcomes, n_requests):
@@ -74,7 +71,7 @@ class TestChaosMatrix:
         plan = FaultPlan(
             hosts=(HostFaultSpec(host=0, crash_windows=((2.0, 6.0),)),)
         )
-        cluster, telemetry, outcomes = run_matrix_cell(plan)
+        cluster, outcomes = run_matrix_cell(plan)
         assert cluster.availability() >= AVAILABILITY_FLOOR
         assert_fully_accounted(cluster, outcomes, 240)
         # The fleet ladder reacted to the lost host (one rung) and
@@ -91,11 +88,15 @@ class TestChaosMatrix:
             hosts=(HostFaultSpec(host=0, crash_windows=((2.0, 6.0),)),),
             tier=TierFaultSpec(outage_windows=((2.5, 4.0),)),
         )
-        cluster, telemetry, outcomes = run_matrix_cell(plan)
+        cluster, outcomes = run_matrix_cell(plan)
         assert cluster.availability() >= AVAILABILITY_FLOOR
         assert_fully_accounted(cluster, outcomes, 240)
         # Host-level ladders observed the outage failures.
-        host_moves = telemetry.of_kind(EventKind.HEALTH_TRANSITION)
+        host_moves = [
+            move
+            for host in cluster.hosts
+            for move in host.platform.overload.ladder.transitions
+        ]
         assert host_moves, "no host degradation-ladder transitions"
         # Fleet ladder moved on the crashed host.
         assert cluster.fleet_ladder.transitions
@@ -108,7 +109,7 @@ class TestChaosMatrix:
                 HostFaultSpec(host=1, partition_windows=((4.5, 6.0),)),
             )
         )
-        cluster, telemetry, outcomes = run_matrix_cell(plan)
+        cluster, outcomes = run_matrix_cell(plan)
         assert cluster.total_kills() == 0
         assert cluster.availability() >= AVAILABILITY_FLOOR
         assert_fully_accounted(cluster, outcomes, 240)
@@ -120,7 +121,6 @@ class TestChaosMatrix:
         plan = FaultPlan(
             hosts=(HostFaultSpec(host=0, crash_windows=((2.0, 6.0),)),)
         )
-        telemetry = TelemetryLog()
         cluster = ClusterPlatform(
             ClusterConfig(
                 n_hosts=4,
@@ -131,7 +131,6 @@ class TestChaosMatrix:
             toss_cfg=SMALL_TOSS,
             plan=plan,
             overload=TIGHT_OVERLOAD,
-            telemetry=telemetry,
         )
         cluster.deploy_fleet(list(FLEET_SUITE))
         outcomes = cluster.serve(

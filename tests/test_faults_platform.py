@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.telemetry import EventKind, TelemetryLog
+from repro.core.telemetry import EventKind
 from repro.core.toss import Phase, TossConfig
 from repro.errors import FaultInjected
 from repro.faults import (
@@ -21,19 +21,19 @@ from repro.faults import (
 )
 from repro.platform.server import ServerlessPlatform
 
+from telemetry_events import milestones, observe_calls
+
 
 def chaos_platform(plan, **kwargs):
-    telemetry = TelemetryLog()
     platform = ServerlessPlatform(
         n_cores=kwargs.pop("n_cores", 4),
         toss_cfg=TossConfig(
             convergence_window=3, min_profiling_invocations=3
         ),
         faults=FaultInjector(plan) if plan is not None else None,
-        telemetry=telemetry,
         **kwargs,
     )
-    return platform, telemetry
+    return platform, observe_calls(platform, "serve")
 
 
 class TestChaosSweep:
@@ -45,7 +45,7 @@ class TestChaosSweep:
             ssd=StorageFaultSpec(read_error_rate=error_rate),
             tier=TierFaultSpec(outage_windows=((1.0, 2.0),)),
         )
-        platform, telemetry = chaos_platform(plan)
+        platform, tracer = chaos_platform(plan)
         platform.deploy(tiny_function)
         requests = [(0.05 * i, "tiny", 3) for i in range(60)]
         log = platform.serve(requests)
@@ -62,12 +62,12 @@ class TestChaosSweep:
         # Telemetry agrees with the request log, event for event.
         absorbed = [
             e
-            for e in telemetry.of_kind(EventKind.FALLBACK_RESTORE)
-            if not e.detail.get("unserved")
+            for e in milestones(tracer, kind=EventKind.FALLBACK_RESTORE)
+            if not e.attrs.get("unserved")
         ]
         assert len(absorbed) == platform.total_failures()
-        retried = telemetry.of_kind(EventKind.RESTORE_RETRIED)
-        assert sum(e.detail["retries"] for e in retried) == (
+        retried = milestones(tracer, kind=EventKind.RESTORE_RETRIED)
+        assert sum(e.attrs["retries"] for e in retried) == (
             platform.total_retries()
         )
 
@@ -94,15 +94,15 @@ class TestChaosSweep:
 
     def test_outage_degrades_then_recovers_to_tiered(self, tiny_function):
         plan = FaultPlan(tier=TierFaultSpec(outage_windows=((1.0, 2.0),)))
-        platform, telemetry = chaos_platform(plan)
+        platform, tracer = chaos_platform(plan)
         platform.deploy(tiny_function)
         log = platform.serve([(0.05 * i, "tiny", 3) for i in range(80)])
         assert platform.availability() == 1.0
         # Repeated outage failures push the function back to profiling...
         degradations = [
             e
-            for e in telemetry.of_kind(EventKind.PHASE_DEGRADED)
-            if e.detail.get("transition") == "tiered->profiling"
+            for e in milestones(tracer, kind=EventKind.PHASE_DEGRADED)
+            if e.attrs.get("transition") == "tiered->profiling"
         ]
         assert degradations, "outage never forced a degradation"
         # ... and after the window closes it converges back to tiered.
@@ -128,7 +128,7 @@ class TestUnrecoverableFault:
     def test_platform_survives_an_unserved_request(
         self, tiny_function, monkeypatch
     ):
-        platform, telemetry = chaos_platform(FaultPlan())
+        platform, tracer = chaos_platform(FaultPlan())
         platform.deploy(tiny_function)
         platform.serve([(0.05 * i, "tiny", 3) for i in range(10)])
 
@@ -152,8 +152,8 @@ class TestUnrecoverableFault:
         assert platform.availability() == pytest.approx(14 / 15)
         unserved = [
             e
-            for e in telemetry.of_kind(EventKind.FALLBACK_RESTORE)
-            if e.detail.get("unserved")
+            for e in milestones(tracer, kind=EventKind.FALLBACK_RESTORE)
+            if e.attrs.get("unserved")
         ]
         assert len(unserved) == 1
 

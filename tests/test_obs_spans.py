@@ -32,15 +32,6 @@ class TestTracerTime:
         span = tracer.record("b", 1.0)
         assert span.start_s == 2.0
 
-    def test_clock_anchors_forward_only(self):
-        now = {"t": 3.0}
-        tracer = Tracer(clock=lambda: now["t"])
-        assert tracer.now() == 3.0
-        tracer.record("a", 10.0)  # cursor moves to 13.0
-        assert tracer.now() == 13.0  # max(cursor, clock)
-        now["t"] = 20.0
-        assert tracer.now() == 20.0
-
     def test_negative_duration_rejected(self):
         with pytest.raises(ConfigError):
             Tracer().record("a", -0.1)

@@ -34,7 +34,14 @@ from repro.core.tiering import search_tier_placement
 from repro.errors import ProfilingError
 from repro.experiments import tco_frontier
 from repro.experiments.common import toss_cached
-from repro.memsim.bandwidth import RESOURCES, ContentionModel, TierDemand
+from repro.memsim.bandwidth import (
+    DAMPING,
+    MAX_ITERATIONS,
+    RESOURCES,
+    TOLERANCE,
+    ContentionModel,
+    TierDemand,
+)
 from repro.memsim.compressed import compressed_memory_system
 from repro.memsim.presets import CXL_DDR4_SPEC, NVME_AS_MEMORY_SPEC
 from repro.memsim.storage import OPTANE_SSD_SPEC
@@ -140,7 +147,7 @@ class ReferenceContentionModel(ContentionModel):
         times = [max(d.nominal_time_s, 1e-12) for d in demands]
         inflation = {r: 1.0 for r in RESOURCES}
         works = [d._stalls_and_work() for d in demands]
-        for _ in range(self.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             rates = {r: 0.0 for r in RESOURCES}
             for work, t in zip(works, times):
                 for r in RESOURCES:
@@ -151,8 +158,8 @@ class ReferenceContentionModel(ContentionModel):
             }
             inflation = {
                 r: math.exp(
-                    (1.0 - self.damping) * math.log(inflation[r])
-                    + self.damping * math.log(new_inflation[r])
+                    (1.0 - DAMPING) * math.log(inflation[r])
+                    + DAMPING * math.log(new_inflation[r])
                 )
                 for r in RESOURCES
             }
@@ -166,7 +173,7 @@ class ReferenceContentionModel(ContentionModel):
                 abs(a - b) / max(a, 1e-12) for a, b in zip(times, new_times)
             )
             times = new_times
-            if delta <= self.tolerance:
+            if delta <= TOLERANCE:
                 break
         return times, inflation
 
@@ -218,8 +225,8 @@ def random_demand(rng: np.random.Generator) -> TierDemand:
     )
 
 
-def model(**kwargs) -> ContentionModel:
-    return ContentionModel(DEFAULT_MEMORY_SYSTEM, OPTANE_SSD_SPEC, **kwargs)
+def model() -> ContentionModel:
+    return ContentionModel(DEFAULT_MEMORY_SYSTEM, OPTANE_SSD_SPEC)
 
 
 # -- DAMON ---------------------------------------------------------------------

@@ -51,6 +51,11 @@ class TestScheduler:
         with pytest.raises(SchedulerError):
             sched.run_concurrent(dram, 3, 0)
 
+    @pytest.mark.parametrize("n_cores", [2.5, float("nan"), True])
+    def test_non_integer_core_count_rejected(self, n_cores):
+        with pytest.raises(SchedulerError, match="n_cores must be an integer"):
+            Scheduler(n_cores=n_cores)
+
     def test_result_shape(self, tiny_function):
         sched = Scheduler()
         result = sched.run_concurrent(DramBaseline(tiny_function), 2, 5)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.telemetry import EventKind, TelemetryLog
+from repro.core.telemetry import EventKind
 from repro.core.toss import Phase, TossConfig, TossController
 from repro.errors import (
     ConfigError,
@@ -41,20 +41,20 @@ from repro.platform.overload import (
 )
 from repro.platform.server import ServerlessPlatform
 
+from telemetry_events import milestones, observe_calls
+
 SMALL_TOSS = TossConfig(convergence_window=3, min_profiling_invocations=3)
 
 
 def make_platform(overload=None, *, n_cores=2, faults=None, **kwargs):
-    telemetry = TelemetryLog()
     platform = ServerlessPlatform(
         n_cores=n_cores,
         toss_cfg=SMALL_TOSS,
         faults=faults,
-        telemetry=telemetry,
         overload=overload,
         **kwargs,
     )
-    return platform, telemetry
+    return platform, observe_calls(platform, "serve")
 
 
 class TestOverloadConfig:
@@ -322,7 +322,7 @@ class TestDegradationLadderUnit:
 
 class TestBoundedAdmission:
     def test_queue_depth_limit_sheds_batch_only(self, tiny_function):
-        platform, telemetry = make_platform(
+        platform, tracer = make_platform(
             OverloadConfig(max_queue_depth=2), n_cores=1
         )
         platform.deploy(tiny_function)
@@ -338,9 +338,9 @@ class TestBoundedAdmission:
         forced = [e for e in log if e.request_class == "latency" and e.degraded]
         assert forced
         # Every shed decision reaches telemetry.
-        events = telemetry.of_kind(EventKind.REQUEST_SHED)
+        events = milestones(tracer, kind=EventKind.REQUEST_SHED)
         assert len(events) == len(shed)
-        assert all(e.detail["reason"] == "queue-depth" for e in events)
+        assert all(e.attrs["reason"] == "queue-depth" for e in events)
         # Sheds do not count against availability, but are reported.
         assert platform.availability() == 1.0
         assert platform.total_shed() == len(shed)
@@ -402,10 +402,8 @@ class TestDeadlines:
         assert all(not e.shed for e in log if e.request_class == "latency")
 
     def test_tiered_restore_aborted_when_budget_blown(self, tiny_function):
-        telemetry = TelemetryLog()
-        ctl = TossController(
-            tiny_function, cfg=SMALL_TOSS, telemetry=telemetry
-        )
+        ctl = TossController(tiny_function, cfg=SMALL_TOSS)
+        tracer = observe_calls(ctl, "invoke")
         for i in range(10):
             if ctl.phase is Phase.TIERED:
                 break
@@ -415,9 +413,9 @@ class TestDeadlines:
         assert outcome.aborted
         assert outcome.degraded
         assert outcome.slow_fraction == 0.0
-        events = telemetry.of_kind(EventKind.DEADLINE_ABORTED)
+        events = milestones(tracer, kind=EventKind.DEADLINE_ABORTED)
         assert len(events) == 1
-        assert events[0].detail["budget_s"] == 0.0
+        assert events[0].attrs["budget_s"] == 0.0
         # The abort cost is capped at the budget: with budget 0 the
         # setup reduces to the fallback lazy restore alone.
         assert outcome.setup_time_s > 0.0
@@ -445,7 +443,7 @@ class TestDeadlines:
 class TestCircuitBreakerIntegration:
     def test_outage_trips_and_recovers_breaker(self, tiny_function):
         plan = FaultPlan(tier=TierFaultSpec(outage_windows=((2.0, 4.0),)))
-        platform, telemetry = make_platform(
+        platform, tracer = make_platform(
             OverloadConfig(breaker_failures=2, breaker_cooldown_s=1.0),
             faults=FaultInjector(plan),
         )
@@ -457,8 +455,8 @@ class TestCircuitBreakerIntegration:
         assert breaker.state is BreakerState.CLOSED
         # Every state of the cycle appears in telemetry.
         seen = {
-            (e.detail["from_state"], e.detail["to_state"])
-            for e in telemetry.of_kind(EventKind.BREAKER_TRANSITION)
+            (e.attrs["from_state"], e.attrs["to_state"])
+            for e in milestones(tracer, kind=EventKind.BREAKER_TRANSITION)
         }
         assert ("closed", "open") in seen
         assert ("open", "half-open") in seen
@@ -508,7 +506,7 @@ class TestCircuitBreakerIntegration:
         polled past.
         """
         plan = FaultPlan(tier=TierFaultSpec(outage_windows=((2.0, 4.5),)))
-        platform, telemetry = make_platform(
+        platform, tracer = make_platform(
             OverloadConfig(breaker_failures=2, breaker_cooldown_s=3.0),
             n_cores=4,
             faults=FaultInjector(plan),
@@ -539,8 +537,8 @@ class TestCircuitBreakerIntegration:
         late = [e for e in log if e.arrival_s == 7.5]
         assert late and not late[0].degraded
         seen = {
-            (e.detail["from_state"], e.detail["to_state"])
-            for e in telemetry.of_kind(EventKind.BREAKER_TRANSITION)
+            (e.attrs["from_state"], e.attrs["to_state"])
+            for e in milestones(tracer, kind=EventKind.BREAKER_TRANSITION)
         }
         assert ("half-open", "closed") in seen
         assert platform.availability() == 1.0
@@ -551,14 +549,14 @@ class TestHostCapacityAdmission:
 
     def test_full_host_sheds_instead_of_raising(self, tiny_function):
         # Room for exactly one 128 MB guest: concurrent arrivals collide.
-        platform, telemetry = make_platform(
+        platform, tracer = make_platform(
             None, n_cores=2, capacity=HostCapacity(150.0, 1024.0)
         )
         platform.deploy(tiny_function)
         log = platform.serve([(0.0, "tiny", 0, "batch"), (0.0, "tiny", 1, "batch")])
         assert [e.shed for e in log] == [False, True]
         assert log[1].shed_reason == ShedReason.CAPACITY.value
-        assert telemetry.of_kind(EventKind.REQUEST_SHED)
+        assert milestones(tracer, kind=EventKind.REQUEST_SHED)
         # Works without an overload policy: capacity stands alone.
         assert platform.overload is None
 
@@ -592,7 +590,7 @@ class TestFailedRequestAccounting:
     def test_failed_entry_records_free_at_and_queue_delay(
         self, tiny_function, monkeypatch
     ):
-        platform, telemetry = make_platform(None, n_cores=1)
+        platform, tracer = make_platform(None, n_cores=1)
         platform.deploy(tiny_function)
         platform.serve([(0.0, "tiny", 0)])
         busy_until = platform.log[0].finish_s
@@ -608,16 +606,16 @@ class TestFailedRequestAccounting:
         assert log[0].finish_s == log[0].start_s
         events = [
             e
-            for e in telemetry.of_kind(EventKind.FALLBACK_RESTORE)
-            if e.detail.get("unserved")
+            for e in milestones(tracer, kind=EventKind.FALLBACK_RESTORE)
+            if e.attrs.get("unserved")
         ]
         assert len(events) == 1
         # The entry's telemetry carries the core's true free time (the
         # first call's request still holds the one core: serve state
         # carries across calls) and the wait.
-        assert events[0].detail["free_at_s"] == round(busy_until, 6)
+        assert events[0].attrs["free_at_s"] == round(busy_until, 6)
         assert log[0].start_s == busy_until
-        assert events[0].detail["queue_delay_s"] == round(
+        assert events[0].attrs["queue_delay_s"] == round(
             log[0].start_s - log[0].arrival_s, 6
         )
 
@@ -685,7 +683,7 @@ class TestDegradationScenario:
             delay_alpha=0.3,
         )
         plan = FaultPlan(ssd=StorageFaultSpec(read_error_rate=1e-3))
-        platform, telemetry = make_platform(
+        platform, tracer = make_platform(
             cfg, faults=FaultInjector(plan)
         )
         platform.deploy(tiny_function)
@@ -694,13 +692,13 @@ class TestDegradationScenario:
         burst = [(2.0 + 0.001 * i, "tiny", 0) for i in range(60)]
         recovery = [(12.0 + 0.5 * i, "tiny", 0) for i in range(8)]
         platform.serve(warmup + background + burst + recovery)
-        return platform, telemetry
+        return platform, tracer
 
     def test_full_ladder_cycle_in_telemetry(self, tiny_function):
-        platform, telemetry = self.run_scenario(tiny_function)
+        platform, tracer = self.run_scenario(tiny_function)
         steps = [
-            (e.detail["from_state"], e.detail["to_state"])
-            for e in telemetry.of_kind(EventKind.HEALTH_TRANSITION)
+            (e.attrs["from_state"], e.attrs["to_state"])
+            for e in milestones(tracer, kind=EventKind.HEALTH_TRANSITION)
         ]
         assert ("HEALTHY", "PRESSURED") in steps
         assert ("PRESSURED", "DEGRADED") in steps

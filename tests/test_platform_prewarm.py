@@ -25,12 +25,12 @@ class TestArrivalPredictor:
         assert p.predict_next() == pytest.approx(5.0, abs=1e-9)
 
     def test_ewma_adapts_to_rate_change(self):
-        p = ArrivalPredictor(alpha=0.5)
+        p = ArrivalPredictor()
         for t in (0.0, 1.0, 2.0):
             p.observe(t)
-        for t in (2.1, 2.2, 2.3, 2.4):
+        for t in (2.1, 2.2, 2.3, 2.4, 2.5, 2.6):
             p.observe(t)
-        gap = p.predict_next() - 2.4
+        gap = p.predict_next() - 2.6
         assert gap < 0.3  # converging toward the new 0.1 s cadence
 
     def test_non_monotone_rejected(self):
@@ -38,10 +38,6 @@ class TestArrivalPredictor:
         p.observe(5.0)
         with pytest.raises(SchedulerError):
             p.observe(4.0)
-
-    def test_invalid_alpha(self):
-        with pytest.raises(SchedulerError):
-            ArrivalPredictor(alpha=0.0)
 
 
 class TestPrewarmPolicy:

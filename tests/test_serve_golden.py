@@ -6,16 +6,15 @@ produce is pinned by sha256 in ``fixtures/serve_golden.json``:
 * **host** — one :class:`~repro.platform.server.ServerlessPlatform` with
   the whole overload layer on (admission limits, deadlines, a circuit
   breaker, the degradation ladder), host capacity, pre-warming, a
-  keep-alive cache, an injected tier outage plus SSD read errors,
-  telemetry and an SLO tracker.  It reaches shed, failed, fallback and
-  served entries.
+  keep-alive cache, an injected tier outage plus SSD read errors and
+  an SLO tracker.  It reaches shed, failed, fallback and served entries.
 * **cluster** — a :class:`~repro.cluster.fleet.ClusterPlatform` under an
   overload config whose host 0 crashes mid-stream, observed through a
   :class:`~repro.obs.fleet.FleetAggregator`.
 
 The channels are the request log (every field of every entry, floats
-written exactly), the telemetry events, the Perfetto JSON, the
-Prometheus text and the SLO tracker's ``records_jsonl()``.
+written exactly), the Perfetto JSON (which carries every telemetry
+event), the Prometheus text and the SLO tracker's ``records_jsonl()``.
 
 To re-record after a deliberate behaviour change, run
 ``PYTHONPATH=src python tests/test_serve_golden.py`` and write its
@@ -35,7 +34,6 @@ import pytest
 
 from repro.cluster import FLEET_SUITE, ClusterConfig, ClusterPlatform
 from repro.cluster.workload import steady_requests
-from repro.core.telemetry import TelemetryLog
 from repro.core.toss import TossConfig
 from repro.errors import FaultInjected
 from repro.faults import FaultInjector, FaultPlan, StorageFaultSpec, TierFaultSpec
@@ -121,10 +119,6 @@ def _entry_row(entry):
     return [getattr(entry, name) for name in ENTRY_FIELDS]
 
 
-def _event_row(event):
-    return [event.kind, event.function, event.invocation, event.at_s, event.detail]
-
-
 @contextmanager
 def failing_every(n: int):
     """Fail every ``n``-th invocation of each platform with an injected
@@ -162,14 +156,12 @@ def host_stream() -> dict[str, object]:
             seed=7,
         )
     )
-    telemetry = TelemetryLog()
     platform = ServerlessPlatform(
         n_cores=2,
         toss_cfg=TOSS_CFG,
         keepalive=KeepAliveCache(300.0),
         prewarm=PrewarmPolicy(),
         faults=injector,
-        telemetry=telemetry,
         overload=OverloadConfig(
             max_queue_depth=3,
             max_queue_delay_s=0.04,
@@ -204,7 +196,6 @@ def host_stream() -> dict[str, object]:
     return {
         "channels": {
             "entries": _rows_sha(_entry_row(e) for e in log),
-            "telemetry": _rows_sha(_event_row(e) for e in telemetry.events),
             "perfetto": _sha(perfetto_json(observation.tracer)),
             "prometheus": _sha(prometheus_text(observation.metrics)),
             "slo_records": _sha(tracker.records_jsonl()),
@@ -221,7 +212,6 @@ def host_stream() -> dict[str, object]:
 
 def cluster_stream() -> dict[str, object]:
     """The cluster stream; returns its channels and outcome counts."""
-    telemetry = TelemetryLog()
     cluster = ClusterPlatform(
         ClusterConfig(n_hosts=3, replication_factor=2, cores_per_host=2),
         toss_cfg=TOSS_CFG,
@@ -238,7 +228,6 @@ def cluster_stream() -> dict[str, object]:
             degraded_delay_s=0.01,
             shedding_delay_s=0.03,
         ),
-        telemetry=telemetry,
     )
     cluster.deploy_fleet(list(FLEET_SUITE))
     tracker = SloTracker(SLO_CFG)
@@ -273,7 +262,6 @@ def cluster_stream() -> dict[str, object]:
     return {
         "channels": {
             "entries": _rows_sha(outcome_rows),
-            "telemetry": _rows_sha(_event_row(e) for e in telemetry.events),
             "perfetto": _sha("\n".join(perfetto)),
             "prometheus": _sha(prometheus_text(registry)),
             "slo_records": _sha(tracker.records_jsonl()),
@@ -314,7 +302,7 @@ def test_stream_reaches_every_settle_kind(stream, golden, runs):
     [
         (stream, channel)
         for stream in sorted(STREAMS)
-        for channel in ("entries", "telemetry", "perfetto", "prometheus", "slo_records")
+        for channel in ("entries", "perfetto", "prometheus", "slo_records")
     ],
 )
 def test_channel_digest_matches_golden(stream, channel, golden, runs):
