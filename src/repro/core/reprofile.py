@@ -16,17 +16,20 @@ profiling (LRI), weighted by the full-slow-tier slowdown.
 from __future__ import annotations
 
 from .. import config
+from ..domains import RealDomain, check_value
 from ..errors import AnalysisError
 
 __all__ = ["ReprofilePolicy"]
+
+REPROFILE_BOUND = RealDomain(0.0)
+"""Equation 4's per-iteration overhead bound: a finite real > 0."""
 
 
 class ReprofilePolicy:
     """Tracks Equations 2-4 for one function's tiered snapshot."""
 
     def __init__(self, *, bound: float = config.REPROFILE_OVERHEAD_BOUND) -> None:
-        if bound <= 0:
-            raise AnalysisError("re-profiling bound must be positive")
+        check_value(REPROFILE_BOUND, bound, "re-profiling bound", AnalysisError)
         self.bound = bound
         self.profiling_overhead = 0.0
         self.accelerating_factor = 0.0

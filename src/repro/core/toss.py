@@ -34,7 +34,7 @@ from ..vm.restore import lazy_restore, recovering_restore
 from ..vm.snapshot import SingleTierSnapshot, TieredSnapshot
 from ..vm.vmm import VMM
 from .analysis import SLOWDOWN_THRESHOLD, AnalysisResult, ProfilingAnalyzer
-from .reprofile import ReprofilePolicy
+from .reprofile import REPROFILE_BOUND, ReprofilePolicy
 from .telemetry import EventKind
 from .tiering import build_tiered_snapshot
 
@@ -56,7 +56,9 @@ class TossConfig:
     convergence_window: int = domains.count(config.CONVERGENCE_WINDOW, least=1)
     n_bins: int = domains.count(config.NUM_BINS, least=1)
     slowdown_threshold: float | None = domains.declare(SLOWDOWN_THRESHOLD, None)
-    reprofile_bound: float = domains.real(config.REPROFILE_OVERHEAD_BOUND, gt=0.0)
+    reprofile_bound: float = domains.declare(
+        REPROFILE_BOUND, config.REPROFILE_OVERHEAD_BOUND
+    )
     min_profiling_invocations: int = domains.count(3, least=2)
     """Two at least: the first profiling invocation warms DAMON up."""
     damon: DamonConfig = field(default_factory=DamonConfig)

@@ -138,8 +138,7 @@ class DamonProfiler:
         *,
         rng: np.random.Generator | None = None,
     ) -> None:
-        if n_pages <= 0:
-            raise ProfilingError("guest must have at least one page")
+        domains.check_value(domains.CountDomain(1), n_pages, "n_pages", ProfilingError)
         self.n_pages = int(n_pages)
         self.cfg = cfg
         self.rng = rng if rng is not None else np.random.default_rng(config.DEFAULT_SEED)

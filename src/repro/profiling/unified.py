@@ -1,7 +1,8 @@
 """TOSS's unified access-pattern file (Section V-B).
 
 The profiling phase merges every invocation's DAMON file into one unified
-pattern.  Two per-page aggregates are kept:
+pattern.  Two aggregates are kept, one value per *segment* of the union
+of every DAMON region boundary folded in so far:
 
 * the **cumulative maximum** observed value drives the *convergence* test:
   it is monotone, so once the biggest input's pattern has been covered the
@@ -14,6 +15,18 @@ pattern.  Two per-page aggregates are kept:
   coarse-region smear from DAMON's early, unadapted windows decays as
   ``1/N`` instead of sticking forever, so truly cold pages converge back
   to the zero class.
+
+A DAMON file gives every page of one of its regions the same value, so
+every page of a segment has seen the same value in every file: the same
+maximum, sum and observation count.  Each per-page quantity the pattern
+derives is an elementwise function of those, so the per-segment result is
+every page's result bit for bit.  Nothing page-long outlives a call: the
+queries compute per segment and expand to pages (``np.repeat``) only for
+what they return or reduce, so every float reduction (a region's mean
+value) runs over the same page array as a per-page pattern's.  A
+DAMON file has at most ``max_nr_regions`` regions, so a pattern that has
+folded in ``N`` files has at most ``N * max_nr_regions`` segments, and
+never more than the guest has pages.
 """
 
 from __future__ import annotations
@@ -21,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import config
+from ..domains import CountDomain, check_value
 from ..errors import ProfilingError
 from ..regions import Region, merge_adjacent, regions_from_values
 from .damon import DamonSnapshot
@@ -47,15 +61,18 @@ class UnifiedAccessPattern:
         *,
         convergence_window: int = config.CONVERGENCE_WINDOW,
     ) -> None:
-        if n_pages <= 0:
-            raise ProfilingError("guest must have at least one page")
-        if convergence_window < 1:
-            raise ProfilingError("convergence window must be >= 1")
+        check_value(CountDomain(1), n_pages, "n_pages", ProfilingError)
+        check_value(
+            CountDomain(1), convergence_window, "convergence_window", ProfilingError
+        )
         self.n_pages = int(n_pages)
         self.convergence_window = int(convergence_window)
-        self.page_max = np.zeros(self.n_pages, dtype=np.float64)
-        self.page_sum = np.zeros(self.n_pages, dtype=np.float64)
-        self.page_hits = np.zeros(self.n_pages, dtype=np.int64)
+        # Segment i is pages _bounds[i].._bounds[i + 1]; the per-segment
+        # arrays below hold the same value for each of its pages.
+        self._bounds = np.array([0, self.n_pages], dtype=np.int64)
+        self._max = np.zeros(1, dtype=np.float64)
+        self._sum = np.zeros(1, dtype=np.float64)
+        self._hits = np.zeros(1, dtype=np.int64)
         self.invocations = 0
         self._stable_count = 0
         self._signature: np.ndarray | None = None
@@ -73,19 +90,35 @@ class UnifiedAccessPattern:
                 f"DAMON file covers {snapshot.n_pages} pages, pattern has "
                 f"{self.n_pages}"
             )
-        values = snapshot.page_values()
-        np.maximum(self.page_max, values, out=self.page_max)
-        self.page_sum += values
-        self.page_hits += values >= NOISE_FLOOR
+        at = np.searchsorted(self._bounds, snapshot.bounds)
+        fresh = self._bounds[at] != snapshot.bounds
+        if fresh.any():
+            # Split segments at the file's new boundaries: each piece
+            # inherits the history of the segment it was cut from.
+            at = at[fresh]
+            pieces = np.bincount(at - 1, minlength=self._bounds.size - 1) + 1
+            parent = np.repeat(np.arange(pieces.size), pieces)
+            self._max = self._max[parent]
+            self._sum = self._sum[parent]
+            self._hits = self._hits[parent]
+            if self._signature is not None:
+                self._signature = self._signature[parent]
+            self._bounds = np.insert(self._bounds, at, snapshot.bounds[fresh])
+        # Each of the file's regions now spans whole segments.
+        edges = np.searchsorted(self._bounds, snapshot.bounds)
+        values = np.repeat(snapshot.means, np.diff(edges))
+        np.maximum(self._max, values, out=self._max)
+        self._sum += values
+        self._hits += values >= NOISE_FLOOR
         self.invocations += 1
-        signature = self._quantise_monotone(self.page_max)
+        signature = self._quantise_monotone(self._max)
         if self._signature is None:
             changed = True
         else:
             # "Unchanged" tolerates a sliver of churn: allocation jitter
             # keeps a few boundary pages hopping buckets forever, which is
             # noise, not new access-pattern information.
-            churn = int(np.count_nonzero(signature != self._signature))
+            churn = int(np.diff(self._bounds)[signature != self._signature].sum())
             changed = churn > STABILITY_TOLERANCE * self.n_pages
         if changed:
             self._stable_count = 0
@@ -139,20 +172,23 @@ class UnifiedAccessPattern:
         — e.g. the jitter margin of a hot band — reads hot rather than
         diluted, and correctly stays in DRAM.
         """
+        return np.repeat(self._segment_values(), np.diff(self._bounds))
+
+    def _segment_values(self) -> np.ndarray:
+        """:meth:`page_values` per segment."""
         if self.invocations == 0:
             raise ProfilingError("no DAMON files folded in yet")
-        presence = self.page_hits / self.invocations
+        presence = self._hits / self.invocations
         with np.errstate(invalid="ignore"):
-            conditional = self.page_sum / np.maximum(self.page_hits, 1)
+            conditional = self._sum / np.maximum(self._hits, 1)
         values = np.where(presence >= PRESENCE_THRESHOLD, conditional, 0.0)
         values[values < NOISE_FLOOR] = 0.0
         return values
 
     def observed_mask(self) -> np.ndarray:
         """Pages classified as accessed (non-zero quantised mean)."""
-        if self.invocations == 0:
-            raise ProfilingError("no DAMON files folded in yet")
-        return self._quantise_round(self.page_values()) > 0
+        observed = self._quantise_round(self._segment_values()) > 0
+        return np.repeat(observed, np.diff(self._bounds))
 
     def zero_fraction(self) -> float:
         """Fraction of guest pages classified as never accessed."""
@@ -173,8 +209,10 @@ class UnifiedAccessPattern:
         absorbs slivers below DAMON's minimum region size into the
         neighbour they resemble most.
         """
-        values = self.page_values()
-        signature = self._quantise_round(values)
+        segment_values = self._segment_values()
+        lengths = np.diff(self._bounds)
+        values = np.repeat(segment_values, lengths)
+        signature = np.repeat(self._quantise_round(segment_values), lengths)
         raw = []
         for region in regions_from_values(signature):
             window = values[region.start_page : region.end_page]

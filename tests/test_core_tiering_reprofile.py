@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from repro.core.reprofile import ReprofilePolicy
+from repro.core.reprofile import REPROFILE_BOUND, ReprofilePolicy
 from repro.core.tiering import build_tiered_snapshot
 from repro.core.analysis import ProfilingAnalyzer
 from repro.errors import AnalysisError, SnapshotError
@@ -96,6 +99,17 @@ class TestReprofilePolicy:
         self.arm(p)
         assert p.iterations == 0
         assert p.accelerating_factor == 0.0
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, True])
+    def test_out_of_domain_bound_rejected(self, bound):
+        with pytest.raises(AnalysisError, match="re-profiling bound must be a finite real"):
+            ReprofilePolicy(bound=bound)
+
+    def test_bound_domain_is_the_config_field_domain(self):
+        from repro.core.toss import TossConfig
+
+        field = next(f for f in dataclasses.fields(TossConfig) if f.name == "reprofile_bound")
+        assert field.metadata["domain"] is REPROFILE_BOUND
 
     def test_invalid_inputs(self):
         with pytest.raises(AnalysisError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -56,6 +57,11 @@ class TestConfig:
     def test_invalid_merge_threshold(self, bad):
         with pytest.raises(ProfilingError, match="DamonConfig.merge_threshold"):
             DamonConfig(merge_threshold=bad)
+
+    @pytest.mark.parametrize("value", [2.5, True, math.nan, math.inf])
+    def test_non_integer_page_count_rejected(self, value):
+        with pytest.raises(ProfilingError, match="n_pages must be an integer"):
+            DamonProfiler(value)
 
 
 class TestRegionInvariants:

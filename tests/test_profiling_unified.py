@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,10 @@ from hypothesis import strategies as st
 
 from repro.errors import ProfilingError
 from repro.profiling.damon import DamonSnapshot
-from repro.profiling.unified import UnifiedAccessPattern, _absorb_slivers
+from repro.profiling.unified import NOISE_FLOOR, UnifiedAccessPattern, _absorb_slivers
 from repro.regions import Region, validate_partition
+
+from unified_oracle import PerPagePattern
 
 
 def snap(n_pages, spans):
@@ -34,6 +38,11 @@ def snap(n_pages, spans):
 
 def pattern(n_pages=1024, window=3) -> UnifiedAccessPattern:
     return UnifiedAccessPattern(n_pages, convergence_window=window)
+
+
+def page_max(p: UnifiedAccessPattern) -> np.ndarray:
+    """The cumulative maximum expanded from segments to pages."""
+    return np.repeat(p._max, np.diff(p._bounds))
 
 
 class TestUpdate:
@@ -71,14 +80,24 @@ class TestUpdate:
         with pytest.raises(ProfilingError):
             pattern(1024).update(snap(512, [(0, 10, 5.0)]))
 
+    @pytest.mark.parametrize("value", [2.5, True, math.nan, math.inf])
+    def test_non_integer_page_count_rejected(self, value):
+        with pytest.raises(ProfilingError, match="n_pages must be an integer"):
+            UnifiedAccessPattern(value)
+
+    @pytest.mark.parametrize("value", [2.5, True, math.nan, math.inf])
+    def test_non_integer_convergence_window_rejected(self, value):
+        with pytest.raises(ProfilingError, match="convergence_window must be an integer"):
+            UnifiedAccessPattern(1024, convergence_window=value)
+
 
 class TestAggregation:
     def test_max_is_monotone(self):
         p = pattern()
         p.update(snap(1024, [(0, 100, 50.0)]))
-        high = p.page_max[:100].copy()
+        high = page_max(p)[:100]
         p.update(snap(1024, [(0, 100, 10.0)]))
-        np.testing.assert_array_equal(p.page_max[:100], high)
+        np.testing.assert_array_equal(page_max(p)[:100], high)
 
     def test_mean_decays_contamination(self):
         p = pattern()
@@ -196,3 +215,93 @@ def test_absorb_slivers_matches_rescan(spans, min_pages):
     assert _absorb_slivers(regions, min_pages) == _absorb_slivers_rescan(
         regions, min_pages
     )
+
+
+class TestSegmentStorage:
+    def test_segments_are_the_union_of_folded_boundaries(self):
+        p = pattern()
+        p.update(snap(1024, [(0, 100, 50.0)]))
+        p.update(snap(1024, [(50, 100, 50.0)]))
+        np.testing.assert_array_equal(p._bounds, [0, 50, 100, 150, 1024])
+
+    def test_pattern_holds_no_page_long_array(self):
+        # A DAMON file has at most 1,000 regions, so 25 of them cut a
+        # 262,144-page guest into at most ~25k segments: well under 1 MB,
+        # where four per-page arrays would hold 6.8 MB.
+        n_pages = 262_144
+        rng = np.random.default_rng(3)
+        p = UnifiedAccessPattern(n_pages)
+        for _ in range(25):
+            cuts = np.sort(rng.choice(np.arange(1, n_pages), 999, replace=False))
+            p.update(
+                DamonSnapshot(
+                    n_pages=n_pages,
+                    bounds=np.concatenate([[0], cuts, [n_pages]]),
+                    means=rng.choice([0.0, 3.0, 50.0, 900.0], size=1000),
+                    samples=1000,
+                )
+            )
+        held = sum(v.nbytes for v in vars(p).values() if isinstance(v, np.ndarray))
+        assert held < 1_000_000
+
+
+def _around(x: float) -> list[float]:
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+FLIP_VALUES = sorted(
+    {0.0, *_around(NOISE_FLOOR), *(v for k in range(1, 14) for v in _around(2.0**k - 1))}
+)
+"""Means at which a quantised bucket or the noise-floor test flips."""
+
+
+@st.composite
+def damon_files(draw, n_pages: int) -> DamonSnapshot:
+    n_regions = draw(st.integers(1, min(64, n_pages)))
+    cuts = draw(
+        st.sets(
+            st.integers(1, n_pages - 1),
+            min_size=n_regions - 1,
+            max_size=n_regions - 1,
+        )
+        if n_pages > 1
+        else st.just(set())
+    )
+    means = draw(
+        st.lists(
+            st.sampled_from(FLIP_VALUES) | st.floats(0, 1e4),
+            min_size=n_regions,
+            max_size=n_regions,
+        )
+    )
+    return DamonSnapshot(
+        n_pages=n_pages,
+        bounds=np.array([0, *sorted(cuts), n_pages]),
+        means=np.array(means),
+        samples=1000,
+    )
+
+
+def _bits(regions: list[Region]) -> list[tuple[int, int, str]]:
+    return [(r.start_page, r.n_pages, float.hex(r.value)) for r in regions]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n_pages=st.integers(1, 4096), window=st.integers(1, 5))
+def test_segments_match_the_per_page_pattern(data, n_pages, window):
+    segments = UnifiedAccessPattern(n_pages, convergence_window=window)
+    pages = PerPagePattern(n_pages, convergence_window=window)
+    for _ in range(data.draw(st.integers(1, 10))):
+        damon_file = data.draw(damon_files(n_pages))
+        assert segments.update(damon_file) == pages.update(damon_file)
+        assert segments.converged == pages.converged
+        assert segments.stable_invocations == pages.stable_invocations
+    assert segments._bounds.size <= n_pages + 1
+    np.testing.assert_array_equal(
+        segments.page_values().view(np.int64), pages.page_values().view(np.int64)
+    )
+    np.testing.assert_array_equal(segments.observed_mask(), pages.observed_mask())
+    assert float.hex(segments.zero_fraction()) == float.hex(pages.zero_fraction())
+    for merge_tolerance, min_region_pages in ((0.0, 1), (0.0, 4), (50.0, 1), (400.0, 8)):
+        kwargs = dict(merge_tolerance=merge_tolerance, min_region_pages=min_region_pages)
+        assert _bits(segments.regions(**kwargs)) == _bits(pages.regions(**kwargs))
