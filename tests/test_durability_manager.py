@@ -379,3 +379,26 @@ class TestFleetIntegration:
         with_plane = outcomes(ScrubConfig(interval_s=1.0))
         without = outcomes(None)
         assert with_plane == without
+
+
+class TestAgingMediaRouting:
+    """At-rest aging draws each copy's rot at its own media class: the
+    single-tier file rests on the SSD, the tiered base file in the slow
+    tier's persistent memory."""
+
+    @pytest.mark.parametrize(
+        "rates, rotted_kind",
+        [
+            ({"ssd_rate_per_page_s": 1e-4}, "single"),
+            ({"pmem_rate_per_page_s": 1e-4}, "tiered"),
+        ],
+    )
+    def test_only_copies_on_the_rotting_media_rot(self, rates, rotted_kind):
+        plan = FaultPlan(bitrot=BitRotSpec(**rates), seed=5)
+        cluster = converged_cluster(plan=plan)
+        events = cluster.durability.ledger.events
+        kinds = {copy.kind for copy in cluster.durability.copies.values()}
+        assert kinds == {"single", "tiered"}
+        assert events
+        assert {e.cause for e in events} == {"bitrot"}
+        assert {e.copy for e in events} == {rotted_kind}
