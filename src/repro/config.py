@@ -109,7 +109,6 @@ MAX_QUEUE_INFLATION = 100.0
 SSD_SEQ_READ_BPS = 2500 * MB
 SSD_SEQ_WRITE_BPS = 2200 * MB
 SSD_RANDOM_READ_IOPS = 550_000
-SSD_RANDOM_WRITE_IOPS = 550_000
 
 MINOR_FAULT_LATENCY_S = 1.5e-6
 """Software cost of a minor page fault (map an already-resident page)."""

@@ -12,7 +12,7 @@ etc.), so all device characteristics live in :class:`TierSpec` /
 """
 
 from .tiers import Tier, TierSpec, MemorySystem, DEFAULT_MEMORY_SYSTEM
-from .storage import StorageSpec, StorageDevice, DEFAULT_SSD
+from .storage import StorageSpec
 from .page_cache import HostPageCache
 from .bandwidth import ContentionModel, TierDemand
 from .accounting import PerfCounters
@@ -35,8 +35,6 @@ __all__ = [
     "compressed_tier",
     "compressed_memory_system",
     "StorageSpec",
-    "StorageDevice",
-    "DEFAULT_SSD",
     "HostPageCache",
     "ContentionModel",
     "TierDemand",

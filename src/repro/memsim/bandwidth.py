@@ -146,16 +146,6 @@ class ContentionModel:
             "ssd": ssd.random_read_iops,
             "uffd": config.UFFD_HANDLER_OPS_CAP,
         }
-        # Software-defined middle tiers (compressed pools) ride the fast
-        # tier's channel, so their *effective* logical-byte capacity is
-        # the physical bandwidth scaled by the compression ratio (each
-        # physical byte moved carries ratio logical bytes).  The entries
-        # are keyed by tier id; RESOURCES (and hence the solver's array
-        # twins) are untouched, keeping two-tier solves bit-identical.
-        for idx, spec in enumerate(memory.middle):
-            point = getattr(spec, "compression", None)
-            ratio = point.ratio if point is not None else 1.0
-            self._capacity[f"ctier{idx + 2}"] = spec.bandwidth_bps * ratio
         # Fixed-point results memoised on the exact demand batch.  The
         # platform re-solves identical waves constantly (Figure 9 replays
         # one batch per concurrency level through four systems; the fleet

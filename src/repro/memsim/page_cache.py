@@ -142,21 +142,6 @@ class HostPageCache:
         self._prefetched[pages] = False
         return misses
 
-    def populate_range(self, start_page: int, n_pages: int) -> None:
-        """Mark a contiguous range resident via bulk (sequential) load.
-
-        Used by REAP-style working-set prefetch: the pages are resident but
-        *not* flagged as prefetched-by-readahead because they were loaded
-        deliberately.
-        """
-        if start_page < 0 or n_pages < 0 or start_page + n_pages > self.n_pages:
-            raise AddressSpaceError(
-                f"range [{start_page}, {start_page + n_pages}) outside cache of "
-                f"{self.n_pages} pages"
-            )
-        self._resident[start_page : start_page + n_pages] = True
-        self._prefetched[start_page : start_page + n_pages] = False
-
     def drop(self) -> None:
         """Drop the cache (``echo 3 > /proc/sys/vm/drop_caches``)."""
         self._resident[:] = False

@@ -233,26 +233,6 @@ class MemorySystem:
                 )
         return self.slow
 
-    def age_at_rest(
-        self, snapshot, residency_s: float, tier: Tier | int = Tier.SLOW
-    ) -> np.ndarray:
-        """Age a snapshot file resting on one memory tier.
-
-        The durability plane's entry point for tier-resident copies (a
-        TOSS tiered snapshot's files are DAX-mapped persistent memory):
-        bit-rot drawn by the fault hook for the tier's ``media_class`` is
-        flipped into the snapshot's page versions in place.  Returns the
-        rotted page indices — empty without a fault hook or under a zero
-        plan, so fault-free runs stay bit-identical.
-        """
-        if residency_s < 0:
-            raise ConfigError("residency_s must be non-negative")
-        hook = self.fault_hook
-        if hook is None or hook.is_zero:
-            return np.empty(0, dtype=np.int64)
-        media = self.spec(tier).media_class
-        return hook.rot_snapshot(snapshot, residency_s, media)
-
     @property
     def cost_ratio(self) -> float:
         """Price ratio fast/slow (2.5 in the paper).

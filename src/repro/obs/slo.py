@@ -27,7 +27,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import domains
 from ..errors import ConfigError
@@ -307,12 +307,6 @@ class SloFeed:
     ) -> None:
         """One scalar health-signal sample (queue delay, setup, ...)."""
         raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class _ScopeKey:
-    signal: str
-    host: str
 
 
 class SloTracker(SloFeed):

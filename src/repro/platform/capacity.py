@@ -75,11 +75,6 @@ class HostCapacity:
         return len(self._resident)
 
     @property
-    def free_fast_mb(self) -> float:
-        """DRAM budget still available."""
-        return max(0.0, self.fast_mb - self.used_fast_mb)
-
-    @property
     def fast_pressure(self) -> float:
         """Fast-tier utilisation in [0, 1] — the ladder's capacity signal."""
         return self.used_fast_mb / self.fast_mb

@@ -213,10 +213,14 @@ class CircuitBreaker:
     """
 
     def __init__(self, threshold: int, cooldown_s: float) -> None:
-        if threshold < 1:
-            raise ConfigError("breaker threshold must be >= 1")
-        if cooldown_s <= 0:
-            raise ConfigError("breaker cooldown must be positive")
+        # The domains OverloadConfig declares for breaker_failures and
+        # breaker_cooldown_s.
+        domains.check_value(
+            domains.CountDomain(1), threshold, "breaker threshold", ConfigError
+        )
+        domains.check_value(
+            domains.RealDomain(0.0), cooldown_s, "breaker cooldown", ConfigError
+        )
         self.threshold = threshold
         self.cooldown_s = cooldown_s
         self.state = BreakerState.CLOSED

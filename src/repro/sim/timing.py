@@ -31,10 +31,6 @@ class InvocationTiming:
         """End-to-end time (the Figure 8 quantity)."""
         return self.setup_s + self.exec_s
 
-    def slowdown_vs(self, baseline_s: float) -> float:
-        """Total time normalised to a baseline run."""
-        return normalized_slowdown(self.total_s, baseline_s)
-
 
 def normalized_slowdown(time_s: float, baseline_s: float) -> float:
     """``time / baseline``, floored at 1.0 (a placement cannot beat its

@@ -31,7 +31,7 @@ from ..errors import (
     TierUnavailableError,
 )
 from ..obs import runtime as obs_runtime
-from ..memsim.storage import StorageDevice
+from ..memsim.storage import OPTANE_SSD_SPEC
 from ..memsim.tiers import DEFAULT_MEMORY_SYSTEM, MemorySystem, Tier
 from .microvm import Backing, MicroVM
 from .snapshot import ReapSnapshot, SingleTierSnapshot, TieredSnapshot
@@ -235,7 +235,6 @@ def reap_restore(
     snapshot: ReapSnapshot,
     *,
     memory: MemorySystem = DEFAULT_MEMORY_SYSTEM,
-    ssd: StorageDevice | None = None,
     injector: "faults.FaultInjector | None" = None,
 ) -> RestoreResult:
     """REAP restore: eager working-set prefetch (Section VI-B).
@@ -250,10 +249,12 @@ def reap_restore(
     faulted WS page reads are retried with capped exponential backoff —
     billed into setup time — raising
     :class:`~repro.errors.RestoreRetryExhausted` past the retry budget.
+    The WS stream is one SSD operation for injected latency spikes, drawn
+    from the same injector and billed into both the stream phase and
+    ``fault_stall_s``.
     """
     injector = faults.resolve(injector)
     _verify_snapshot(snapshot, injector)
-    ssd = ssd if ssd is not None else StorageDevice()
     retries = 0
     fault_stall_s = 0.0
     if injector is not None and not injector.is_zero:
@@ -274,13 +275,13 @@ def reap_restore(
         page_versions=snapshot.base.page_versions,
         label=f"reap:{snapshot.base.label}",
     )
-    stall_before = ssd.injected_stall_s
+    spike_s = 0.0 if injector is None else injector.storage_spike_s(1)
     phases = (
         RestorePhase("vm-state-load", config.VM_STATE_LOAD_S),
         RestorePhase("mmap", 2 * config.MMAP_REGION_SETUP_S),  # memory + WS file
         RestorePhase(
             "ws-stream",
-            ssd.sequential_read_time(snapshot.ws_bytes),
+            snapshot.ws_bytes / OPTANE_SSD_SPEC.seq_read_bps + spike_s,
             resource="ssd",
             ops=float(snapshot.ws_pages),
         ),
@@ -289,7 +290,7 @@ def reap_restore(
         ),
         RestorePhase("fault-backoff", fault_stall_s),
     )
-    fault_stall_s += ssd.injected_stall_s - stall_before
+    fault_stall_s += spike_s
     return _observe_restore(
         RestoreResult(
             vm=vm,

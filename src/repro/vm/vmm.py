@@ -106,15 +106,13 @@ class VMM:
 
     # -- restores ------------------------------------------------------------------
 
-    def restore(
-        self, snapshot, strategy: str = "auto", *, injector=None
-    ) -> RestoreResult:
+    def restore(self, snapshot, strategy: str = "auto") -> RestoreResult:
         """Restore a snapshot by name or by its natural strategy.
 
         ``auto`` picks tiered for :class:`TieredSnapshot`, REAP for
-        :class:`ReapSnapshot`, lazy for plain snapshots.  ``injector``
-        (a :class:`repro.faults.FaultInjector`) threads the fault plane
-        into the REAP/tiered paths; the warm and lazy paths take no
+        :class:`ReapSnapshot`, lazy for plain snapshots.  The REAP and
+        tiered paths draw from the installed default fault injector
+        (:func:`repro.faults.resolve`); the warm and lazy paths take no
         injectable faults — lazy restore is the recovery anchor.
         """
         if strategy == "auto":
@@ -131,7 +129,7 @@ class VMM:
             base = snapshot.base if hasattr(snapshot, "base") else snapshot
             return lazy_restore(base, memory=self.memory)
         if strategy == "reap":
-            return reap_restore(snapshot, memory=self.memory, injector=injector)
+            return reap_restore(snapshot, memory=self.memory)
         if strategy == "toss":
-            return tiered_restore(snapshot, memory=self.memory, injector=injector)
+            return tiered_restore(snapshot, memory=self.memory)
         raise ValueError(f"unknown restore strategy {strategy!r}")

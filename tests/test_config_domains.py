@@ -263,8 +263,7 @@ ACCEPTED_BEFORE = [
     *[
         (StorageSpec, field, NAN)
         for field in (
-            "seq_read_bps", "seq_write_bps", "random_read_iops",
-            "random_write_iops",
+            "seq_read_bps", "random_read_iops",
         )
     ],
     *[

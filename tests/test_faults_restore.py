@@ -17,7 +17,6 @@ from repro.faults import (
     StorageFaultSpec,
     TierFaultSpec,
 )
-from repro.memsim.storage import StorageDevice
 from repro.memsim.tiers import Tier
 from repro.vm.layout import MemoryLayout
 from repro.vm.restore import (
@@ -107,10 +106,11 @@ class TestReapUnderFaults:
         plan = FaultPlan(
             ssd=StorageFaultSpec(latency_spike_rate=1.0, latency_spike_s=5e-3)
         )
-        ssd = StorageDevice(injector=FaultInjector(plan))
+        # The spike is drawn from the restore's own injector, not the
+        # installed default (of which there is none here).
         clean = reap_restore(reap_snapshot)
-        spiked = reap_restore(reap_snapshot, ssd=ssd)
-        assert ssd.injected_stall_s == pytest.approx(5e-3)
+        spiked = reap_restore(reap_snapshot, injector=FaultInjector(plan))
+        assert spiked.fault_stall_s == pytest.approx(5e-3)
         assert spiked.setup_time_s == pytest.approx(clean.setup_time_s + 5e-3)
 
 

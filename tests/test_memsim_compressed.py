@@ -141,16 +141,6 @@ class TestCompressedMemorySystem:
         with pytest.raises(ConfigError):
             compressed_memory_system(())
 
-    def test_contention_capacity_scales_with_ratio(self):
-        from repro.memsim.bandwidth import ContentionModel
-        from repro.memsim.storage import OPTANE_SSD_SPEC
-
-        memory = compressed_memory_system((LZ4_POINT,))
-        model = ContentionModel(memory, OPTANE_SSD_SPEC)
-        assert model._capacity["ctier2"] == pytest.approx(
-            memory.middle[0].bandwidth_bps * LZ4_POINT.ratio
-        )
-
 
 class TestExecutionByteIdentity:
     """Ratio-1.0 execution matches plain DRAM bit-for-bit."""

@@ -68,18 +68,6 @@ class TestFaultIn:
 
 
 class TestPopulateAndDrop:
-    def test_populate_range(self):
-        cache = HostPageCache(100, readahead_pages=0)
-        cache.populate_range(10, 20)
-        assert cache.resident_pages == 20
-        assert cache.prefetched_pages == 0
-        assert cache.fault_in(np.arange(10, 30)) == 0
-
-    def test_populate_range_bounds_checked(self):
-        cache = HostPageCache(10)
-        with pytest.raises(AddressSpaceError):
-            cache.populate_range(5, 10)
-
     def test_drop_clears_everything(self):
         cache = HostPageCache(50, readahead_pages=4)
         cache.fault_in(np.array([0, 20]))

@@ -1,4 +1,4 @@
-"""Tests for the storage-device model."""
+"""Tests for the snapshot storage spec."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro import config
 from repro.errors import ConfigError
-from repro.memsim.storage import OPTANE_SSD_SPEC, StorageDevice, StorageSpec
+from repro.memsim.storage import OPTANE_SSD_SPEC, StorageSpec
 
 
 class TestStorageSpec:
@@ -14,59 +14,6 @@ class TestStorageSpec:
         assert OPTANE_SSD_SPEC.seq_read_bps == config.SSD_SEQ_READ_BPS
         assert OPTANE_SSD_SPEC.random_read_iops == 550_000
 
-    def test_random_read_latency(self):
-        assert OPTANE_SSD_SPEC.random_read_latency_s == pytest.approx(
-            1 / 550_000
-        )
-
     def test_nonpositive_rejected(self):
         with pytest.raises(ConfigError):
-            StorageSpec("bad", 0, 1, 1, 1)
-
-
-class TestStorageDevice:
-    def test_sequential_read_time_and_accounting(self):
-        dev = StorageDevice()
-        t = dev.sequential_read_time(config.SSD_SEQ_READ_BPS)
-        assert t == pytest.approx(1.0)
-        assert dev.bytes_read == config.SSD_SEQ_READ_BPS
-
-    def test_sequential_write_time(self):
-        dev = StorageDevice()
-        t = dev.sequential_write_time(config.SSD_SEQ_WRITE_BPS // 2)
-        assert t == pytest.approx(0.5)
-
-    def test_random_read_time_scales_with_pages(self):
-        dev = StorageDevice()
-        t1 = dev.random_read_time(1000)
-        t2 = dev.random_read_time(2000)
-        assert t2 == pytest.approx(2 * t1)
-
-    def test_random_read_concurrency_shares_iops(self):
-        dev = StorageDevice()
-        alone = dev.random_read_time(1000, concurrency=1)
-        shared = dev.random_read_time(1000, concurrency=4)
-        assert shared == pytest.approx(4 * alone)
-
-    def test_random_read_accounting(self):
-        dev = StorageDevice()
-        dev.random_read_time(10)
-        assert dev.random_reads == 10
-        assert dev.bytes_read == 10 * config.PAGE_SIZE
-
-    def test_reset_counters(self):
-        dev = StorageDevice()
-        dev.random_read_time(10)
-        dev.sequential_write_time(100)
-        dev.reset_counters()
-        assert dev.bytes_read == dev.bytes_written == 0
-        assert dev.random_reads == dev.random_writes == 0
-
-    def test_negative_inputs_rejected(self):
-        dev = StorageDevice()
-        with pytest.raises(ConfigError):
-            dev.sequential_read_time(-1)
-        with pytest.raises(ConfigError):
-            dev.random_read_time(-1)
-        with pytest.raises(ConfigError):
-            dev.random_read_time(1, concurrency=0)
+            StorageSpec("bad", 0, 1)

@@ -36,7 +36,6 @@ from repro.platform.overload import (
     HealthState,
     OverloadConfig,
     OverloadPolicy,
-    RequestClass,
     ShedReason,
 )
 from repro.platform.server import ServerlessPlatform
@@ -247,6 +246,21 @@ class TestCircuitBreakerUnit:
             CircuitBreaker(0, 1.0)
         with pytest.raises(ConfigError):
             CircuitBreaker(1, 0.0)
+
+    @pytest.mark.parametrize(
+        "threshold, cooldown_s",
+        [
+            (True, 1.0),
+            (2.5, 1.0),
+            (float("nan"), 1.0),
+            (3, float("nan")),
+            (3, float("inf")),
+            (3, True),
+        ],
+    )
+    def test_mistyped_parameters_rejected(self, threshold, cooldown_s):
+        with pytest.raises(ConfigError):
+            CircuitBreaker(threshold, cooldown_s)
 
 
 class TestDegradationLadderUnit:
