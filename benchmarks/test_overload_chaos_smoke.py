@@ -14,11 +14,13 @@ The CI ``overload-smoke`` job runs this file alone.  Two checks:
 
 from __future__ import annotations
 
-from repro import faults
+from repro.baselines import ReapSystem, TossSystem, VanillaLazy
 from repro.core.toss import TossConfig
-from repro.experiments import fig7_setup_time
+from repro.experiments import common, fig7_setup_time
 from repro.faults import FaultInjector, FaultPlan, StorageFaultSpec
+from repro.functions import get_function
 from repro.functions.base import FunctionModel, InputSpec
+from repro.memsim.tiers import DEFAULT_MEMORY_SYSTEM
 from repro.platform import OverloadConfig, ServerlessPlatform
 from repro.trace.synth import Band
 
@@ -46,14 +48,38 @@ TINY = FunctionModel(
 )
 
 
-def test_fig7_completes_under_chaos(benchmark, emit):
-    plan = FaultPlan(ssd=StorageFaultSpec(read_error_rate=1e-4))
+def test_fig7_completes_under_chaos(benchmark, emit, monkeypatch):
+    memory = DEFAULT_MEMORY_SYSTEM.with_fault_hook(
+        FaultInjector(FaultPlan(ssd=StorageFaultSpec(read_error_rate=1e-4)))
+    )
+    # Every system ``run`` builds sits on the one hooked memory; ``run``
+    # still builds them in its own order (per function: vanilla, TOSS,
+    # then REAP per snapshot input), uncached.
+    monkeypatch.setattr(
+        fig7_setup_time,
+        "vanilla_cached",
+        lambda name: VanillaLazy(get_function(name), memory=memory),
+    )
+    monkeypatch.setattr(
+        fig7_setup_time,
+        "toss_cached",
+        lambda name, inputs: TossSystem(
+            get_function(name),
+            profiling_inputs=inputs,
+            convergence_window=common.CONVERGENCE_WINDOW,
+            memory=memory,
+        ),
+    )
+    monkeypatch.setattr(
+        fig7_setup_time,
+        "reap_cached",
+        lambda name, snapshot_input: ReapSystem(
+            get_function(name), snapshot_input=snapshot_input, memory=memory
+        ),
+    )
 
     def run():
-        with faults.injected(plan):
-            return fig7_setup_time.run(
-                function_names=["float_operation", "pyaes"]
-            )
+        return fig7_setup_time.run(function_names=["float_operation", "pyaes"])
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     emit("overload_chaos_fig7", result.table.render())
@@ -73,10 +99,10 @@ def run_burst_scenario():
     )
     platform = ServerlessPlatform(
         n_cores=2,
-        toss_cfg=TossConfig(convergence_window=3, min_profiling_invocations=3),
-        faults=FaultInjector(
-            FaultPlan(ssd=StorageFaultSpec(read_error_rate=1e-3))
+        memory=DEFAULT_MEMORY_SYSTEM.with_fault_hook(
+            FaultInjector(FaultPlan(ssd=StorageFaultSpec(read_error_rate=1e-3)))
         ),
+        toss_cfg=TossConfig(convergence_window=3, min_profiling_invocations=3),
         overload=cfg,
     )
     platform.deploy(TINY)

@@ -6,7 +6,7 @@ import abc
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .. import config, faults
+from .. import config
 from ..functions.base import FunctionModel
 from ..memsim.accounting import PerfCounters
 from ..memsim.tiers import DEFAULT_MEMORY_SYSTEM, MemorySystem
@@ -77,8 +77,7 @@ class ServerlessSystem(abc.ABC):
         # — rebuild their outcomes from stored values instead of
         # re-executing.  Only the one-restore path of invoke_batch reads
         # or writes it, so entries exist only for invocations with no
-        # fault injector and no fault hook; observed or not, they hold
-        # the same values.
+        # fault hook; observed or not, they hold the same values.
         self._cohort_memo: dict[tuple[int, int], tuple] = {}
         # The batch path's restore with its VM dropped (``vm=None``; the
         # per-page arrays are dead once the cohort ran) and the VM's
@@ -106,11 +105,11 @@ class ServerlessSystem(abc.ABC):
         — outcomes, spans and metrics — the contract every caller relies
         on.  Both run the same execute engine
         (:func:`repro.sim.batchexec.execute_cohort`); what differs is
-        whether one restore may serve the whole cohort.  It may when no
-        fault injector is installed (restores draw from it) and the
-        memory system carries no fault hook (slow-tier backpressure):
-        the cohort then restores once and executes in one kernel call,
-        each member on its own copy of the restored VM's state.
+        whether one restore may serve the whole cohort.  It may when the
+        memory system carries no fault hook (restores draw from it and
+        executions pay its slow-tier backpressure): the cohort then
+        restores once and executes in one kernel call, each member on
+        its own copy of the restored VM's state.
         Otherwise every seed restores and executes in turn, in the
         scalar loop's RNG order.  The one restore runs with observation
         suspended; under an active observation the cohort then emits,
@@ -130,7 +129,7 @@ class ServerlessSystem(abc.ABC):
         epoch records are shared, exactly as one execution's results
         share trace arrays.
         """
-        if faults.get_default() is not None or self.memory.fault_hook is not None:
+        if self.memory.fault_hook is not None:
             return [self.invoke(input_index, s) for s in seeds]
         memo = self._cohort_memo
         missing = [s for s in seeds if (input_index, s) not in memo]

@@ -55,6 +55,7 @@ from ..errors import ClusterError, ConfigError, SchedulerError
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..functions.base import FunctionModel
+from ..memsim.tiers import DEFAULT_MEMORY_SYSTEM
 from ..obs import runtime as obs_runtime
 from ..platform.keepalive import KeepAliveCache
 from ..platform.overload import (
@@ -226,6 +227,7 @@ class ClusterPlatform:
                 )
             platform = ServerlessPlatform(
                 n_cores=config.cores_per_host,
+                memory=DEFAULT_MEMORY_SYSTEM.with_fault_hook(injector),
                 toss_cfg=toss_cfg,
                 keepalive=(
                     KeepAliveCache(keepalive_mb)
@@ -233,7 +235,6 @@ class ClusterPlatform:
                     else None
                 ),
                 prewarm=PrewarmPolicy() if prewarm else None,
-                faults=injector,
                 overload=OverloadPolicy(overload) if overload is not None else None,
             )
             if config.n_hosts > 1:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from .. import config, domains, faults as faults_mod, rng as rng_mod
+from .. import config, domains, rng as rng_mod
 from ..errors import (
     AnalysisError,
     DeadlineExceededError,
@@ -109,14 +109,8 @@ class TossController:
         *,
         memory: MemorySystem = DEFAULT_MEMORY_SYSTEM,
         cfg: TossConfig = TossConfig(),
-        faults: "faults_mod.FaultInjector | None" = None,
     ) -> None:
         self.function = function
-        self.faults = faults
-        if faults is not None and memory.fault_hook is None:
-            # Wire the slow-tier backpressure hook so degraded executions
-            # and their accounting share one latency source.
-            memory = memory.with_fault_hook(faults)
         self.memory = memory
         self.cfg = cfg
         self.vmm = VMM(memory, root_seed=cfg.root_seed)
@@ -131,10 +125,6 @@ class TossController:
         self._consecutive_restore_failures = 0
         self._seq = 0
         self._reset_profiling_state()
-
-    def _injector(self) -> "faults_mod.FaultInjector | None":
-        """The active fault injector: explicit, else the installed default."""
-        return faults_mod.resolve(self.faults)
 
     def _emit(self, kind: EventKind, **detail) -> None:
         obs = obs_runtime.active()
@@ -379,7 +369,7 @@ class TossController:
         exec_time = result.time_s * (1.0 + config.DAMON_OVERHEAD)
         snapshot = self.damon.profile(result.epoch_records)
         self.n_damon_invocations += 1
-        injector = self._injector()
+        injector = self.memory.fault_hook
         samples_lost = (
             injector is not None
             and not injector.is_zero
@@ -483,11 +473,9 @@ class TossController:
                 "tiered snapshot"
             )
         snapshot = self.tiered_snapshot
-        injector = self._injector()
         restore, fault = recovering_restore(
             snapshot,
             memory=self.memory,
-            injector=injector,
             fallback_source=self.single_snapshot,
         )
         aborted = False

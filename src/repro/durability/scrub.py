@@ -14,7 +14,6 @@ operations, and scanning more copies stretches the pass.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,14 +83,13 @@ def run_scrub_pass(
     the damage set is what the reads saw.  The report's ``duration_s``
     is when the last scan finished.
     """
-    if not 0 < ssd_iops < math.inf:
-        raise ConfigError(
-            f"scrub ssd_iops must be positive and finite, not {ssd_iops}"
-        )
-    if not 0 <= start_s < math.inf:
-        raise ConfigError(
-            f"scrub start_s must be finite and >= 0, not {start_s}"
-        )
+    domains.check_value(
+        domains.RealDomain(0.0), ssd_iops, "scrub ssd_iops", ConfigError
+    )
+    domains.check_value(
+        domains.RealDomain(0.0, lo_open=False), start_s, "scrub start_s",
+        ConfigError,
+    )
     rate = float(ssd_iops)
     now = float(start_s)
     tokens = rate

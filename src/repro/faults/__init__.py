@@ -2,19 +2,19 @@
 
 The fault plane has two halves: :class:`FaultPlan` (declarative,
 per-domain fault specs) and :class:`FaultInjector` (seeded decisions plus
-injection counters).  Components accept an injector explicitly; for code
-paths whose signatures you do not control (the packaged experiments), a
-process-wide default injector can be installed and is picked up wherever
-no explicit one is given.
+injection counters).  An injector reaches the stack one way: as the
+fault hook of the :class:`~repro.memsim.tiers.MemorySystem` the
+components run on (``memory.with_fault_hook(injector)``).  Restores,
+executions, the controller, the platform's clock and the durability
+plane all read that one hook, so a slow-tier window reaches the restore
+and the execution it maps through the same device model.
 
-Invariant: the all-zero plan is the identity.  Installing
-``FaultPlan()`` everywhere produces results bit-identical to never
-touching this module — asserted by ``tests/test_faults_equivalence.py``.
+Invariant: the all-zero plan is the identity.  A memory hooked to
+``FaultInjector(FaultPlan())`` produces results bit-identical to an
+unhooked one — asserted by ``tests/test_faults_equivalence.py``.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 from .injector import FaultInjector, RetryOutcome
 from .plan import (
@@ -39,51 +39,4 @@ __all__ = [
     "HostFaultSpec",
     "BitRotSpec",
     "ZERO_PLAN",
-    "install",
-    "uninstall",
-    "get_default",
-    "injected",
 ]
-
-_default: FaultInjector | None = None
-
-
-def install(plan_or_injector: FaultPlan | FaultInjector) -> FaultInjector:
-    """Install a process-wide default injector; returns it."""
-    global _default
-    if isinstance(plan_or_injector, FaultInjector):
-        _default = plan_or_injector
-    else:
-        _default = FaultInjector(plan_or_injector)
-    return _default
-
-
-def uninstall() -> None:
-    """Remove the process-wide default injector."""
-    global _default
-    _default = None
-
-
-def get_default() -> FaultInjector | None:
-    """The installed default injector, if any."""
-    return _default
-
-
-def resolve(injector: FaultInjector | None) -> FaultInjector | None:
-    """An explicit injector if given, else the installed default."""
-    return injector if injector is not None else _default
-
-
-@contextmanager
-def injected(plan_or_injector: FaultPlan | FaultInjector):
-    """Context manager: install a default injector, restore the previous
-    one on exit."""
-    previous = _default
-    injector = install(plan_or_injector)
-    try:
-        yield injector
-    finally:
-        if previous is None:
-            uninstall()
-        else:
-            install(previous)

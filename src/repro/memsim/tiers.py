@@ -13,11 +13,15 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .. import config, domains
 from ..errors import ConfigError
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..faults.injector import FaultInjector
 
 __all__ = ["Tier", "TierSpec", "MemorySystem", "DEFAULT_MEMORY_SYSTEM",
            "DRAM_SPEC", "PMEM_SPEC"]
@@ -145,11 +149,12 @@ class MemorySystem:
 
     fast: TierSpec
     slow: TierSpec
-    fault_hook: object | None = None
-    """Optional fault hook (a :class:`repro.faults.FaultInjector`).  When
-    set, :meth:`spec` inflates slow-tier latency by the hook's current
-    backpressure multiplier; ``None`` (the default) is the exact pre-fault
-    happy path."""
+    fault_hook: "FaultInjector | None" = None
+    """The fault injector every component on this memory draws from, and
+    the only way one reaches the stack.  Restores draw their faults from
+    it, the platform advances its clock, and :meth:`spec` inflates
+    slow-tier latency by its current backpressure multiplier; ``None``
+    (the default) is the exact pre-fault happy path."""
     middle: tuple[TierSpec, ...] = ()
     """Software-defined tiers between fast and slow, ordered fastest
     first.  Middle tier ``i`` has tier id ``2 + i``."""
@@ -205,7 +210,7 @@ class MemorySystem:
             int(Tier.SLOW),
         )
 
-    def with_fault_hook(self, hook: object | None) -> "MemorySystem":
+    def with_fault_hook(self, hook: "FaultInjector | None") -> "MemorySystem":
         """A copy of this system wired to a fault hook (or unwired)."""
         return dataclasses.replace(self, fault_hook=hook)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from numbers import Integral, Real
 
-from .. import config, faults as faults_mod
+from .. import config
 from ..core.telemetry import EventKind
 from ..core.toss import InvocationOutcome, Phase, TossConfig, TossController
 from ..domains import CountDomain, check_value
@@ -344,15 +344,11 @@ class ServerlessPlatform:
         toss_cfg: TossConfig | None = None,
         keepalive: "KeepAliveCache | None" = None,
         prewarm: "PrewarmPolicy | None" = None,
-        faults: "faults_mod.FaultInjector | None" = None,
         overload: "OverloadPolicy | OverloadConfig | None" = None,
         capacity: "HostCapacity | None" = None,
     ) -> None:
         check_value(CountDomain(1), n_cores, "n_cores", SchedulerError)
         self.n_cores = int(n_cores)
-        self.faults = faults
-        if faults is not None and memory.fault_hook is None:
-            memory = memory.with_fault_hook(faults)
         self.memory = memory
         self.toss_cfg = toss_cfg if toss_cfg is not None else TossConfig()
         self.keepalive = keepalive
@@ -382,7 +378,6 @@ class ServerlessPlatform:
                     function,
                     memory=self.memory,
                     cfg=self.toss_cfg,
-                    faults=self.faults,
                 ),
             )
         return self.deployments[function.name]
@@ -663,10 +658,10 @@ class ServerlessPlatform:
                 "toss_queue_delay_seconds",
                 "Seconds requests waited for a free core",
             ).observe(start - t.arrival)
-        if self.faults is not None:
+        if (injector := self.memory.fault_hook) is not None:
             # Time-windowed faults (outages, backpressure) key off the
             # moment the restore actually begins.
-            self.faults.advance_to(start)
+            injector.advance_to(start)
         dep = t.dep
         t.tiered = not t.force_fallback and dep.controller.phase is Phase.TIERED
         try:

@@ -79,10 +79,12 @@ def bill_invocation(
             raise ConfigError("tier_fractions must each lie in [0, 1]")
         if abs(sum(tier_fractions) - 1.0) > 1e-6:
             raise ConfigError("tier_fractions must sum to 1")
-        blend = sum(
-            float(f) * memory.price_relative(tid)
-            for f, tid in zip(tier_fractions, memory.tier_ids)
-        )
+        # An explicit left fold, as in ``normalized_cost_tiers``: from
+        # Python 3.12 ``sum()`` of floats is compensated, which would
+        # round the blend differently per version.
+        blend = 0.0
+        for f, tid in zip(tier_fractions, memory.tier_ids):
+            blend += float(f) * memory.price_relative(tid)
         slow_fraction = 1.0 - float(tier_fractions[0])
     else:
         fast_fraction = 1.0 - slow_fraction

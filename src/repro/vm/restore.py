@@ -21,10 +21,11 @@ strategy's residual fault costs (Figure 8's total invocation time).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .. import config, faults
+from .. import config
 from ..errors import (
     FaultInjected,
     RestoreRetryExhausted,
@@ -35,6 +36,9 @@ from ..memsim.storage import OPTANE_SSD_SPEC
 from ..memsim.tiers import DEFAULT_MEMORY_SYSTEM, MemorySystem, Tier
 from .microvm import Backing, MicroVM
 from .snapshot import ReapSnapshot, SingleTierSnapshot, TieredSnapshot
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..faults.injector import FaultInjector
 
 __all__ = [
     "RestorePhase",
@@ -163,7 +167,7 @@ def _total_seconds(phases: tuple[RestorePhase, ...]) -> float:
     return total
 
 
-def _verify_snapshot(snapshot, injector: "faults.FaultInjector | None") -> None:
+def _verify_snapshot(snapshot, injector: "FaultInjector | None") -> None:
     """Restore-time integrity check, active only under a fault plane.
 
     Draws at-rest corruption for this open, then checksum-verifies the
@@ -235,7 +239,6 @@ def reap_restore(
     snapshot: ReapSnapshot,
     *,
     memory: MemorySystem = DEFAULT_MEMORY_SYSTEM,
-    injector: "faults.FaultInjector | None" = None,
 ) -> RestoreResult:
     """REAP restore: eager working-set prefetch (Section VI-B).
 
@@ -244,16 +247,16 @@ def reap_restore(
     working set.  Pages outside the WS are registered with userfaultfd and
     served one-by-one on first touch.
 
-    Under a fault plane, the snapshot file is checksum-verified first
-    (raising :class:`~repro.errors.SnapshotCorruptionError` on damage) and
-    faulted WS page reads are retried with capped exponential backoff —
-    billed into setup time — raising
-    :class:`~repro.errors.RestoreRetryExhausted` past the retry budget.
-    The WS stream is one SSD operation for injected latency spikes, drawn
-    from the same injector and billed into both the stream phase and
-    ``fault_stall_s``.
+    Under a fault plane (``memory.fault_hook``), the snapshot file is
+    checksum-verified first (raising
+    :class:`~repro.errors.SnapshotCorruptionError` on damage) and faulted
+    WS page reads are retried with capped exponential backoff — billed
+    into setup time — raising :class:`~repro.errors.RestoreRetryExhausted`
+    past the retry budget.  The WS stream is one SSD operation for
+    injected latency spikes, drawn from the same injector and billed into
+    both the stream phase and ``fault_stall_s``.
     """
-    injector = faults.resolve(injector)
+    injector = memory.fault_hook
     _verify_snapshot(snapshot, injector)
     retries = 0
     fault_stall_s = 0.0
@@ -309,7 +312,6 @@ def tiered_restore(
     snapshot: TieredSnapshot,
     *,
     memory: MemorySystem = DEFAULT_MEMORY_SYSTEM,
-    injector: "faults.FaultInjector | None" = None,
 ) -> RestoreResult:
     """TOSS restore (Section V-D).
 
@@ -319,12 +321,14 @@ def tiered_restore(
     file and are copied into DRAM on first touch.  Setup time depends only
     on the number of mappings — constant per function.
 
-    Under a fault plane the restore refuses to map through a slow-tier
-    outage window (:class:`~repro.errors.TierUnavailableError`) and
-    checksum-verifies the tier files before mapping
+    Under a fault plane (``memory.fault_hook``) the restore refuses to
+    map through a slow-tier outage window
+    (:class:`~repro.errors.TierUnavailableError`), reports the
+    backpressure multiplier the execution's slow-tier accesses then pay,
+    and checksum-verifies the tier files before mapping
     (:class:`~repro.errors.SnapshotCorruptionError` on damage).
     """
-    injector = faults.resolve(injector)
+    injector = memory.fault_hook
     backpressure = 1.0
     retries = 0
     fault_stall_s = 0.0
@@ -408,7 +412,6 @@ def recovering_restore(
     snapshot: SingleTierSnapshot | ReapSnapshot | TieredSnapshot,
     *,
     memory: MemorySystem = DEFAULT_MEMORY_SYSTEM,
-    injector: "faults.FaultInjector | None" = None,
     fallback_source: SingleTierSnapshot | None = None,
 ) -> tuple[RestoreResult, FaultInjected | None]:
     """Restore by the snapshot's natural strategy, falling back to the
@@ -424,12 +427,11 @@ def recovering_restore(
     happened) plus the fault that forced the fallback, or ``None`` on a
     clean restore.
     """
-    injector = faults.resolve(injector)
     try:
         if isinstance(snapshot, TieredSnapshot):
-            return tiered_restore(snapshot, memory=memory, injector=injector), None
+            return tiered_restore(snapshot, memory=memory), None
         if isinstance(snapshot, ReapSnapshot):
-            return reap_restore(snapshot, memory=memory, injector=injector), None
+            return reap_restore(snapshot, memory=memory), None
         return lazy_restore(snapshot, memory=memory), None
     except FaultInjected as exc:
         base = fallback_source

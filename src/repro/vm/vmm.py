@@ -17,7 +17,7 @@ from ..functions.base import FunctionModel
 from ..memsim.tiers import DEFAULT_MEMORY_SYSTEM, MemorySystem
 from ..trace.events import InvocationTrace
 from .microvm import ExecutionResult, MicroVM
-from .snapshot import ReapSnapshot, SingleTierSnapshot, TieredSnapshot
+from .snapshot import ReapSnapshot, SingleTierSnapshot
 from .restore import (
     RestoreResult,
     lazy_restore,
@@ -106,22 +106,14 @@ class VMM:
 
     # -- restores ------------------------------------------------------------------
 
-    def restore(self, snapshot, strategy: str = "auto") -> RestoreResult:
-        """Restore a snapshot by name or by its natural strategy.
+    def restore(self, snapshot, strategy: str) -> RestoreResult:
+        """Restore a snapshot by the named strategy (``warm``, ``lazy``,
+        ``reap`` or ``toss``).
 
-        ``auto`` picks tiered for :class:`TieredSnapshot`, REAP for
-        :class:`ReapSnapshot`, lazy for plain snapshots.  The REAP and
-        tiered paths draw from the installed default fault injector
-        (:func:`repro.faults.resolve`); the warm and lazy paths take no
-        injectable faults — lazy restore is the recovery anchor.
+        The REAP and tiered paths draw from this VMM's memory's fault
+        hook; the warm and lazy paths take no injectable faults — lazy
+        restore is the recovery anchor.
         """
-        if strategy == "auto":
-            if isinstance(snapshot, TieredSnapshot):
-                strategy = "toss"
-            elif isinstance(snapshot, ReapSnapshot):
-                strategy = "reap"
-            else:
-                strategy = "lazy"
         if strategy == "warm":
             base = snapshot.base if hasattr(snapshot, "base") else snapshot
             return warm_restore(base, memory=self.memory)

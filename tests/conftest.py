@@ -7,7 +7,6 @@ import builtins
 import numpy as np
 import pytest
 
-from repro import faults
 from repro.functions.base import FunctionModel, InputSpec
 from repro.obs import profile as obs_profile
 from repro.obs import runtime as obs_runtime
@@ -15,29 +14,6 @@ from repro.trace.events import AccessEpoch, InvocationTrace
 from repro.trace.synth import Band
 
 pytest_plugins = ["pytester"]
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_fault_injector():
-    """Fail any test that leaves a process-wide fault injector installed.
-
-    ``repro.faults.install`` mutates process state; a test that forgets
-    ``uninstall`` (or should have used the ``injected`` context manager)
-    silently injects faults into every later test.  The guard fails the
-    *leaking* test and cleans up so the rest of the session stays
-    deterministic.
-    """
-    assert faults.get_default() is None, (
-        "a fault injector is already installed at test start "
-        "(leaked by earlier setup?)"
-    )
-    yield
-    leaked = faults.get_default() is not None
-    faults.uninstall()
-    assert not leaked, (
-        "test leaked an installed fault injector: call faults.uninstall() "
-        "or use the faults.injected() context manager"
-    )
 
 
 @pytest.fixture(autouse=True)

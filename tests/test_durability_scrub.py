@@ -177,6 +177,10 @@ class TestScrubPassAccounting:
             {"ssd_iops": 10.0, "start_s": float("nan")},
             {"ssd_iops": 10.0, "start_s": float("inf")},
             {"ssd_iops": 10.0, "start_s": -1.0},
+            {"ssd_iops": "x"},
+            {"ssd_iops": None},
+            {"ssd_iops": True},
+            {"ssd_iops": 10.0, "start_s": True},
         ],
     )
     def test_invalid_pass_inputs_rejected(self, kwargs):

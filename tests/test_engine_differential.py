@@ -22,6 +22,7 @@ from repro.core.toss import Phase, TossConfig
 from repro.durability import ScrubConfig
 from repro.faults import FaultInjector, FaultPlan, TierFaultSpec
 from repro.faults.plan import BitRotSpec, HostFaultSpec
+from repro.memsim.tiers import DEFAULT_MEMORY_SYSTEM
 from repro.obs.runtime import observing
 from repro.platform.keepalive import KeepAliveCache
 from repro.platform.server import ServerlessPlatform
@@ -61,7 +62,7 @@ def _platform_stream():
         # Too small to keep every converged function warm, so tiered
         # restores and warm keep-alive starts interleave.
         keepalive=KeepAliveCache(100.0),
-        faults=injector,
+        memory=DEFAULT_MEMORY_SYSTEM.with_fault_hook(injector),
     )
     for function in functions:
         platform.deploy(function)

@@ -7,6 +7,7 @@ import pytest
 from repro.core.telemetry import EventKind
 from repro.core.toss import Phase, TossConfig, TossController
 from repro.faults import (
+    ZERO_PLAN,
     FaultInjector,
     FaultPlan,
     ProfilerFaultSpec,
@@ -14,6 +15,7 @@ from repro.faults import (
     StorageFaultSpec,
     TierFaultSpec,
 )
+from repro.memsim.tiers import DEFAULT_MEMORY_SYSTEM
 
 from telemetry_events import kind_of, milestones, observe_calls
 
@@ -24,11 +26,10 @@ def controller(function, plan=None, **cfg_kwargs):
         min_profiling_invocations=cfg_kwargs.pop("min_profiling_invocations", 3),
         **cfg_kwargs,
     )
-    ctl = TossController(
-        function,
-        cfg=cfg,
-        faults=FaultInjector(plan) if plan is not None else None,
-    )
+    memory = DEFAULT_MEMORY_SYSTEM
+    if plan is not None:
+        memory = memory.with_fault_hook(FaultInjector(plan))
+    ctl = TossController(function, memory=memory, cfg=cfg)
     return ctl, observe_calls(ctl, "invoke")
 
 
@@ -77,7 +78,7 @@ class TestCorruptionDegradation:
         assert ctl.phase is Phase.PROFILING
         # Faults clear; profiling re-runs and regenerates the snapshot
         # from the intact single-tier file.
-        ctl.faults = FaultInjector()
+        ctl.memory.fault_hook.plan = ZERO_PLAN
         drive_to_tiered(ctl)
         assert ctl.tiered_snapshot is not None
         ctl.tiered_snapshot.verify()
@@ -105,16 +106,16 @@ class TestTransientFailureDegradation:
         assert ctl.restore_failures == 2
 
     def test_success_resets_the_consecutive_counter(self, tiny_function):
-        # Outage for t in [0, 10); the controller's injector clock is
+        # Outage for t in [0, 10); the memory's injector clock is
         # advanced manually the way the platform would.
         plan = FaultPlan(tier=TierFaultSpec(outage_windows=((0.0, 10.0),)))
         ctl, tracer = controller(
             tiny_function, plan, degrade_after_failures=2
         )
         drive_to_tiered(ctl)
-        ctl.faults.advance_to(5.0)
+        ctl.memory.fault_hook.advance_to(5.0)
         assert ctl.invoke(3).failures == 1  # inside the outage
-        ctl.faults.advance_to(15.0)
+        ctl.memory.fault_hook.advance_to(15.0)
         assert ctl.invoke(3).failures == 0  # outage over: clean restore
         assert ctl.phase is Phase.TIERED
         assert milestones(tracer, kind=EventKind.PHASE_DEGRADED) == []
@@ -148,7 +149,7 @@ class TestRetriesAndBackpressure:
         clean, _ = controller(tiny_function)
         drive_to_tiered(faulted)
         drive_to_tiered(clean)
-        faulted.faults.advance_to(100.0)
+        faulted.memory.fault_hook.advance_to(100.0)
         out_f = faulted.invoke(3)
         out_c = clean.invoke(3)
         assert out_f.degraded and not out_c.degraded
@@ -181,7 +182,7 @@ class TestProfilerSampleLoss:
             e.attrs["reason"] == "profiler-sample-loss" for e in extended
         )
         # Loss clears: profiling completes from where it left off.
-        ctl.faults = FaultInjector()
+        ctl.memory.fault_hook.plan = ZERO_PLAN
         drive_to_tiered(ctl)
 
     def test_partial_sample_loss_still_converges(self, tiny_function):

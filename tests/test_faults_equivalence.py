@@ -1,48 +1,63 @@
 """Zero-fault equivalence: the all-zero FaultPlan is invisible.
 
-Installing ``FaultPlan()`` as the session default routes every restore,
-storage access, and controller decision through the fault plane — and
-must change nothing.  These regressions pin that on the two headline
-artifacts: the Figure 7 setup-time experiment and the fleet study.
+Hooking ``FaultInjector(FaultPlan())`` to the memory every system runs on
+routes every restore, storage access, and controller decision through the
+fault plane — and must change nothing.  These regressions pin that on the
+two headline artifacts: the Figure 7 setup-time experiment and the fleet
+study.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
-from repro import faults
+from repro.baselines import ReapSystem, TossSystem, VanillaLazy
 from repro.experiments import common, fig7_setup_time, fleet_study
-from repro.faults import FaultPlan
+from repro.faults import FaultInjector, FaultPlan
+from repro.functions import get_function
+from repro.memsim.tiers import DEFAULT_MEMORY_SYSTEM
 
 FUNCTIONS = ["float_operation", "pyaes"]
 
 
-def _clear_experiment_caches():
-    """Force full recomputation so the second run actually goes through
-    the installed fault plane instead of returning cached systems."""
-    for helper in (
-        common.toss_cached,
-        common.dram_cached,
-        common.reap_cached,
-        common.vanilla_cached,
-        common.warm_time_cached,
-    ):
-        helper.cache_clear()
+@pytest.fixture
+def zero_memory():
+    """The default memory system hooked to a zero-plan injector."""
+    return DEFAULT_MEMORY_SYSTEM.with_fault_hook(FaultInjector(FaultPlan()))
 
 
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    _clear_experiment_caches()
-    yield
-    _clear_experiment_caches()
-
-
-def test_fig7_setup_time_is_byte_identical_under_zero_plan():
+def test_fig7_setup_time_is_byte_identical_under_zero_plan(
+    monkeypatch, zero_memory
+):
     baseline = fig7_setup_time.run(function_names=FUNCTIONS)
-    _clear_experiment_caches()
-    with faults.injected(FaultPlan()) as injector:
-        zeroed = fig7_setup_time.run(function_names=FUNCTIONS)
-        assert injector._draws == {}  # the plane never consumed RNG
+    # ``run`` builds fresh systems on the hooked memory, in its own order,
+    # instead of reusing the cached unhooked ones.
+    monkeypatch.setattr(
+        fig7_setup_time,
+        "vanilla_cached",
+        lambda name: VanillaLazy(get_function(name), memory=zero_memory),
+    )
+    monkeypatch.setattr(
+        fig7_setup_time,
+        "toss_cached",
+        lambda name, inputs: TossSystem(
+            get_function(name),
+            profiling_inputs=inputs,
+            convergence_window=common.CONVERGENCE_WINDOW,
+            memory=zero_memory,
+        ),
+    )
+    monkeypatch.setattr(
+        fig7_setup_time,
+        "reap_cached",
+        lambda name, snapshot_input: ReapSystem(
+            get_function(name), snapshot_input=snapshot_input, memory=zero_memory
+        ),
+    )
+    zeroed = fig7_setup_time.run(function_names=FUNCTIONS)
+    assert zero_memory.fault_hook._draws == {}  # the plane never consumed RNG
     assert zeroed.toss == baseline.toss
     assert zeroed.reap_min == baseline.reap_min
     assert zeroed.reap_avg == baseline.reap_avg
@@ -50,15 +65,18 @@ def test_fig7_setup_time_is_byte_identical_under_zero_plan():
     assert zeroed.table.rows == baseline.table.rows
 
 
-def test_fleet_study_is_byte_identical_under_zero_plan():
+def test_fleet_study_is_byte_identical_under_zero_plan(monkeypatch, zero_memory):
     kwargs = dict(
         include_extended=False,
         requests_per_function=5,
         function_names=FUNCTIONS,
     )
     baseline = fleet_study.run(**kwargs)
-    with faults.injected(FaultPlan()):
-        zeroed = fleet_study.run(**kwargs)
+    monkeypatch.setattr(
+        fleet_study, "TossSystem", partial(TossSystem, memory=zero_memory)
+    )
+    zeroed = fleet_study.run(**kwargs)
+    assert zero_memory.fault_hook._draws == {}
     assert zeroed.density == baseline.density
     assert zeroed.savings_fraction == baseline.savings_fraction
     assert zeroed.table.rows == baseline.table.rows

@@ -13,8 +13,6 @@ with a typed outcome (served, host-shed, or a cluster
 
 from __future__ import annotations
 
-import pytest
-
 from repro.cluster import (
     ClusterConfig,
     ClusterPlatform,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import faults
 from repro.errors import ConfigError
 from repro.faults import (
     ZERO_PLAN,
@@ -275,16 +274,3 @@ class TestSnapshotCorruption:
                                       np.sort(pages))
         assert inj.counters["corrupted_pages"] == 4
 
-
-class TestDefaultInstall:
-    def test_injected_context_restores_previous(self):
-        assert faults.get_default() is None
-        with faults.injected(FaultPlan()) as inj:
-            assert faults.get_default() is inj
-            assert faults.resolve(None) is inj
-            other = FaultInjector()
-            assert faults.resolve(other) is other
-            with faults.injected(FaultPlan(seed=99)) as inner:
-                assert faults.get_default() is inner
-            assert faults.get_default() is inj
-        assert faults.get_default() is None

@@ -19,18 +19,22 @@ from repro.faults import (
     StorageFaultSpec,
     TierFaultSpec,
 )
+from repro.memsim.tiers import DEFAULT_MEMORY_SYSTEM
 from repro.platform.server import ServerlessPlatform
 
 from telemetry_events import milestones, observe_calls
 
 
 def chaos_platform(plan, **kwargs):
+    memory = DEFAULT_MEMORY_SYSTEM
+    if plan is not None:
+        memory = memory.with_fault_hook(FaultInjector(plan))
     platform = ServerlessPlatform(
         n_cores=kwargs.pop("n_cores", 4),
+        memory=memory,
         toss_cfg=TossConfig(
             convergence_window=3, min_profiling_invocations=3
         ),
-        faults=FaultInjector(plan) if plan is not None else None,
         **kwargs,
     )
     return platform, observe_calls(platform, "serve")
@@ -56,7 +60,7 @@ class TestChaosSweep:
         assert not any(e.failed for e in log)
 
         # The outage window was actually crossed and absorbed.
-        assert platform.faults.counters["outages_hit"] > 0
+        assert platform.memory.fault_hook.counters["outages_hit"] > 0
         assert platform.total_failures() > 0
 
         # Telemetry agrees with the request log, event for event.
@@ -193,4 +197,4 @@ class TestZeroFaultPlatformIdentity:
         assert zeroed.availability() == 1.0
         assert zeroed.degraded_time_s() == 0.0
         assert zeroed.total_retries() == 0
-        assert zeroed.faults._draws == {}  # the RNG was never touched
+        assert zeroed.memory.fault_hook._draws == {}  # the RNG was never touched

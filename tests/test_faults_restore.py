@@ -17,7 +17,7 @@ from repro.faults import (
     StorageFaultSpec,
     TierFaultSpec,
 )
-from repro.memsim.tiers import Tier
+from repro.memsim.tiers import DEFAULT_MEMORY_SYSTEM, Tier
 from repro.vm.layout import MemoryLayout
 from repro.vm.restore import (
     lazy_restore,
@@ -28,6 +28,11 @@ from repro.vm.restore import (
 from repro.vm.snapshot import ReapSnapshot, SingleTierSnapshot, TieredSnapshot
 
 N_PAGES = 4096
+
+
+def hooked(injector: FaultInjector):
+    """The default memory system with ``injector`` as its fault hook."""
+    return DEFAULT_MEMORY_SYSTEM.with_fault_hook(injector)
 
 
 @pytest.fixture
@@ -88,7 +93,7 @@ class TestReapUnderFaults:
         )
         injector = FaultInjector(plan)
         clean = reap_restore(reap_snapshot)
-        faulted = reap_restore(reap_snapshot, injector=injector)
+        faulted = reap_restore(reap_snapshot, memory=hooked(injector))
         assert faulted.retries > 0
         assert faulted.fault_stall_s > 0.0
         assert faulted.setup_time_s == pytest.approx(
@@ -100,16 +105,15 @@ class TestReapUnderFaults:
             ssd=StorageFaultSpec(read_error_rate=0.5, retry_success_rate=0.0)
         )
         with pytest.raises(RestoreRetryExhausted):
-            reap_restore(reap_snapshot, injector=FaultInjector(plan))
+            reap_restore(reap_snapshot, memory=hooked(FaultInjector(plan)))
 
     def test_spikes_flow_through_storage_device(self, reap_snapshot):
         plan = FaultPlan(
             ssd=StorageFaultSpec(latency_spike_rate=1.0, latency_spike_s=5e-3)
         )
-        # The spike is drawn from the restore's own injector, not the
-        # installed default (of which there is none here).
+        # The spike is drawn from the restore memory's fault hook.
         clean = reap_restore(reap_snapshot)
-        spiked = reap_restore(reap_snapshot, injector=FaultInjector(plan))
+        spiked = reap_restore(reap_snapshot, memory=hooked(FaultInjector(plan)))
         assert spiked.fault_stall_s == pytest.approx(5e-3)
         assert spiked.setup_time_s == pytest.approx(clean.setup_time_s + 5e-3)
 
@@ -120,15 +124,15 @@ class TestTieredUnderFaults:
         injector = FaultInjector(plan)
         injector.advance_to(15.0)
         with pytest.raises(TierUnavailableError):
-            tiered_restore(tiered_snapshot, injector=injector)
+            tiered_restore(tiered_snapshot, memory=hooked(injector))
         injector.advance_to(25.0)
-        result = tiered_restore(tiered_snapshot, injector=injector)
+        result = tiered_restore(tiered_snapshot, memory=hooked(injector))
         assert result.strategy == "toss"
 
     def test_corruption_detected_at_restore(self, tiered_snapshot):
         plan = FaultPlan(snapshot=SnapshotFaultSpec(corruption_rate=1.0))
         with pytest.raises(SnapshotCorruptionError):
-            tiered_restore(tiered_snapshot, injector=FaultInjector(plan))
+            tiered_restore(tiered_snapshot, memory=hooked(FaultInjector(plan)))
         # At-rest damage persists: a later fault-free open still fails.
         with pytest.raises(SnapshotCorruptionError):
             tiered_snapshot.verify()
@@ -137,7 +141,7 @@ class TestTieredUnderFaults:
         plan = FaultPlan(
             tier=TierFaultSpec(backpressure_windows=((0.0, 100.0, 3.0),))
         )
-        result = tiered_restore(tiered_snapshot, injector=FaultInjector(plan))
+        result = tiered_restore(tiered_snapshot, memory=hooked(FaultInjector(plan)))
         assert result.backpressure == 3.0
 
 
@@ -152,7 +156,7 @@ class TestRecoveringRestore:
         plan = FaultPlan(snapshot=SnapshotFaultSpec(corruption_rate=1.0))
         result, fault = recovering_restore(
             tiered_snapshot,
-            injector=FaultInjector(plan),
+            memory=hooked(FaultInjector(plan)),
             fallback_source=base_snapshot,
         )
         assert isinstance(fault, SnapshotCorruptionError)
@@ -169,7 +173,7 @@ class TestRecoveringRestore:
     ):
         outage = FaultPlan(tier=TierFaultSpec(outage_windows=((0.0, 9e9),)))
         result, fault = recovering_restore(
-            tiered_snapshot, injector=FaultInjector(outage)
+            tiered_snapshot, memory=hooked(FaultInjector(outage))
         )
         assert isinstance(fault, TierUnavailableError) and result.fallback
 
@@ -178,7 +182,7 @@ class TestRecoveringRestore:
         )
         result, fault = recovering_restore(
             reap_snapshot,
-            injector=FaultInjector(dead_ssd),
+            memory=hooked(FaultInjector(dead_ssd)),
             fallback_source=base_snapshot,
         )
         assert isinstance(fault, RestoreRetryExhausted) and result.fallback
@@ -197,7 +201,7 @@ class TestZeroFaultIdentity:
             if fn is lazy_restore:
                 clean, faulty = fn(snap), fn(snap)
             else:
-                clean, faulty = fn(snap), fn(snap, injector=zero)
+                clean, faulty = fn(snap), fn(snap, memory=hooked(zero))
             assert clean.setup_time_s == faulty.setup_time_s
             assert clean.retries == faulty.retries == 0
             assert not faulty.fallback

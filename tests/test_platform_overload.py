@@ -28,6 +28,7 @@ from repro.faults import (
     StorageFaultSpec,
     TierFaultSpec,
 )
+from repro.memsim.tiers import DEFAULT_MEMORY_SYSTEM
 from repro.platform import HostCapacity
 from repro.platform.overload import (
     BreakerState,
@@ -45,11 +46,11 @@ from telemetry_events import milestones, observe_calls
 SMALL_TOSS = TossConfig(convergence_window=3, min_profiling_invocations=3)
 
 
-def make_platform(overload=None, *, n_cores=2, faults=None, **kwargs):
+def make_platform(overload=None, *, n_cores=2, injector=None, **kwargs):
     platform = ServerlessPlatform(
         n_cores=n_cores,
+        memory=DEFAULT_MEMORY_SYSTEM.with_fault_hook(injector),
         toss_cfg=SMALL_TOSS,
-        faults=faults,
         overload=overload,
         **kwargs,
     )
@@ -459,7 +460,7 @@ class TestCircuitBreakerIntegration:
         plan = FaultPlan(tier=TierFaultSpec(outage_windows=((2.0, 4.0),)))
         platform, tracer = make_platform(
             OverloadConfig(breaker_failures=2, breaker_cooldown_s=1.0),
-            faults=FaultInjector(plan),
+            injector=FaultInjector(plan),
         )
         platform.deploy(tiny_function)
         log = platform.serve([(0.1 * i, "tiny", 3) for i in range(80)])
@@ -488,7 +489,7 @@ class TestCircuitBreakerIntegration:
                 breaker_cooldown_s=0.5,
                 breaker_fail_fast=True,
             ),
-            faults=FaultInjector(plan),
+            injector=FaultInjector(plan),
         )
         platform.deploy(tiny_function)
         log = platform.serve(
@@ -523,7 +524,7 @@ class TestCircuitBreakerIntegration:
         platform, tracer = make_platform(
             OverloadConfig(breaker_failures=2, breaker_cooldown_s=3.0),
             n_cores=4,
-            faults=FaultInjector(plan),
+            injector=FaultInjector(plan),
         )
         platform.deploy(tiny_function)
         requests = [(0.1 * i, "tiny", 3) for i in range(15)]
@@ -658,9 +659,9 @@ class TestPermissiveIdentity:
             ssd=StorageFaultSpec(read_error_rate=1e-3),
             tier=TierFaultSpec(outage_windows=((0.1, 0.2),)),
         )
-        plain, _ = make_platform(None, faults=FaultInjector(plan))
+        plain, _ = make_platform(None, injector=FaultInjector(plan))
         guarded, _ = make_platform(
-            OverloadConfig(), faults=FaultInjector(plan)
+            OverloadConfig(), injector=FaultInjector(plan)
         )
         self.serve_stream(plain, tiny_function)
         self.serve_stream(guarded, tiny_function)
@@ -698,7 +699,7 @@ class TestDegradationScenario:
         )
         plan = FaultPlan(ssd=StorageFaultSpec(read_error_rate=1e-3))
         platform, tracer = make_platform(
-            cfg, faults=FaultInjector(plan)
+            cfg, injector=FaultInjector(plan)
         )
         platform.deploy(tiny_function)
         warmup = [(0.1 * i, "tiny", i % 4) for i in range(12)]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
+from repro.memsim.tiers import DRAM_SPEC, MemorySystem
 from repro.pricing import (
     AWS_LAMBDA,
     GCP_CLOUD_FUNCTIONS,
@@ -108,6 +109,19 @@ class TestTieredBilling:
         # lz4-compressed DRAM (x2.5 ratio at DRAM price) prices exactly
         # like PMEM at the paper's 2.5 cost ratio.
         assert on_lz4.tiered_cost == pytest.approx(on_pmem.tiered_cost)
+
+    def test_tier_fractions_blend_folds_left(self, compensated_sum):
+        """The per-tier price terms add left to right on any Python: on an
+        all-DRAM chain the blend of (0.3, 0.6, 0.1) is the left fold
+        0.9999999999999999, where the compensated ``sum()`` of Python
+        3.12 gives 1.0."""
+        memory = MemorySystem(fast=DRAM_SPEC, middle=(DRAM_SPEC,), slow=DRAM_SPEC)
+        bill = bill_invocation(
+            guest_mb=128, duration_s=0.1, slow_fraction=0.0,
+            memory=memory, tier_fractions=(0.3, 0.6, 0.1),
+        )
+        assert bill.tiered_cost == bill.dram_cost * ((0.3 + 0.6) + 0.1)
+        assert bill.tiered_cost < bill.dram_cost
 
     def test_tier_fractions_validated(self):
         with pytest.raises(ConfigError):

@@ -38,6 +38,7 @@ from repro.core.toss import TossConfig
 from repro.errors import FaultInjected
 from repro.faults import FaultInjector, FaultPlan, StorageFaultSpec, TierFaultSpec
 from repro.faults.plan import HostFaultSpec
+from repro.memsim.tiers import DEFAULT_MEMORY_SYSTEM
 from repro.obs import (
     FleetAggregator,
     Observation,
@@ -161,7 +162,7 @@ def host_stream() -> dict[str, object]:
         toss_cfg=TOSS_CFG,
         keepalive=KeepAliveCache(300.0),
         prewarm=PrewarmPolicy(),
-        faults=injector,
+        memory=DEFAULT_MEMORY_SYSTEM.with_fault_hook(injector),
         overload=OverloadConfig(
             max_queue_depth=3,
             max_queue_delay_s=0.04,

@@ -45,18 +45,19 @@ class TestSnapshotCapture:
 
 
 class TestRestoreDispatch:
-    def test_auto_dispatch(self, vmm, tiny_function):
-        boot = vmm.boot_and_run(tiny_function, 0, 0)
-        base = vmm.capture_snapshot(boot.vm)
-        reap = vmm.capture_reap_snapshot(tiny_function, 0, 0)
-        assert vmm.restore(base).strategy == "lazy"
-        assert vmm.restore(reap).strategy == "reap"
-
     def test_named_strategies(self, vmm, tiny_function):
         boot = vmm.boot_and_run(tiny_function, 0, 0)
         base = vmm.capture_snapshot(boot.vm)
+        reap = vmm.capture_reap_snapshot(tiny_function, 0, 0)
         assert vmm.restore(base, "warm").strategy == "warm"
         assert vmm.restore(base, "lazy").strategy == "lazy"
+        assert vmm.restore(reap, "reap").strategy == "reap"
+
+    def test_strategy_is_required(self, vmm, tiny_function):
+        boot = vmm.boot_and_run(tiny_function, 0, 0)
+        base = vmm.capture_snapshot(boot.vm)
+        with pytest.raises(TypeError):
+            vmm.restore(base)
 
     def test_unknown_strategy_rejected(self, vmm, tiny_function):
         boot = vmm.boot_and_run(tiny_function, 0, 0)
