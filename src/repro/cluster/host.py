@@ -116,7 +116,8 @@ class Host:
         *files* land on this host, so its controller can serve tiered
         restores immediately without re-running the profiling pipeline.
         Only a controller that has never served (no local state to
-        clobber) adopts; snapshot arrays are physically copied so a later
+        clobber) adopts; each snapshot is a copy that shares the source's
+        captured image and carries its own write ledger, so a later
         at-rest corruption on one host never leaks to its replicas.
 
         ``force`` re-admits a controller whose local files were *evicted*

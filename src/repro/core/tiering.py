@@ -296,8 +296,9 @@ def build_tiered_snapshot(
     else:
         placement = analysis.placement
     layout = MemoryLayout.from_placement(placement)
-    # The per-tier files are physical copies of the single-tier file, so
-    # at-rest damage to one snapshot never propagates to the other (the
+    # The per-tier files are a copy of the single-tier file: it shares
+    # the captured image and keeps its own write ledger, so at-rest
+    # damage to one snapshot never propagates to the other (the
     # lazy-restore fallback depends on this).
     return TieredSnapshot(
         base=base.copy(),

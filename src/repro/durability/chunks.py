@@ -91,7 +91,7 @@ class ChunkIndex:
     Built from the snapshot's *captured* checksums (``page_checksums``,
     written at snapshot time), not from its current page versions — the
     index is the reference that at-rest damage is detected against.  All
-    physical copies of the same snapshot share one index.
+    copies of the same snapshot share one index.
     """
 
     n_pages: int
@@ -103,12 +103,10 @@ class ChunkIndex:
         cls, snapshot: SingleTierSnapshot, chunk_pages: int = DEFAULT_CHUNK_PAGES
     ) -> "ChunkIndex":
         """Index a snapshot's captured (trusted) checksums."""
-        checksums = snapshot.page_checksums
-        assert checksums is not None  # __post_init__ always fills them
         return cls(
             n_pages=snapshot.n_pages,
             chunk_pages=chunk_pages,
-            digests=chunk_digests(checksums, chunk_pages),
+            digests=chunk_digests(snapshot.page_checksums, chunk_pages),
         )
 
     @property
@@ -156,7 +154,7 @@ class ChunkIndex:
         """Whether one chunk of a copy matches its trusted digest."""
         self._check(snapshot)
         start, end = self.chunk_bounds(chunk)
-        versions = snapshot.page_versions[start:end]
+        versions = snapshot.read_pages(np.arange(start, end))
         positions = np.arange(end - start, dtype=np.uint64)
         salted = (
             checksum_pages(versions) ^ (positions * _POSITION_SALT)
@@ -174,14 +172,14 @@ class ChunkIndex:
 
         The replica-fetch rung of the repair ladder: verifies the source
         chunk against the shared digest first (a rotted replica must not
-        propagate its damage), then copies the page range.  Returns True
-        when the repair landed, False when the source chunk is itself
-        bad.
+        propagate its damage), then writes the page range into
+        ``damaged``.  Returns True when the repair landed, False when the
+        source chunk is itself bad.
         """
         self._check(damaged)
         self._check(source)
         if not self.chunk_clean(source, chunk):
             return False
-        start, end = self.chunk_bounds(chunk)
-        damaged.page_versions[start:end] = source.page_versions[start:end]
+        pages = np.arange(*self.chunk_bounds(chunk))
+        damaged.write_pages(pages, source.read_pages(pages))
         return True

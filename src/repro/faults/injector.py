@@ -171,15 +171,15 @@ class FaultInjector:
         """Backpressure inflation of slow-tier latency at a simulated time.
 
         This is the ``MemorySystem`` fault hook: 1.0 outside every
-        backpressure window, the worst matching multiplier inside.
+        backpressure window, the worst matching multiplier inside.  A
+        pure read, asked on every slow-tier spec lookup; the restore that
+        maps through a window counts ``backpressure_hits``.
         """
         t = self.now if at_s is None else at_s
         mult = 1.0
         for start, end, m in self.plan.tier.backpressure_windows:
             if start <= t < end:
                 mult = max(mult, m)
-        if mult > 1.0:
-            self.counters["backpressure_hits"] += 1
         return mult
 
     # -- snapshot files ----------------------------------------------------
@@ -195,14 +195,15 @@ class FaultInjector:
         return hit
 
     def corrupt_snapshot(self, snapshot) -> np.ndarray:
-        """Flip page versions of a snapshot in place; returns the indices.
+        """Flip page versions of one snapshot copy; returns the indices.
 
         The damage persists (at-rest corruption): every later restore of
         the same object sees it until the snapshot is regenerated.
         """
         n = min(self.plan.snapshot.corrupt_pages, snapshot.n_pages)
         pages = self._rng("snap-pages").choice(snapshot.n_pages, size=n, replace=False)
-        snapshot.page_versions[pages] ^= np.uint64(0xDEAD)
+        flipped = snapshot.read_pages(pages) ^ np.uint64(0xDEAD)
+        snapshot.write_pages(pages, flipped)
         self.counters["corrupted_pages"] += int(n)
         return pages
 
@@ -278,7 +279,7 @@ class FaultInjector:
         # Wrapping add, not XOR: a page rotted twice must stay damaged
         # (an XOR flip applied twice would silently self-heal, leaving a
         # recorded corruption that no scrub can ever detect).
-        snapshot.page_versions[pages] += _ROT_FLIP
+        snapshot.write_pages(pages, snapshot.read_pages(pages) + _ROT_FLIP)
         self.counters["rot_events"] += 1
         self.counters["rot_pages"] += int(pages.size)
         return pages
@@ -298,7 +299,7 @@ class FaultInjector:
             return _EMPTY_PAGES
         n = min(spec.torn_write_pages, snapshot.n_pages)
         pages = np.arange(snapshot.n_pages - n, snapshot.n_pages, dtype=np.int64)
-        snapshot.page_versions[pages] += _TORN_FLIP
+        snapshot.write_pages(pages, snapshot.read_pages(pages) + _TORN_FLIP)
         self.counters["torn_writes"] += 1
         self.counters["torn_pages"] += int(n)
         return pages

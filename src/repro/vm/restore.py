@@ -339,6 +339,8 @@ def tiered_restore(
                 f"an outage window at t={injector.now:.3f}s"
             )
         backpressure = injector.slow_latency_multiplier()
+        if backpressure > 1.0:
+            injector.counters["backpressure_hits"] += 1
         # The layout file and the per-region metadata reads come from
         # snapshot storage, so they see the device's error rate; faulted
         # reads are retried with capped exponential backoff.
@@ -422,10 +424,10 @@ def recovering_restore(
     memory file and demand paging, so it always succeeds.
     ``fallback_source`` names that file; it defaults to the snapshot's own
     base, but callers that kept the original single-tier snapshot should
-    pass it — it is a physically separate file, so it survives corruption
-    of the tier files.  Returns the result (``fallback=True`` if recovery
-    happened) plus the fault that forced the fallback, or ``None`` on a
-    clean restore.
+    pass it — it is a separate copy with its own write ledger, so it
+    survives corruption of the tier files.  Returns the result
+    (``fallback=True`` if recovery happened) plus the fault that forced
+    the fallback, or ``None`` on a clean restore.
     """
     try:
         if isinstance(snapshot, TieredSnapshot):

@@ -6,6 +6,14 @@ per-page ``uint64`` version array — enough to verify restore correctness
 bytes.  Each snapshot kind also knows its simulated creation cost, and
 carries per-page checksums so at-rest corruption (real or injected by
 :mod:`repro.faults`) is detectable at restore time via :meth:`verify`.
+
+A single-tier snapshot is a read-only captured *image* plus a sparse
+*write ledger*: the sorted indices of the pages written since capture and
+their current versions.  Every :meth:`SingleTierSnapshot.copy` — the
+tiered files, each replica on another host — shares the image and starts
+from its source's ledger, so a copy costs its ledger, not the guest size,
+and damage written to one copy never reaches its twin.  The trusted
+checksums are the image's, so only a ledger page can fail verification.
 """
 
 from __future__ import annotations
@@ -58,34 +66,63 @@ def checksum_pages(page_versions: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+_NO_PAGES = _frozen(np.empty(0, dtype=np.int64))
+_NO_VERSIONS = _frozen(np.empty(0, dtype=np.uint64))
+
+
 class SingleTierSnapshot:
     """A vanilla Firecracker snapshot: VM state plus one memory file.
 
     The memory file lives on the SSD and is memory-mapped at restore, with
     guest pages loaded on demand (Section II-A).
+
+    The snapshot owns ``page_versions`` from construction on: the array
+    becomes its read-only captured image, so pass a copy of any array
+    that is still written elsewhere.  Content changes only through
+    :meth:`write_pages`.
     """
 
-    n_pages: int
-    page_versions: np.ndarray
-    label: str = ""
-    page_checksums: np.ndarray | None = None
+    __slots__ = ("n_pages", "label", "_image", "_pages", "_versions")
 
-    def __post_init__(self) -> None:
-        versions = np.asarray(self.page_versions, dtype=np.uint64)
-        if versions.shape != (self.n_pages,):
+    def __init__(
+        self, n_pages: int, page_versions: np.ndarray, label: str = ""
+    ) -> None:
+        image = np.asarray(page_versions, dtype=np.uint64)
+        if image.shape != (n_pages,):
             raise SnapshotError(
-                f"version array shape {versions.shape} does not match "
-                f"{self.n_pages} pages"
+                f"version array shape {image.shape} does not match "
+                f"{n_pages} pages"
             )
-        object.__setattr__(self, "page_versions", versions)
-        if self.page_checksums is None:
-            object.__setattr__(self, "page_checksums", checksum_pages(versions))
-        else:
-            checksums = np.asarray(self.page_checksums, dtype=np.uint64)
-            if checksums.shape != (self.n_pages,):
-                raise SnapshotError("checksum array does not match guest size")
-            object.__setattr__(self, "page_checksums", checksums)
+        self.n_pages = n_pages
+        self.label = label
+        self._image = _frozen(image)
+        # The write ledger: sorted page indices and their current
+        # versions, each differing from the image.  Both arrays are
+        # read-only and replaced whole on a write, so copies share them.
+        self._pages = _NO_PAGES
+        self._versions = _NO_VERSIONS
+
+    @property
+    def page_versions(self) -> np.ndarray:
+        """Current per-page versions (read-only).
+
+        The image itself while the ledger is empty; otherwise a fresh
+        array with the ledger applied."""
+        if self._pages.size == 0:
+            return self._image
+        versions = self._image.copy()
+        versions[self._pages] = self._versions
+        return _frozen(versions)
+
+    @property
+    def page_checksums(self) -> np.ndarray:
+        """The captured (trusted) per-page checksums (read-only)."""
+        return _frozen(checksum_pages(self._image))
 
     @property
     def size_bytes(self) -> int:
@@ -96,10 +133,58 @@ class SingleTierSnapshot:
         """Simulated cost of writing the memory file to the SSD."""
         return self.size_bytes / config.SSD_SEQ_WRITE_BPS
 
+    def _indices(self, pages) -> np.ndarray:
+        pages = np.asarray(pages, dtype=np.int64).reshape(-1)
+        if pages.size and (pages.min() < 0 or pages.max() >= self.n_pages):
+            raise SnapshotError(
+                f"snapshot {self.label!r}: page index outside "
+                f"0..{self.n_pages - 1}"
+            )
+        return pages
+
+    def read_pages(self, pages) -> np.ndarray:
+        """Current versions of ``pages`` (a fresh array)."""
+        pages = self._indices(pages)
+        versions = self._image[pages]
+        if self._pages.size:
+            at = np.searchsorted(self._pages, pages)
+            np.minimum(at, self._pages.size - 1, out=at)
+            hit = self._pages[at] == pages
+            versions[hit] = self._versions[at[hit]]
+        return versions
+
+    def write_pages(self, pages, versions) -> None:
+        """Set ``pages`` to ``versions`` in this copy only.
+
+        The one writer of snapshot content: at-rest damage and chunk
+        repair both land here.  As with a NumPy fancy assignment, the
+        last write to a repeated page wins.  A page written back to its
+        captured version leaves the ledger.
+        """
+        pages = self._indices(pages)
+        versions = np.broadcast_to(
+            np.asarray(versions, dtype=np.uint64), pages.shape
+        )
+        kept = ~np.isin(self._pages, pages)
+        merged_pages = np.concatenate((self._pages[kept], pages))
+        merged_versions = np.concatenate((self._versions[kept], versions))
+        order = np.argsort(merged_pages, kind="stable")
+        merged_pages = merged_pages[order]
+        merged_versions = merged_versions[order]
+        keep = merged_versions != self._image[merged_pages]
+        keep[:-1] &= merged_pages[1:] != merged_pages[:-1]
+        self._pages = _frozen(merged_pages[keep])
+        self._versions = _frozen(merged_versions[keep])
+
     def corrupt_pages(self) -> np.ndarray:
-        """Indices of pages whose contents no longer match their checksum."""
-        return np.flatnonzero(checksum_pages(self.page_versions)
-                              != self.page_checksums)
+        """Indices of pages whose contents no longer match their checksum.
+
+        A page never written still holds its captured version, so only
+        ledger pages are checked; the result is sorted."""
+        bad = checksum_pages(self._versions) != checksum_pages(
+            self._image[self._pages]
+        )
+        return self._pages[bad]
 
     def verify(self) -> None:
         """Check every page against its captured checksum.
@@ -117,13 +202,13 @@ class SingleTierSnapshot:
             )
 
     def copy(self) -> "SingleTierSnapshot":
-        """An independent physical copy (fresh version/checksum arrays)."""
-        return SingleTierSnapshot(
-            n_pages=self.n_pages,
-            page_versions=self.page_versions.copy(),
-            label=self.label,
-            page_checksums=self.page_checksums.copy(),
-        )
+        """An independent copy: the shared image and this copy's ledger.
+
+        Writes to either copy land in its own ledger only."""
+        twin = SingleTierSnapshot(self.n_pages, self._image, self.label)
+        twin._pages = self._pages
+        twin._versions = self._versions
+        return twin
 
 
 @dataclass(frozen=True)

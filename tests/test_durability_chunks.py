@@ -108,7 +108,7 @@ class TestChunkIndex:
         s = snap()
         index = ChunkIndex.for_snapshot(s, 256)
         assert index.bad_chunks(s).size == 0
-        s.page_versions[300] += np.uint64(1)
+        s.write_pages([300], s.read_pages([300]) + np.uint64(1))
         assert index.bad_chunks(s).tolist() == [1]
         assert not index.chunk_clean(s, 1)
         assert index.chunk_clean(s, 0)
@@ -122,7 +122,7 @@ class TestChunkIndex:
         damaged = snap()
         source = damaged.copy()
         index = ChunkIndex.for_snapshot(damaged, 256)
-        damaged.page_versions[300] += np.uint64(1)
+        damaged.write_pages([300], damaged.read_pages([300]) + np.uint64(1))
         assert index.repair_chunk(damaged, source, 1)
         assert index.bad_chunks(damaged).size == 0
         damaged.verify()  # checksums hold again
@@ -131,8 +131,8 @@ class TestChunkIndex:
         damaged = snap()
         source = damaged.copy()
         index = ChunkIndex.for_snapshot(damaged, 256)
-        damaged.page_versions[300] += np.uint64(1)
-        source.page_versions[301] += np.uint64(7)
+        damaged.write_pages([300], damaged.read_pages([300]) + np.uint64(1))
+        source.write_pages([301], source.read_pages([301]) + np.uint64(7))
         assert not index.repair_chunk(damaged, source, 1)
         assert index.bad_chunks(damaged).tolist() == [1]
 
@@ -179,5 +179,5 @@ class TestSingleFlipDetectable:
     def test_any_single_flip_fails_exactly_one_chunk(self, page, delta):
         s = snap(1024)
         index = ChunkIndex.for_snapshot(s, 256)
-        s.page_versions[page] += np.uint64(delta)
+        s.write_pages([page], s.read_pages([page]) + np.uint64(delta))
         assert index.bad_chunks(s).tolist() == [page // 256]

@@ -146,7 +146,9 @@ class TestRepairLadder:
         name = FUNCS[0].name
         hid = cluster.placement.base_holders(name)[0]
         copy = manager.copies[(hid, name, "single")]
-        copy.snapshot.page_versions[3:4] += np.uint64(0x0B17)
+        copy.snapshot.write_pages(
+            [3], copy.snapshot.read_pages([3]) + np.uint64(0x0B17)
+        )
         manager._inject(copy, 5.0, "bitrot", 1)
         manager._scrub(10.0)
         copy.snapshot.verify()  # damage gone
@@ -186,8 +188,8 @@ class TestRepairLadder:
         tiered = manager.copies[(hid, name, "tiered")]
         # Same page damaged in both local files; rf=1 leaves no copy
         # anywhere else — the bottom of the ladder.
-        single.snapshot.page_versions[3:4] += np.uint64(0x0B17)
-        tiered.snapshot.page_versions[3:4] += np.uint64(0x0B17)
+        for damaged in (single.snapshot, tiered.snapshot):
+            damaged.write_pages([3], damaged.read_pages([3]) + np.uint64(0x0B17))
         manager._inject(single, 5.0, "bitrot", 1)
         manager._inject(tiered, 5.0, "bitrot", 1)
         ctl = cluster.hosts[hid].platform.deployments[name].controller

@@ -52,7 +52,9 @@ class TestRunScrubPass:
             s = snap()
             index = ChunkIndex.for_snapshot(s, 256)
             if damage_page is not None and i == 0:
-                s.page_versions[damage_page] += np.uint64(1)
+                s.write_pages(
+                    [damage_page], s.read_pages([damage_page]) + np.uint64(1)
+                )
             copies.append((i, s, index))
         return copies
 
@@ -113,7 +115,7 @@ class TestRunScrubPass:
             s = snap(n_pages)
             index = ChunkIndex.for_snapshot(s, 128)
             if copy_id == 11:
-                s.page_versions[[200, 600]] += np.uint64(1)
+                s.write_pages([200, 600], s.read_pages([200, 600]) + np.uint64(1))
             copies.append((copy_id, s, index))
         report = run_scrub_pass(
             copies,

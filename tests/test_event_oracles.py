@@ -49,7 +49,7 @@ def _copies(spec):
         index = ChunkIndex.for_snapshot(s, chunk_pages)
         for page in damage:
             if page < n_pages:
-                s.page_versions[page] += np.uint64(1)
+                s.write_pages([page], s.read_pages([page]) + np.uint64(1))
         copies.append((3 * copy_id + 1, s, index))
     return copies
 

@@ -18,6 +18,7 @@ from repro.faults import (
     TierFaultSpec,
 )
 from repro.memsim.tiers import DEFAULT_MEMORY_SYSTEM, Tier
+from repro.pricing.billing import bill_invocation
 from repro.vm.layout import MemoryLayout
 from repro.vm.restore import (
     lazy_restore,
@@ -69,14 +70,14 @@ class TestSnapshotChecksums:
         assert base_snapshot.corrupt_pages().size == 0
 
     def test_flipped_version_fails_verification(self, base_snapshot):
-        base_snapshot.page_versions[7] ^= np.uint64(1)
+        base_snapshot.write_pages([7], base_snapshot.read_pages([7]) ^ np.uint64(1))
         with pytest.raises(SnapshotCorruptionError) as info:
             base_snapshot.verify()
         np.testing.assert_array_equal(info.value.corrupt_pages, [7])
 
     def test_copy_is_independent(self, base_snapshot):
         clone = base_snapshot.copy()
-        clone.page_versions[0] ^= np.uint64(1)
+        clone.write_pages([0], clone.read_pages([0]) ^ np.uint64(1))
         base_snapshot.verify()  # original untouched
         with pytest.raises(SnapshotCorruptionError):
             clone.verify()
@@ -143,6 +144,28 @@ class TestTieredUnderFaults:
         )
         result = tiered_restore(tiered_snapshot, memory=hooked(FaultInjector(plan)))
         assert result.backpressure == 3.0
+
+    def test_backpressure_hits_count_restores_not_lookups(self, tiered_snapshot):
+        # Slow-spec lookups and billing read the multiplier; only a
+        # restore that maps through the window counts as a hit.
+        plan = FaultPlan(
+            tier=TierFaultSpec(backpressure_windows=((0.0, 100.0, 4.0),))
+        )
+        injector = FaultInjector(plan)
+        memory = hooked(injector)
+        assert memory.spec(Tier.SLOW).load_latency_s == pytest.approx(
+            4.0 * DEFAULT_MEMORY_SYSTEM.slow.load_latency_s
+        )
+        bill_invocation(
+            guest_mb=128.0,
+            duration_s=0.5,
+            slow_fraction=0.5,
+            memory=memory,
+            tier_fractions=(0.5, 0.5),
+        )
+        assert injector.counters["backpressure_hits"] == 0
+        tiered_restore(tiered_snapshot, memory=memory)
+        assert injector.counters["backpressure_hits"] == 1
 
 
 class TestRecoveringRestore:

@@ -4,17 +4,24 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import config
+from repro.durability import ChunkIndex, chunk_digests
 from repro.errors import SnapshotCorruptionError, SnapshotError
+from repro.faults import BitRotSpec, FaultInjector, FaultPlan, SnapshotFaultSpec
 from repro.memsim.tiers import Tier
 from repro.vm.layout import MemoryLayout
 from repro.vm.snapshot import (
     ReapSnapshot,
     SingleTierSnapshot,
     TieredSnapshot,
+    checksum_pages,
     format_page_indices,
 )
+
+from snapshot_oracle import TwoArraySnapshot
 
 
 def snap(n_pages=1024, label="s") -> SingleTierSnapshot:
@@ -38,6 +45,158 @@ class TestSingleTierSnapshot:
             SingleTierSnapshot(n_pages=10, page_versions=np.zeros(5, dtype=np.uint64))
 
 
+class TestWriteLedger:
+    def test_direct_writes_raise(self):
+        # Content changes only through write_pages, so no writer can
+        # bypass the ledger: clean or damaged, the arrays are read-only.
+        s = snap()
+        for damaged in (False, True):
+            if damaged:
+                s.write_pages([5], s.read_pages([5]) + np.uint64(1))
+            with pytest.raises(ValueError):
+                s.page_versions[0] = np.uint64(9)
+            with pytest.raises(ValueError):
+                s.page_versions[[1, 2]] += np.uint64(1)
+            with pytest.raises(ValueError):
+                s.page_checksums[0] = np.uint64(9)
+
+    def test_write_back_to_capture_clears_the_page(self):
+        s = snap()
+        image = s.page_versions
+        s.write_pages([3, 9], [np.uint64(70), np.uint64(9)])
+        assert s.corrupt_pages().tolist() == [3]
+        s.write_pages([3], [np.uint64(3)])
+        assert s.corrupt_pages().size == 0
+        assert s.page_versions is image
+
+    def test_out_of_range_write_rejected(self):
+        s = snap(16)
+        with pytest.raises(SnapshotError):
+            s.write_pages([16], [np.uint64(0)])
+        with pytest.raises(SnapshotError):
+            s.read_pages([-1])
+
+
+_N_PAGES = 700
+_CHUNK_PAGES = 64
+
+_OPS = st.one_of(
+    st.tuples(st.just("copy"), st.integers(0, 99)),
+    st.tuples(st.just("corrupt"), st.integers(0, 99)),
+    st.tuples(
+        st.just("rot"),
+        st.integers(0, 99),
+        st.floats(0.0, 50.0),
+        st.sampled_from(["dram", "pmem", "ssd"]),
+    ),
+    st.tuples(st.just("tear"), st.integers(0, 99)),
+    st.tuples(
+        st.just("repair"),
+        st.integers(0, 99),
+        st.integers(0, 99),
+        st.integers(0, (_N_PAGES - 1) // _CHUNK_PAGES),
+    ),
+    st.tuples(
+        st.just("write"),
+        st.integers(0, 99),
+        st.lists(st.integers(0, _N_PAGES - 1), min_size=1, max_size=8),
+        st.integers(0, 3),
+    ),
+    st.tuples(st.just("verify"), st.integers(0, 99)),
+)
+
+
+def _plan(seed: int) -> FaultPlan:
+    return FaultPlan(
+        snapshot=SnapshotFaultSpec(corruption_rate=1.0, corrupt_pages=5),
+        bitrot=BitRotSpec(
+            dram_rate_per_page_s=1e-4,
+            pmem_rate_per_page_s=1e-3,
+            ssd_rate_per_page_s=5e-3,
+            latent_sector_rate_per_s=0.02,
+            latent_sector_pages=24,
+            torn_write_rate=0.5,
+            torn_write_pages=7,
+        ),
+        seed=seed,
+    )
+
+
+def _apply(op, pool, injector, index):
+    """Run one operation on one pool; returns what it reports."""
+    kind, i = op[0], op[1] % len(pool)
+    if kind == "copy":
+        pool.append(pool[i].copy())
+        return None
+    if kind == "corrupt":
+        return injector.corrupt_snapshot(pool[i]).tolist()
+    if kind == "rot":
+        return injector.rot_snapshot(pool[i], op[2], op[3]).tolist()
+    if kind == "tear":
+        return injector.tear_write(pool[i]).tolist()
+    if kind == "repair":
+        return index.repair_chunk(pool[i], pool[op[2] % len(pool)], op[3])
+    if kind == "write":
+        # delta 0 writes a page back to its current content; the others
+        # flip it, so a repeat of the same page may restore its capture.
+        pages = op[2]
+        old = pool[i].read_pages(pages)
+        pool[i].write_pages(pages, old + np.uint64(op[3]) * np.uint64(0x51))
+        return None
+    try:
+        pool[i].verify()
+    except SnapshotCorruptionError as err:
+        return (str(err), err.corrupt_pages.tolist())
+    return None
+
+
+def _state(s, index):
+    versions = s.page_versions
+    return (
+        versions.tolist(),
+        s.page_checksums.tolist(),
+        s.corrupt_pages().tolist(),
+        ChunkIndex.for_snapshot(s, _CHUNK_PAGES).digests.tolist(),
+        chunk_digests(checksum_pages(versions), _CHUNK_PAGES).tolist(),
+        index.bad_chunks(s).tolist(),
+    )
+
+
+class TestLedgerMatchesTwoArrays:
+    @given(
+        ops=st.lists(_OPS, min_size=1, max_size=25),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_random_histories_agree(self, ops, seed):
+        versions = np.random.default_rng(seed).integers(
+            0, 2**63, size=_N_PAGES, dtype=np.uint64
+        )
+        ledger = [SingleTierSnapshot(_N_PAGES, versions.copy(), "s")]
+        dense = [TwoArraySnapshot(_N_PAGES, versions.copy(), "s")]
+        index = ChunkIndex.for_snapshot(ledger[0], _CHUNK_PAGES)
+        inj_ledger = FaultInjector(_plan(seed))
+        inj_dense = FaultInjector(_plan(seed))
+        for op in ops:
+            before = [s.page_versions.copy() for s in ledger]
+            got = _apply(op, ledger, inj_ledger, index)
+            want = _apply(op, dense, inj_dense, index)
+            assert got == want
+            assert len(ledger) == len(dense)
+            for a, b in zip(ledger, dense):
+                assert _state(a, index) == _state(b, index)
+            if op[0] == "copy":
+                src, twin = ledger[op[1] % (len(ledger) - 1)], ledger[-1]
+                if src.corrupt_pages().size == 0:
+                    assert np.shares_memory(twin.page_versions, src.page_versions)
+                continue
+            # A write reaches only the copy it names, never a twin.
+            target = op[1] % len(ledger)
+            for k, s in enumerate(ledger):
+                if k != target:
+                    assert np.array_equal(s.page_versions, before[k])
+
+
 class TestFormatPageIndices:
     def test_short_arrays_listed_fully(self):
         pages = np.array([3, 7, 11], dtype=np.int64)
@@ -58,7 +217,8 @@ class TestVerifyMessageBounded:
         # programmatic consumers.
         n_pages = 200_000
         s = snap(n_pages)
-        s.page_versions[::2] += np.uint64(1)  # corrupt half the pages
+        half = np.arange(0, n_pages, 2)
+        s.write_pages(half, s.read_pages(half) + np.uint64(1))  # corrupt half
         with pytest.raises(SnapshotCorruptionError) as excinfo:
             s.verify()
         message = str(excinfo.value)
