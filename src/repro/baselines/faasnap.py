@@ -31,8 +31,6 @@ class FaasnapSystem(ServerlessSystem):
         self,
         function: FunctionModel,
         snapshot_input: int,
-        *,
-        recording_seed: int = 0,
         **kwargs,
     ) -> None:
         super().__init__(function, **kwargs)
@@ -43,10 +41,10 @@ class FaasnapSystem(ServerlessSystem):
         self.snapshot_input = snapshot_input
         # Recording run: lazy restore so the page cache sees real faults
         # (and real readahead), then capture residency via mincore().
-        boot = self.vmm.boot_and_run(function, snapshot_input, recording_seed)
+        boot = self.vmm.boot_and_run(function, snapshot_input, 0)
         base = self.vmm.capture_snapshot(boot.vm, label=function.name)
         recording = self.vmm.restore(base, "lazy")
-        recording.vm.execute(self._trace(snapshot_input, recording_seed))
+        recording.vm.execute(self._trace(snapshot_input, 0))
         ws_mask = mincore_working_set(recording.vm.page_cache)
         self.true_ws_pages = int(
             recording.vm.page_cache.demand_loaded_mask().sum()

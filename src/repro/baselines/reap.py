@@ -33,8 +33,6 @@ class ReapSystem(ServerlessSystem):
         self,
         function: FunctionModel,
         snapshot_input: int,
-        *,
-        recording_seed: int = 0,
         **kwargs,
     ) -> None:
         super().__init__(function, **kwargs)
@@ -44,7 +42,7 @@ class ReapSystem(ServerlessSystem):
             )
         self.snapshot_input = snapshot_input
         self._snapshot: ReapSnapshot = self.vmm.capture_reap_snapshot(
-            function, snapshot_input, recording_seed
+            function, snapshot_input
         )
 
     @property

@@ -5,6 +5,6 @@ using the open-source ``binpacking`` package's constant-bin-number
 heuristic; this subpackage reimplements that algorithm from scratch.
 """
 
-from .heuristics import to_constant_bin_number, bin_weights
+from .heuristics import to_constant_bin_number
 
-__all__ = ["to_constant_bin_number", "bin_weights"]
+__all__ = ["to_constant_bin_number"]

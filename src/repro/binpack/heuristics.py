@@ -67,10 +67,3 @@ def to_constant_bin_number(
         bins[j % n_bins].append(item)
     return bins
 
-
-def bin_weights(
-    bins: Sequence[Sequence[T]], key: Callable[[T], float] | None = None
-) -> list[float]:
-    """Total weight per bin (for balance assertions and reporting)."""
-    weigh = key if key is not None else float
-    return [sum(float(weigh(item)) for item in b) for b in bins]

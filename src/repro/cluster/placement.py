@@ -122,10 +122,6 @@ class SnapshotPlacement:
         self._weights[rep.host] += 0.0
         self._replacements.append(rep)
 
-    def replacements_for(self, name: str) -> list[Replacement]:
-        """Repair actions recorded for one function."""
-        return [r for r in self._replacements if r.function == name]
-
     def lightest_host_excluding(self, excluded: set[int]) -> int | None:
         """The lightest host not in ``excluded`` (None when all are)."""
         candidates = [h for h in range(self.n_hosts) if h not in excluded]

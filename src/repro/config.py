@@ -107,7 +107,6 @@ MAX_QUEUE_INFLATION = 100.0
 """Cap on the M/M/1-style queueing inflation factor (rho clamped at 0.99)."""
 
 SSD_SEQ_READ_BPS = 2500 * MB
-SSD_SEQ_WRITE_BPS = 2200 * MB
 SSD_RANDOM_READ_IOPS = 550_000
 
 MINOR_FAULT_LATENCY_S = 1.5e-6
@@ -137,11 +136,6 @@ storage.  Constant per function — the price of TOSS's O(1) setup."""
 
 LAYOUT_PARSE_PER_REGION_S = 1.0e-6
 """Per-region cost of parsing the tiered memory layout file."""
-
-SNAPSHOT_COPY_BPS = 1 * GB
-"""Throughput of the snapshot-tiering copy (Section V-D partitions the
-single-tier file serially into the two tier files: several hundred ms for
-128 MB, a couple of seconds for 1 GB — Section V-C)."""
 
 DAMON_OVERHEAD = 0.03
 """Relative execution-time overhead of profiling with DAMON enabled

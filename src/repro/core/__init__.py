@@ -11,14 +11,13 @@
   (Figure 4).
 """
 
-from .cost import memory_cost, normalized_cost, CostPoint
+from .cost import normalized_cost, CostPoint
 from .analysis import BinProfile, AnalysisResult, ProfilingAnalyzer
 from .tiering import build_tiered_snapshot
 from .reprofile import ReprofilePolicy
 from .toss import TossConfig, TossController, InvocationOutcome, Phase
 
 __all__ = [
-    "memory_cost",
     "normalized_cost",
     "CostPoint",
     "BinProfile",

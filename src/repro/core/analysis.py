@@ -82,15 +82,14 @@ class AnalysisResult:
     final_time_s: float
 
     @property
-    def fast_fraction(self) -> float:
-        """Fraction of guest memory kept in DRAM."""
-        return 1.0 - self.slow_fraction
-
-    @property
     def selected_bins(self) -> tuple[BinProfile, ...]:
         """Bins placed in the slow tier."""
         return tuple(b for b in self.bins if b.selected)
 
+
+MIN_REGION_PAGES = config.DAMON_MIN_REGION_BYTES // config.PAGE_SIZE
+"""DAMON's minimum region size in pages: the pattern's slivers below it
+are absorbed into a neighbour before binning."""
 
 SLOWDOWN_THRESHOLD = OptionalDomain(RealDomain(0.0, lo_open=False, hi_open=False))
 """Section V-C's client slowdown budget: ``None`` is unbounded, and so
@@ -186,7 +185,6 @@ class BinTable:
         *,
         n_bins: int = config.NUM_BINS,
         merge_tolerance: float = float(config.ACCESS_MERGE_THRESHOLD),
-        min_region_pages: int = config.DAMON_MIN_REGION_BYTES // config.PAGE_SIZE,
         pack_mode: str = "quantile",
     ) -> None:
         if pattern.n_pages != trace.n_pages:
@@ -194,7 +192,7 @@ class BinTable:
         self.trace = trace
         self.n_pages = pattern.n_pages
         self.regions = pattern.regions(
-            merge_tolerance=merge_tolerance, min_region_pages=min_region_pages
+            merge_tolerance=merge_tolerance, min_region_pages=MIN_REGION_PAGES
         )
         self.bins = pack_bins(
             [r for r in self.regions if r.value > 0], n_bins, pack_mode
@@ -265,7 +263,6 @@ class ProfilingAnalyzer:
         *,
         n_bins: int = config.NUM_BINS,
         merge_tolerance: float = float(config.ACCESS_MERGE_THRESHOLD),
-        min_region_pages: int = config.DAMON_MIN_REGION_BYTES // config.PAGE_SIZE,
         pack_mode: str = "quantile",
     ) -> None:
         if n_bins < 1:
@@ -275,7 +272,6 @@ class ProfilingAnalyzer:
         self.memory = memory
         self.n_bins = n_bins
         self.merge_tolerance = merge_tolerance
-        self.min_region_pages = min_region_pages
         self.pack_mode = pack_mode
 
     def _timed(self, table: BinTable, rows: np.ndarray) -> list[float]:
@@ -304,7 +300,6 @@ class ProfilingAnalyzer:
             profile_trace,
             n_bins=self.n_bins,
             merge_tolerance=self.merge_tolerance,
-            min_region_pages=self.min_region_pages,
             pack_mode=self.pack_mode,
         )
         check_slowdown_threshold(slowdown_threshold)

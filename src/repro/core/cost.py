@@ -18,33 +18,10 @@ from ..errors import AnalysisError, ConfigError
 from ..memsim.tiers import DEFAULT_MEMORY_SYSTEM, MemorySystem
 
 __all__ = [
-    "memory_cost",
     "normalized_cost",
     "normalized_cost_tiers",
     "CostPoint",
 ]
-
-
-def memory_cost(
-    slowdown: float,
-    fast_mb: float,
-    slow_mb: float,
-    memory: MemorySystem = DEFAULT_MEMORY_SYSTEM,
-) -> float:
-    """Equation 1 verbatim, in price units per unit of time.
-
-    Multiply by an invocation's duration and a vendor's $/MB/ms rate to get
-    a bill; experiments mostly use :func:`normalized_cost` instead.
-    """
-    if slowdown < 1.0:
-        raise AnalysisError(f"slowdown {slowdown} below 1.0 is not meaningful")
-    if fast_mb < 0 or slow_mb < 0:
-        raise AnalysisError("tier sizes must be non-negative")
-    if fast_mb == 0 and slow_mb == 0:
-        raise AnalysisError("at least one tier must hold memory")
-    return slowdown * (
-        fast_mb * memory.fast.cost_per_mb + slow_mb * memory.slow.cost_per_mb
-    )
 
 
 def normalized_cost(

@@ -234,9 +234,7 @@ class TossController:
             "Invocations served, by function and lifecycle phase",
         ).inc(function=self.function.name, phase=phase_label)
 
-    def invoke_fallback(
-        self, input_index: int, seed: int | None = None
-    ) -> InvocationOutcome:
+    def invoke_fallback(self, input_index: int) -> InvocationOutcome:
         """Serve one invocation on the vanilla lazy path, all-DRAM.
 
         The overload layer's short-circuit: an open circuit breaker or a
@@ -247,9 +245,8 @@ class TossController:
         to the normal lifecycle (the initial invocation *is* the
         DRAM-only path)."""
         if self.single_snapshot is None:
-            return self.invoke(input_index, seed)
-        if seed is None:
-            seed = self._seq
+            return self.invoke(input_index)
+        seed = self._seq
         self._seq += 1
         obs = obs_runtime.active()
         if obs is None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.analysis import ProfilingAnalyzer
+from ..core.analysis import MIN_REGION_PAGES, ProfilingAnalyzer
 from ..functions import get_function
 from ..memsim.tiers import DEFAULT_MEMORY_SYSTEM, MemorySystem, TierSpec
 from ..profiling.damon import DamonProfiler
@@ -29,10 +29,10 @@ __all__ = [
 ]
 
 
-def _profiled_pattern(
-    function_name: str, *, invocations: int = 12, seed: int = 42
-) -> tuple:
-    """Profile one function across all inputs; returns (func, pattern)."""
+def _profiled_pattern(function_name: str) -> tuple:
+    """Profile one function across all inputs over 12 invocations;
+    returns (func, pattern)."""
+    invocations, seed = 12, 42
     func = get_function(function_name)
     vmm = VMM()
     damon = DamonProfiler(func.n_pages, rng=np.random.default_rng(seed))
@@ -70,10 +70,7 @@ def ablate_bin_count(
     return table
 
 
-def ablate_merge_tolerance(
-    function_name: str = "linpack",
-    tolerances: tuple[float, ...] = (0.0, 10.0, 100.0, 1000.0),
-) -> Table:
+def ablate_merge_tolerance(function_name: str = "linpack") -> Table:
     """Section V-F's access-count merge threshold vs mapping count."""
     func, pattern = _profiled_pattern(function_name)
     trace = func.trace(3, 999)
@@ -81,10 +78,10 @@ def ablate_merge_tolerance(
         f"Ablation: region merge tolerance ({function_name})",
         ["tolerance", "regions", "cost", "slowdown", "mappings"],
     )
-    for tol in tolerances:
+    for tol in (0.0, 10.0, 100.0, 1000.0):
         analyzer = ProfilingAnalyzer(merge_tolerance=tol)
         regions = pattern.regions(
-            merge_tolerance=tol, min_region_pages=analyzer.min_region_pages
+            merge_tolerance=tol, min_region_pages=MIN_REGION_PAGES
         )
         res = analyzer.analyze(pattern, trace)
         from ..vm.layout import MemoryLayout
@@ -192,20 +189,10 @@ def ablate_pack_mode(
     return table
 
 
-def keepalive_synergy(
-    function_names: tuple[str, ...] = (
-        "float_operation",
-        "pyaes",
-        "json_load_dump",
-        "image_processing",
-        "matmul",
-        "linpack",
-    ),
-    *,
-    dram_budget_mb: float = 512.0,
-) -> Table:
-    """How many functions one DRAM budget keeps warm, with and without
-    tiered snapshots (Section VI-A: caching composes with TOSS).
+def keepalive_synergy() -> Table:
+    """How many of six functions a 512 MB DRAM budget keeps warm, with
+    and without tiered snapshots (Section VI-A: caching composes with
+    TOSS).
 
     A DRAM-only keep-alive pins each function's full guest memory; TOSS
     pins only the fast fraction, so the same budget holds several times
@@ -215,6 +202,15 @@ def keepalive_synergy(
     from ..platform.keepalive import KeepAliveCache
     from .common import ALL_INPUTS, toss_cached
 
+    function_names = (
+        "float_operation",
+        "pyaes",
+        "json_load_dump",
+        "image_processing",
+        "matmul",
+        "linpack",
+    )
+    dram_budget_mb = 512.0
     table = Table(
         f"Keep-alive synergy: warm functions in a {dram_budget_mb:.0f} MB "
         "DRAM budget",
@@ -237,21 +233,17 @@ def keepalive_synergy(
     return table
 
 
-def ablate_convergence_window(
-    function_name: str = "json_load_dump",
-    windows: tuple[int, ...] = (2, 5, 10, 25),
-    *,
-    max_invocations: int = 200,
-    seed: int = 4242,
-) -> Table:
-    """Profiling length vs stability as the convergence window grows."""
+def ablate_convergence_window(function_name: str = "json_load_dump") -> Table:
+    """Profiling length (at most 200 invocations) vs stability as the
+    convergence window grows."""
+    max_invocations, seed = 200, 4242
     func = get_function(function_name)
     vmm = VMM()
     table = Table(
         f"Ablation: convergence window ({function_name})",
         ["window", "profiling invocations", "converged"],
     )
-    for window in windows:
+    for window in (2, 5, 10, 25):
         damon = DamonProfiler(func.n_pages, rng=np.random.default_rng(seed))
         pattern = UnifiedAccessPattern(func.n_pages, convergence_window=window)
         used = 0

@@ -44,16 +44,13 @@ def suite_names() -> list[str]:
 
 @lru_cache(maxsize=None)
 def toss_cached(
-    name: str,
-    profiling_inputs: tuple[int, ...] = ALL_INPUTS,
-    slowdown_threshold: float | None = None,
+    name: str, profiling_inputs: tuple[int, ...] = ALL_INPUTS
 ) -> TossSystem:
     """A prepared (tiered) TOSS system for one function."""
     return TossSystem(
         get_function(name),
         profiling_inputs=profiling_inputs,
         convergence_window=CONVERGENCE_WINDOW,
-        slowdown_threshold=slowdown_threshold,
     )
 
 
@@ -76,12 +73,12 @@ def vanilla_cached(name: str) -> VanillaLazy:
 
 
 @lru_cache(maxsize=None)
-def warm_time_cached(name: str, input_index: int, seed: int = 10_000) -> float:
+def warm_time_cached(name: str, input_index: int) -> float:
     """Warm all-DRAM execution time (the normalisation denominator).
 
-    Averaged over several invocations so high-variability functions
+    Averaged over invocations 10000-10004 so high-variability functions
     (image_processing) do not skew every normalised figure.
     """
     dram = dram_cached(name)
-    times = [dram.invoke(input_index, seed + i).exec_time_s for i in range(5)]
+    times = [dram.invoke(input_index, 10_000 + i).exec_time_s for i in range(5)]
     return sum(times) / len(times)

@@ -158,27 +158,26 @@ class FaultInjector:
 
     # -- slow tier ---------------------------------------------------------
 
-    def slow_tier_available(self, at_s: float | None = None) -> bool:
-        """Whether the slow tier can be mapped at a simulated time."""
-        t = self.now if at_s is None else at_s
+    def slow_tier_available(self) -> bool:
+        """Whether the slow tier can be mapped at the injector's clock."""
         for start, end in self.plan.tier.outage_windows:
-            if start <= t < end:
+            if start <= self.now < end:
                 self.counters["outages_hit"] += 1
                 return False
         return True
 
-    def slow_latency_multiplier(self, at_s: float | None = None) -> float:
-        """Backpressure inflation of slow-tier latency at a simulated time.
+    def slow_latency_multiplier(self) -> float:
+        """Backpressure inflation of slow-tier latency at the injector's
+        clock.
 
         This is the ``MemorySystem`` fault hook: 1.0 outside every
         backpressure window, the worst matching multiplier inside.  A
         pure read, asked on every slow-tier spec lookup; the restore that
         maps through a window counts ``backpressure_hits``.
         """
-        t = self.now if at_s is None else at_s
         mult = 1.0
         for start, end, m in self.plan.tier.backpressure_windows:
-            if start <= t < end:
+            if start <= self.now < end:
                 mult = max(mult, m)
         return mult
 

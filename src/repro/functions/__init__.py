@@ -13,8 +13,8 @@ slow-tier offload percentages (Table II); see DESIGN.md section 4.
 
 from .base import FunctionModel, InputSpec, INPUT_LABELS
 from .suite import SUITE, get_function, function_names
-from .workloads import Table1Row, table1, evaluation_grid
-from .extended import EXTENDED_SUITE, get_extended_function
+from .workloads import Table1Row, table1
+from .extended import EXTENDED_SUITE
 
 __all__ = [
     "FunctionModel",
@@ -24,8 +24,6 @@ __all__ = [
     "get_function",
     "function_names",
     "EXTENDED_SUITE",
-    "get_extended_function",
     "Table1Row",
     "table1",
-    "evaluation_grid",
 ]

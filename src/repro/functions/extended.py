@@ -96,15 +96,3 @@ EXTENDED_SUITE: tuple[FunctionModel, ...] = (
     WEB_RENDER,
 )
 """Additional workload models for fleet-level studies."""
-
-_BY_NAME = {f.name: f for f in EXTENDED_SUITE}
-
-
-def get_extended_function(name: str) -> FunctionModel:
-    """Look up an extended-suite function by name."""
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown extended function {name!r}; available: {sorted(_BY_NAME)}"
-        ) from None

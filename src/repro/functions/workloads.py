@@ -1,19 +1,16 @@
 """Table I as data.
 
 Exposes the paper's workload catalogue (function, description, memory,
-input type, inputs) in a machine-readable form for reports and benchmarks,
-plus helpers to iterate the full (function x input) evaluation grid.
+input type, inputs) in a machine-readable form for reports and benchmarks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
-from .base import FunctionModel, INPUT_LABELS
 from .suite import SUITE
 
-__all__ = ["Table1Row", "table1", "evaluation_grid"]
+__all__ = ["Table1Row", "table1"]
 
 
 @dataclass(frozen=True)
@@ -40,12 +37,3 @@ def table1() -> list[Table1Row]:
         for f in SUITE
     ]
 
-
-def evaluation_grid() -> Iterator[tuple[FunctionModel, int, str]]:
-    """Yield every (function, input_index, input_label) evaluation point.
-
-    This is the 10x4 grid every figure of Section VI sweeps.
-    """
-    for func in SUITE:
-        for idx, label in enumerate(INPUT_LABELS):
-            yield func, idx, label

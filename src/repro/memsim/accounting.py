@@ -46,36 +46,6 @@ class PerfCounters:
         )
 
     @property
-    def memory_stall_s(self) -> float:
-        """Time stalled on memory loads (excludes fault service)."""
-        return self.fast_stall_s + self.slow_stall_s
-
-    @property
-    def memory_intensiveness(self) -> float:
-        """Fraction of runtime stalled on LLC-miss demand loads.
-
-        This is the ``perf`` metric the paper uses to explain why pagerank
-        resists offloading (Section VI-C1).  Zero for an empty run.
-        """
-        total = self.total_time_s
-        if total == 0.0:
-            return 0.0
-        return self.memory_stall_s / total
-
-    @property
     def total_accesses(self) -> int:
         """Total LLC-miss demand loads across both tiers."""
         return self.fast_accesses + self.slow_accesses
-
-    def merge(self, other: "PerfCounters") -> "PerfCounters":
-        """Return the element-wise sum of two counter sets."""
-        return PerfCounters(
-            cpu_time_s=self.cpu_time_s + other.cpu_time_s,
-            fast_stall_s=self.fast_stall_s + other.fast_stall_s,
-            slow_stall_s=self.slow_stall_s + other.slow_stall_s,
-            fault_stall_s=self.fault_stall_s + other.fault_stall_s,
-            fast_accesses=self.fast_accesses + other.fast_accesses,
-            slow_accesses=self.slow_accesses + other.slow_accesses,
-            minor_faults=self.minor_faults + other.minor_faults,
-            major_faults=self.major_faults + other.major_faults,
-        )

@@ -329,14 +329,3 @@ class ContentionModel:
             return []
         times, _ = self._solve(demands)
         return times
-
-    def inflation_factors(self, demands: list[TierDemand]) -> dict[str, float]:
-        """Converged per-resource latency inflation factors.
-
-        Shows *which* resource saturated: ``slow_read``/``slow_write`` for
-        TOSS under load, ``uffd``/``ssd`` for REAP-Worst (Figure 9).
-        """
-        if not demands:
-            return {r: 1.0 for r in RESOURCES}
-        _, inflation = self._solve(demands)
-        return dict(inflation)

@@ -111,23 +111,16 @@ class CompressedTierSpec(TierSpec):
         return self.compression.ratio
 
 
-def compressed_tier(
-    point: CompressionPoint,
-    *,
-    base: TierSpec = DRAM_SPEC,
-    accesses_per_page: int | None = None,
-) -> CompressedTierSpec:
-    """Build the software tier one operating point defines over ``base``.
+def compressed_tier(point: CompressionPoint) -> CompressedTierSpec:
+    """Build the software tier one operating point defines over DRAM.
 
-    ``accesses_per_page`` amortises the per-page codec latencies into the
-    per-access latency: a faulted-in page stays decompressed while its
-    cachelines are consumed, so each access carries ``1/accesses_per_page``
-    of the codec cost.  Defaults to the page's cacheline count.
+    The per-page codec latencies are amortised into the per-access
+    latency: a faulted-in page stays decompressed while its cachelines
+    are consumed, so each of the page's cachelines carries its share of
+    the codec cost.
     """
-    if accesses_per_page is None:
-        accesses_per_page = config.PAGE_SIZE // base.access_bytes
-    if accesses_per_page < 1:
-        raise ConfigError("accesses_per_page must be >= 1")
+    base = DRAM_SPEC
+    accesses_per_page = config.PAGE_SIZE // base.access_bytes
     return CompressedTierSpec(
         name=f"{base.name} + {point.name} (x{point.ratio:g})",
         load_latency_s=(
@@ -152,12 +145,11 @@ def compressed_tier(
 def compressed_memory_system(
     points: tuple[CompressionPoint, ...] = (LZ4_POINT,),
     *,
-    base: TierSpec = DRAM_SPEC,
     slow: TierSpec | None = PMEM_SPEC,
 ) -> MemorySystem:
-    """A memory system with compressed middle tiers over ``base``.
+    """A memory system with compressed middle tiers over DRAM.
 
-    ``points`` are inserted fastest-first between ``base`` and ``slow``.
+    ``points`` are inserted fastest-first between DRAM and ``slow``.
     With ``slow=None`` the densest compressed point itself becomes the
     terminal (slow) tier — the shape the Intel paper argues replaces the
     hardware capacity tier outright.  Chain ordering (no faster, no
@@ -166,9 +158,9 @@ def compressed_memory_system(
     """
     if not points:
         raise ConfigError("need at least one compression point")
-    specs = tuple(compressed_tier(p, base=base) for p in points)
+    specs = tuple(compressed_tier(p) for p in points)
     if slow is None:
         if len(specs) == 1:
-            return MemorySystem(fast=base, slow=specs[0])
-        return MemorySystem(fast=base, slow=specs[-1], middle=specs[:-1])
-    return MemorySystem(fast=base, slow=slow, middle=specs)
+            return MemorySystem(fast=DRAM_SPEC, slow=specs[0])
+        return MemorySystem(fast=DRAM_SPEC, slow=specs[-1], middle=specs[:-1])
+    return MemorySystem(fast=DRAM_SPEC, slow=slow, middle=specs)

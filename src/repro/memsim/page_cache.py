@@ -1,8 +1,9 @@
 """Host page-cache model.
 
 The evaluation drops the host page cache between invocations (Section VI-A)
-so that every run pays real storage accesses; ``HostPageCache.drop()`` models
-that.  The cache matters for two pathologies the paper calls out:
+so that every run pays real storage accesses; each restored VM starts with
+an empty cache, which models that.  The cache matters for two pathologies
+the paper calls out:
 
 * ``mincore()``-based working-set capture (FaaSnap) counts *prefetched* pages
   that were never touched by the guest, inflating the working set
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import config
 from ..errors import AddressSpaceError
 
 __all__ = ["HostPageCache"]
@@ -40,22 +40,6 @@ class HostPageCache:
         self._prefetched = np.zeros(self.n_pages, dtype=bool)
 
     # -- queries -----------------------------------------------------------
-
-    @property
-    def resident_pages(self) -> int:
-        """Number of pages currently resident (demand-loaded or prefetched)."""
-        return int(self._resident.sum())
-
-    @property
-    def prefetched_pages(self) -> int:
-        """Number of resident pages that were populated only by readahead."""
-        return int(self._prefetched.sum())
-
-    def is_resident(self, pages: np.ndarray) -> np.ndarray:
-        """Boolean residency mask for an array of page indices."""
-        pages = np.asarray(pages, dtype=np.int64)
-        self._check(pages)
-        return self._resident[pages]
 
     def resident_mask(self) -> np.ndarray:
         """Copy of the full residency bitmap (what ``mincore()`` reports)."""
@@ -142,11 +126,6 @@ class HostPageCache:
         self._prefetched[pages] = False
         return misses
 
-    def drop(self) -> None:
-        """Drop the cache (``echo 3 > /proc/sys/vm/drop_caches``)."""
-        self._resident[:] = False
-        self._prefetched[:] = False
-
     # -- helpers ------------------------------------------------------------
 
     def _check(self, pages: np.ndarray) -> None:
@@ -154,8 +133,3 @@ class HostPageCache:
             raise AddressSpaceError(
                 f"page index outside cache of {self.n_pages} pages"
             )
-
-    @property
-    def resident_bytes(self) -> int:
-        """Total bytes resident in the cache."""
-        return self.resident_pages * config.PAGE_SIZE

@@ -304,11 +304,9 @@ class MemorySystem:
             ]
         )
 
-    def latency_ratio(
-        self, random_fraction: float = 0.0, store_fraction: float = 0.0
-    ) -> float:
-        """Slow/fast access-latency ratio (~3.75 for loads on DRAM/Optane)."""
-        lat = self.access_latency_by_id(random_fraction, store_fraction)
+    def latency_ratio(self) -> float:
+        """Slow/fast sequential-load latency ratio (~3.75 on DRAM/Optane)."""
+        lat = self.access_latency_by_id()
         return float(lat[Tier.SLOW] / lat[Tier.FAST])
 
 

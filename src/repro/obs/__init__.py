@@ -33,7 +33,6 @@ from .slo import (
     Anomaly,
     BurnWindow,
     SloConfig,
-    SloFeed,
     SloTracker,
 )
 from .spans import Span, SpanEvent, SpanStatus, Tracer
@@ -50,7 +49,6 @@ __all__ = [
     "Observation",
     "PhaseProfiler",
     "SloConfig",
-    "SloFeed",
     "SloTracker",
     "Span",
     "SpanEvent",

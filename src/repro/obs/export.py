@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from . import profile as profile_mod
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -28,14 +28,10 @@ __all__ = [
 _US = 1e6  # trace_event timestamps are microseconds
 
 
-def _ordered(spans: Iterable[Span]) -> list[Span]:
-    return sorted(spans, key=lambda s: (s.start_s, s.span_id))
-
-
 def _assign_lanes(spans: Sequence[Span]) -> dict[int, int]:
-    """Greedy interval partitioning: concurrent root spans get distinct
-    ``tid`` lanes so chrome://tracing stacks never interleave; children
-    inherit their root's lane."""
+    """Greedy interval partitioning over spans in export order: concurrent
+    root spans get distinct ``tid`` lanes so chrome://tracing stacks never
+    interleave; children inherit their root's lane."""
     lanes: list[float] = []  # lane -> last end_s
     lane_of: dict[int, int] = {}
     parents = {s.span_id: s.parent_id for s in spans}
@@ -47,7 +43,7 @@ def _assign_lanes(spans: Sequence[Span]) -> dict[int, int]:
             span_id = parents[span_id] or span_id
         return span_id
 
-    for span in _ordered(spans):
+    for span in spans:
         if span.parent_id is None:
             for i, free_at in enumerate(lanes):
                 if span.start_s >= free_at - 1e-12:
@@ -90,7 +86,7 @@ def to_perfetto(
 def _to_perfetto(
     tracer: Tracer, *, process_name: str = "repro-sim"
 ) -> dict[str, Any]:
-    spans = _ordered(tracer.spans)
+    spans = tracer.finished()
     lane_of = _assign_lanes(spans)
     events: list[dict[str, Any]] = [
         {
@@ -167,7 +163,7 @@ def spans_to_jsonl(tracer: Tracer) -> str:
 
 def _spans_to_jsonl(tracer: Tracer) -> str:
     lines: list[str] = []
-    for span in _ordered(tracer.spans):
+    for span in tracer.finished():
         lines.append(
             json.dumps(
                 {

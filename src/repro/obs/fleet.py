@@ -114,10 +114,6 @@ class FleetAggregator:
             self._hosts[hid] = obs
         return obs
 
-    def host_ids(self) -> list[int]:
-        """Hosts that produced a child observation, sorted."""
-        return sorted(self._hosts)
-
     def host_tracer_items(self) -> list[tuple[int, Observation]]:
         """``(hid, child observation)`` pairs in host order."""
         return [(hid, self._hosts[hid]) for hid in sorted(self._hosts)]

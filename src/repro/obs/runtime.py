@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from .metrics import MetricsRegistry
-from .slo import SloFeed
+from .slo import SloTracker
 from .spans import Tracer
 
 if TYPE_CHECKING:
@@ -49,7 +49,7 @@ class Observation:
 
     tracer: Tracer = field(default_factory=Tracer)
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    slo: SloFeed | None = None
+    slo: SloTracker | None = None
     fleet: "FleetAggregator | None" = None
 
 

@@ -18,8 +18,8 @@ z-score leaves the band the signal itself established — a regression
 detector that needs no per-signal tuning.
 
 Everything here is driven by the streaming sample feed the serving
-layers push (:meth:`SloFeed.observe_request` /
-:meth:`SloFeed.observe_signal`); nothing reads a wall clock.
+layers push (:meth:`SloTracker.observe_request` /
+:meth:`SloTracker.observe_signal`); nothing reads a wall clock.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "Anomaly",
     "BurnWindow",
     "SloConfig",
-    "SloFeed",
     "SloTracker",
 ]
 
@@ -289,27 +288,7 @@ class _EwmaDetector:
         return flagged
 
 
-class SloFeed:
-    """The two-method interface the serving layers push samples at.
-
-    :class:`SloTracker` is the engine behind it; the serving layers hold
-    whichever feed their :class:`~repro.obs.runtime.Observation` carries.
-    """
-
-    def observe_request(
-        self, at_s: float, good: bool, *, host: str = ""
-    ) -> None:
-        """One settled request: ``good`` is the SLI numerator."""
-        raise NotImplementedError
-
-    def observe_signal(
-        self, signal: str, value: float, at_s: float, *, host: str = ""
-    ) -> None:
-        """One scalar health-signal sample (queue delay, setup, ...)."""
-        raise NotImplementedError
-
-
-class SloTracker(SloFeed):
+class SloTracker:
     """The streaming SLO engine: one fleet-wide burn evaluator, one per
     host label that appears in the feed, and an EWMA anomaly detector
     per ``(signal, host)`` pair."""

@@ -88,8 +88,8 @@ def _finite(value: float, what: str, span: str | None = None) -> float:
 class Tracer:
     """Collects spans with parent/child links on simulated time.
 
-    ``spans`` holds finished spans in close order; exporters sort by
-    ``(start_s, span_id)``.  ``orphan_events`` collects events recorded
+    ``spans`` holds finished spans in close order; exporters read them in
+    :meth:`finished` order.  ``orphan_events`` collects events recorded
     while no span was open (deferred platform telemetry) — they become
     instant events in the Perfetto export.
     """
@@ -113,11 +113,6 @@ class Tracer:
         self._cursor = _finite(at_s, "seek time")
 
     # -- spans -----------------------------------------------------------------
-
-    @property
-    def current(self) -> Span | None:
-        """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
 
     def start_span(
         self,
@@ -162,11 +157,10 @@ class Tracer:
         self,
         name: str,
         *,
-        start_s: float | None = None,
         attrs: dict[str, AttrValue] | None = None,
     ) -> Iterator[Span]:
         """Context-managed span; an escaping exception marks it ERROR."""
-        span = self.start_span(name, start_s=start_s, attrs=attrs)
+        span = self.start_span(name, attrs=attrs)
         try:
             yield span
         except BaseException:
@@ -222,15 +216,7 @@ class Tracer:
 
     # -- queries ---------------------------------------------------------------
 
-    def finished(self, name_prefix: str = "") -> list[Span]:
-        """Closed spans (optionally filtered by name prefix), in
-        ``(start_s, span_id)`` order — the export order."""
-        spans = [s for s in self.spans if s.name.startswith(name_prefix)]
-        spans.sort(key=lambda s: (s.start_s, s.span_id))
-        return spans
-
-    def children_of(self, span: Span) -> list[Span]:
-        """Closed direct children of a span, in export order."""
-        kids = [s for s in self.spans if s.parent_id == span.span_id]
-        kids.sort(key=lambda s: (s.start_s, s.span_id))
-        return kids
+    def finished(self) -> list[Span]:
+        """Closed spans in ``(start_s, span_id)`` order — the export
+        order."""
+        return sorted(self.spans, key=lambda s: (s.start_s, s.span_id))

@@ -70,26 +70,9 @@ class HostCapacity:
         return self._used_slow
 
     @property
-    def resident_count(self) -> int:
-        """Number of resident VMs."""
-        return len(self._resident)
-
-    @property
     def fast_pressure(self) -> float:
         """Fast-tier utilisation in [0, 1] — the ladder's capacity signal."""
         return self.used_fast_mb / self.fast_mb
-
-    @property
-    def slow_pressure(self) -> float:
-        """Slow-tier utilisation (0 with no slow budget)."""
-        if self.slow_mb <= 0:
-            return 0.0
-        return self.used_slow_mb / self.slow_mb
-
-    @property
-    def pressure(self) -> float:
-        """Worst-tier utilisation, the host's headline pressure signal."""
-        return max(self.fast_pressure, self.slow_pressure)
 
     def fits(self, vm: ResidentVM) -> bool:
         """Whether the VM fits in the remaining budget."""

@@ -61,12 +61,6 @@ class KeepAliveCache:
         """Functions currently kept warm."""
         return set(self._entries)
 
-    @property
-    def hit_rate(self) -> float:
-        """Warm-start fraction over the lookups so far."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     # -- operations -------------------------------------------------------------
 
     def lookup(self, name: str) -> bool:

@@ -158,25 +158,6 @@ class OverloadConfig:
                 "(pressured <= degraded <= shedding)"
             )
 
-    @property
-    def is_permissive(self) -> bool:
-        """True when no knob is active (the identity configuration)."""
-        return all(
-            value is None
-            for value in (
-                self.max_queue_depth,
-                self.max_queue_delay_s,
-                self.max_function_depth,
-                self.slo_factor,
-                self.breaker_failures,
-                self.pressured_delay_s,
-                self.degraded_delay_s,
-                self.shedding_delay_s,
-                self.degraded_fault_rate,
-                self.pressured_capacity_fraction,
-            )
-        )
-
 
 # -- circuit breaker -----------------------------------------------------------
 
@@ -377,11 +358,6 @@ class DegradationLadder:
         return sum(self._outcomes) / len(self._outcomes)
 
     # Effects per rung, consulted by the platform.
-
-    @property
-    def disable_prewarm(self) -> bool:
-        """PRESSURED and above: stop pre-warming restores."""
-        return self.state >= HealthState.PRESSURED
 
     @property
     def force_fallback(self) -> bool:

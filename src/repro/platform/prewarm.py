@@ -125,9 +125,3 @@ class PrewarmPolicy:
         else:
             self.misses += 1
         return hidden
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of arrivals whose setup was hidden."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

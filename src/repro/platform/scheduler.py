@@ -47,16 +47,6 @@ class ConcurrencyResult:
         """Mean contended execution time across the invocations."""
         return sum(self.exec_times_s) / len(self.exec_times_s)
 
-    @property
-    def max_exec_s(self) -> float:
-        """Slowest contended execution time."""
-        return max(self.exec_times_s)
-
-    @property
-    def saturated_resource(self) -> str:
-        """The resource with the highest inflation factor."""
-        return max(self.inflation, key=self.inflation.get)
-
 
 class Scheduler:
     """Runs concurrent invocation batches under contention.

@@ -38,7 +38,7 @@ from ..errors import FaultInjected, SchedulerError
 from ..functions.base import FunctionModel
 from ..memsim.tiers import DEFAULT_MEMORY_SYSTEM, MemorySystem
 from ..obs import runtime as obs_runtime
-from ..obs.slo import SloFeed
+from ..obs.slo import SloTracker
 from ..obs.spans import Span, SpanStatus
 from ..pricing.billing import TieredBill, bill_invocation
 from ..vm.microvm import MicroVM
@@ -198,7 +198,7 @@ class RequestLogEntry:
         return not self.shed and not self.failed and self.finish_s <= self.deadline_s
 
 
-def observe_slo(feed: SloFeed, entry: RequestLogEntry, *, host: str = "") -> None:
+def observe_slo(feed: SloTracker, entry: RequestLogEntry, *, host: str = "") -> None:
     """Feed one settled request's SLO samples, derived from its log entry.
 
     A served or failed entry feeds the request SLI (good unless failed) at
@@ -963,7 +963,9 @@ class ServerlessPlatform:
                 placement=snapshot.placement(),
                 page_versions=snapshot.base.page_versions,
             )
-            trace = dep.function.trace(input_index, dep.invocations)
+            trace = dep.function.trace(
+                input_index, dep.invocations, root_seed=ctl.cfg.root_seed
+            )
             result = vm.execute(trace)
             ctl.reprofile.observe(result.time_s)
             outcome = InvocationOutcome(
@@ -1016,24 +1018,14 @@ class ServerlessPlatform:
         A request counts as served even when it needed retries or a
         fallback restore — only ``failed`` entries (faults the whole
         recovery chain could not absorb) reduce availability.  Shed
-        requests are deliberate admission decisions, tracked separately
-        by :meth:`shed_fraction`, and do not count against availability.
+        requests are deliberate admission decisions, marked ``shed`` on
+        their entries, and do not count against availability.
         """
         admitted = [e for e in self.log if not e.shed]
         if not admitted:
             return 1.0
         served = sum(1 for e in admitted if not e.failed)
         return served / len(admitted)
-
-    def total_shed(self) -> int:
-        """Requests rejected at admission across the log."""
-        return sum(1 for e in self.log if e.shed)
-
-    def shed_fraction(self) -> float:
-        """Share of all submitted requests that were shed."""
-        if not self.log:
-            return 0.0
-        return self.total_shed() / len(self.log)
 
     def batch_shed_fraction(self) -> float:
         """Share of batch-class requests that were shed (0 with none)."""
@@ -1042,20 +1034,6 @@ class ServerlessPlatform:
             return 0.0
         return sum(1 for e in batch if e.shed) / len(batch)
 
-    def deadline_misses(self) -> list[RequestLogEntry]:
-        """Deadline-carrying requests that finished late on the full
-        tiered path (fallback-served requests already took the escape
-        hatch and are not misses)."""
-        return [
-            e
-            for e in self.log
-            if e.deadline_s is not None
-            and not e.shed
-            and not e.failed
-            and not e.degraded
-            and e.finish_s > e.deadline_s
-        ]
-
     @property
     def health_state(self) -> "HealthState | None":
         """Current degradation-ladder state (None without a policy)."""
@@ -1063,23 +1041,6 @@ class ServerlessPlatform:
             return None
         return self.overload.ladder.state
 
-    def degraded_time_s(self) -> float:
-        """Busy time (setup + execution) spent serving in degraded mode."""
-        return sum(
-            e.setup_time_s + e.exec_time_s for e in self.log if e.degraded
-        )
-
-    def degraded_fraction(self) -> float:
-        """Share of total busy time that was served degraded."""
-        total = sum(e.setup_time_s + e.exec_time_s for e in self.log)
-        if total == 0:
-            return 0.0
-        return self.degraded_time_s() / total
-
     def total_retries(self) -> int:
         """Faulted reads recovered by retry across the log."""
         return sum(e.retries for e in self.log)
-
-    def total_failures(self) -> int:
-        """Restore failures absorbed (fallback-served) plus failed requests."""
-        return sum(e.failures for e in self.log)

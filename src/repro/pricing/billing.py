@@ -43,11 +43,10 @@ def bill_invocation(
     duration_s: float,
     slow_fraction: float,
     slowdown: float = 1.0,
-    plan: VendorPlan = AWS_LAMBDA,
     memory: MemorySystem = DEFAULT_MEMORY_SYSTEM,
     tier_fractions: Sequence[float] | None = None,
 ) -> TieredBill:
-    """Bill one invocation under both plans.
+    """Bill one invocation under both plans, on Lambda-style pricing.
 
     ``duration_s`` is the invocation as observed (already slowed down);
     the DRAM reference duration is recovered by dividing the slowdown out,
@@ -62,6 +61,7 @@ def bill_invocation(
         raise ConfigError("slow_fraction must lie in [0, 1]")
     if slowdown < 1.0:
         raise ConfigError("slowdown must be >= 1")
+    plan = AWS_LAMBDA
     dram_duration = duration_s / slowdown
     dram_cost = plan.invocation_cost(guest_mb, dram_duration)
 

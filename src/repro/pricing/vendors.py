@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .. import config, domains
 from ..errors import ConfigError
 
-__all__ = ["VendorPlan", "AWS_LAMBDA", "GCP_CLOUD_FUNCTIONS", "bundle_mb"]
+__all__ = ["VendorPlan", "AWS_LAMBDA", "bundle_mb"]
 
 
 def bundle_mb(required_mb: float) -> int:
@@ -64,8 +64,3 @@ AWS_LAMBDA = VendorPlan(
     name="aws-lambda", rate_per_mb_ms=1.0, billing_quantum_ms=1.0
 )
 """Lambda-style: any 128 MB multiple, billed per 1 ms."""
-
-GCP_CLOUD_FUNCTIONS = VendorPlan(
-    name="gcp-cloud-functions", rate_per_mb_ms=1.0, billing_quantum_ms=100.0
-)
-"""Cloud-Functions-style: billed per 100 ms."""

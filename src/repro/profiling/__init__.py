@@ -13,7 +13,7 @@
 """
 
 from .damon import DamonConfig, DamonProfiler, DamonSnapshot
-from .uffd import uffd_working_set, uffd_capture_overhead_s
+from .uffd import uffd_working_set
 from .mincore import mincore_working_set
 from .unified import UnifiedAccessPattern
 
@@ -22,7 +22,6 @@ __all__ = [
     "DamonProfiler",
     "DamonSnapshot",
     "uffd_working_set",
-    "uffd_capture_overhead_s",
     "mincore_working_set",
     "UnifiedAccessPattern",
 ]

@@ -158,17 +158,6 @@ class DamonProfiler:
         """Current number of monitoring regions."""
         return len(self._bounds) - 1
 
-    def region_list(self, values: np.ndarray | None = None) -> list[Region]:
-        """Current regions, optionally annotated with values."""
-        starts = self._bounds[:-1].tolist()
-        sizes = np.diff(self._bounds).tolist()
-        if values is None:
-            return [Region(s, n, 0.0) for s, n in zip(starts, sizes)]
-        annotated = np.asarray(values, dtype=np.float64).tolist()
-        return [
-            Region(s, n, v) for s, n, v in zip(starts, sizes, annotated)
-        ]
-
     # -- profiling ------------------------------------------------------------
 
     def profile(self, epochs: tuple[EpochRecord, ...] | list[EpochRecord]) -> DamonSnapshot:
@@ -354,7 +343,3 @@ class DamonProfiler:
             keep[j] = True
             pos = bisect_right(merges, j, pos)
         return keep
-
-    def reset(self) -> None:
-        """Forget adapted regions (fresh attach)."""
-        self._bounds = self._initial_bounds()

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import config
-from ..errors import ProfilingError
 from ..trace.events import InvocationTrace
 
-__all__ = ["uffd_working_set", "uffd_capture_overhead_s"]
+__all__ = ["uffd_working_set"]
 
 
 def uffd_working_set(trace: InvocationTrace) -> np.ndarray:
@@ -29,14 +27,3 @@ def uffd_working_set(trace: InvocationTrace) -> np.ndarray:
     mask = np.zeros(trace.n_pages, dtype=bool)
     mask[trace.working_set] = True
     return mask
-
-
-def uffd_capture_overhead_s(trace: InvocationTrace) -> float:
-    """Execution-time overhead of recording with ``userfaultfd``.
-
-    One handler round trip per working-set page; this is the "high
-    overhead, only usable on the initial invocation" cost of Section III-C.
-    """
-    if trace.working_set_pages < 0:
-        raise ProfilingError("negative working set")
-    return trace.working_set_pages * config.UFFD_FAULT_LATENCY_S

@@ -185,15 +185,6 @@ class UnifiedAccessPattern:
         values[values < NOISE_FLOOR] = 0.0
         return values
 
-    def observed_mask(self) -> np.ndarray:
-        """Pages classified as accessed (non-zero quantised mean)."""
-        observed = self._quantise_round(self._segment_values()) > 0
-        return np.repeat(observed, np.diff(self._bounds))
-
-    def zero_fraction(self) -> float:
-        """Fraction of guest pages classified as never accessed."""
-        return 1.0 - self.observed_mask().mean()
-
     def regions(
         self,
         *,

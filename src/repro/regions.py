@@ -52,10 +52,6 @@ class Region:
         """One past the last page of the region."""
         return self.start_page + self.n_pages
 
-    def contains(self, page: int) -> bool:
-        """Whether ``page`` lies inside the region."""
-        return self.start_page <= page < self.end_page
-
     def with_value(self, value: float) -> "Region":
         """Copy of the region with a different attribute value."""
         return replace(self, value=value)

@@ -60,21 +60,6 @@ class Table:
         idx = self.headers.index(name)
         return [row[idx] for row in self.rows]
 
-    def to_csv(self) -> str:
-        """Machine-readable CSV export (header row + raw values)."""
-        import csv
-        import io
-
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(self.headers)
-        writer.writerows(self.rows)
-        return out.getvalue()
-
-    def to_dicts(self) -> list[dict[str, object]]:
-        """Rows as header-keyed dictionaries (JSON-friendly)."""
-        return [dict(zip(self.headers, row)) for row in self.rows]
-
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()
 

@@ -110,11 +110,6 @@ class TimelineJob:
                 f"jobs arrive at a finite t >= 0, not {self.arrival_s}"
             )
 
-    @property
-    def contended_time_s(self) -> float:
-        """Wall time the job actually took (after :meth:`run_timeline`)."""
-        return self.finish_s - self.start_s
-
     def _activate(self) -> None:
         work = self.demand._stalls_and_work()
         self._cpu_rem = self.demand.cpu_time_s

@@ -5,14 +5,14 @@ An invocation's memory behaviour is represented as an
 each carrying a sparse page -> LLC-miss-count vector plus the pure-CPU time
 of the slice.  Traces are what microVMs "execute" and what profilers observe.
 
-:mod:`repro.trace.synth` builds the histograms (banded/zipf/uniform shapes)
+:mod:`repro.trace.synth` builds the banded histograms
 and :mod:`repro.trace.allocator` injects the guest-OS allocation
 non-determinism the paper observes (Section III-B: identical inputs can
 yield different access patterns).
 """
 
 from .events import AccessEpoch, InvocationTrace
-from .synth import Band, banded_histogram, zipf_histogram, uniform_histogram
+from .synth import Band, banded_histogram
 from .allocator import GuestAllocator
 from .cache import TraceCache, shared_trace_cache
 
@@ -23,7 +23,5 @@ __all__ = [
     "shared_trace_cache",
     "Band",
     "banded_histogram",
-    "zipf_histogram",
-    "uniform_histogram",
     "GuestAllocator",
 ]

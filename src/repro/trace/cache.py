@@ -59,11 +59,6 @@ class TraceCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def used_bytes(self) -> int:
-        """Bytes currently retained by cached traces."""
-        return self._bytes
-
     def get(self, key: Hashable) -> "InvocationTrace | None":
         """Look up a trace, refreshing its recency on a hit."""
         entry = self._entries.get(key)

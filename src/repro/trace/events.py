@@ -28,7 +28,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .. import config
 from ..errors import AddressSpaceError, ConfigError, ReproError
 
 __all__ = ["AccessEpoch", "InvocationTrace", "int32_column"]
@@ -137,11 +136,6 @@ class AccessEpoch:
     def total_accesses(self) -> int:
         """Total LLC-miss loads in the slice."""
         return int(self.counts.sum())
-
-    @property
-    def touched_pages(self) -> int:
-        """Number of distinct pages touched in the slice."""
-        return int(self.pages.size)
 
 
 @dataclass(frozen=True)
@@ -277,16 +271,6 @@ class InvocationTrace:
         return np.unique(self.pages)
 
     @property
-    def working_set_pages(self) -> int:
-        """Working-set size in pages."""
-        return int(self.working_set.size)
-
-    @property
-    def working_set_bytes(self) -> int:
-        """Working-set size in bytes."""
-        return self.working_set_pages * config.PAGE_SIZE
-
-    @property
     def total_accesses(self) -> int:
         """Total LLC-miss loads across all epochs."""
         return int(self.counts.sum())
@@ -296,22 +280,7 @@ class InvocationTrace:
         """Total pure-compute time across all epochs."""
         return sum(e.cpu_time_s for e in self.epochs)
 
-    @cached_property
-    def mean_random_fraction(self) -> float:
-        """Access-weighted mean of the epochs' random fractions."""
-        total = self.total_accesses
-        if total == 0:
-            return 0.0
-        return (
-            sum(e.random_fraction * e.total_accesses for e in self.epochs) / total
-        )
-
     def nominal_time_s(self, fast_latency_s: float) -> float:
         """End-to-end time with every page in a tier of the given latency
         and no page faults (the all-DRAM warm reference)."""
         return self.cpu_time_s + self.total_accesses * fast_latency_s
-
-    def first_touch_order(self) -> np.ndarray:
-        """Pages in order of first touch (drives demand-fault sequencing)."""
-        _, first = np.unique(self.pages, return_index=True)
-        return self.pages[np.sort(first)]

@@ -16,7 +16,7 @@ import numpy as np
 from .. import domains
 from ..errors import ConfigError
 
-__all__ = ["Band", "banded_histogram", "zipf_histogram", "uniform_histogram"]
+__all__ = ["Band", "banded_histogram"]
 
 
 @dataclass(frozen=True)
@@ -143,42 +143,3 @@ def banded_histogram(
         weights *= rng.lognormal(mean=0.0, sigma=noise, size=ws_pages)
     return _normalize_to_total(weights, total_accesses)
 
-
-def zipf_histogram(
-    ws_pages: int,
-    total_accesses: int,
-    alpha: float,
-    rng: np.random.Generator,
-    *,
-    noise: float = 0.05,
-    shuffle: bool = False,
-) -> np.ndarray:
-    """Zipf-distributed counts: page ``r`` gets weight ``1/(r+1)^alpha``.
-
-    With ``shuffle=True`` the ranks are permuted so hotness is scattered
-    across the working set instead of front-loaded.
-    """
-    if ws_pages <= 0:
-        raise ConfigError("ws_pages must be positive")
-    if alpha < 0:
-        raise ConfigError("alpha must be non-negative")
-    ranks = np.arange(1, ws_pages + 1, dtype=np.float64)
-    weights = ranks**-alpha
-    if shuffle:
-        rng.shuffle(weights)
-    if noise:
-        weights *= rng.lognormal(mean=0.0, sigma=noise, size=ws_pages)
-    return _normalize_to_total(weights, total_accesses)
-
-
-def uniform_histogram(
-    ws_pages: int,
-    total_accesses: int,
-    rng: np.random.Generator,
-    *,
-    noise: float = 0.05,
-) -> np.ndarray:
-    """Evenly spread counts (pagerank's flat working set, Section VI-C1)."""
-    return zipf_histogram(
-        ws_pages, total_accesses, alpha=0.0, rng=rng, noise=noise
-    )

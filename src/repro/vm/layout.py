@@ -10,8 +10,7 @@ why Section V-F merges adjacent same-tier regions.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -49,17 +48,6 @@ class LayoutEntry:
             raise LayoutError("offsets must be non-negative")
         if self.n_pages <= 0:
             raise LayoutError("entry must span at least one page")
-
-    @property
-    def guest_end_page(self) -> int:
-        """One past the entry's last guest page."""
-        return self.guest_start_page + self.n_pages
-
-    @property
-    def size_bytes(self) -> int:
-        """Region size in bytes."""
-        return self.n_pages * config.PAGE_SIZE
-
 
 class MemoryLayout:
     """An ordered collection of layout entries covering the whole guest."""
@@ -129,17 +117,6 @@ class MemoryLayout:
         tier = int(tier)
         return sum(e.n_pages for e in self.entries if e.tier == tier)
 
-    def file_pages(self, tier: Tier | int) -> int:
-        """Size of a tier's snapshot file in pages."""
-        return self.pages_in_tier(tier)
-
-    def pages_by_tier(self) -> dict[int, int]:
-        """Guest pages per tier id, for every tier with an entry."""
-        out: dict[int, int] = {}
-        for e in self.entries:
-            out[e.tier] = out.get(e.tier, 0) + e.n_pages
-        return out
-
     @property
     def n_mappings(self) -> int:
         """Memory mappings restore must establish (one per entry)."""
@@ -153,27 +130,6 @@ class MemoryLayout:
     def parse_time_s(self) -> float:
         """Simulated cost of reading the layout file at restore."""
         return self.n_mappings * config.LAYOUT_PARSE_PER_REGION_S
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_json(self) -> str:
-        """Serialise to the on-disk layout-file format (JSON)."""
-        return json.dumps(
-            {
-                "n_pages": self.n_pages,
-                "entries": [asdict(e) for e in self.entries],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MemoryLayout":
-        """Parse a layout file; raises :class:`LayoutError` on bad input."""
-        try:
-            doc = json.loads(text)
-            entries = [LayoutEntry(**e) for e in doc["entries"]]
-            return cls(doc["n_pages"], entries)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LayoutError(f"malformed layout file: {exc}") from exc
 
     # -- internal ----------------------------------------------------------------
 

@@ -134,7 +134,6 @@ class MicroVM:
         placement: np.ndarray | None = None,
         backing: np.ndarray | None = None,
         page_versions: np.ndarray | None = None,
-        page_cache: HostPageCache | None = None,
         label: str = "",
     ) -> None:
         if n_pages <= 0:
@@ -154,12 +153,11 @@ class MicroVM:
             raise VMError(f"backing code {code} is not a Backing kind")
         self.page_versions = self._own(page_versions, np.uint64, 0)
         self._resident = self.backing == int(Backing.RESIDENT)
-        needs_cache = bool(np.any(self.backing == int(Backing.SSD_FILE)))
-        if page_cache is None and needs_cache:
-            page_cache = HostPageCache(
+        self.page_cache: HostPageCache | None = None
+        if np.any(self.backing == int(Backing.SSD_FILE)):
+            self.page_cache = HostPageCache(
                 self.n_pages, readahead_pages=config.READAHEAD_PAGES
             )
-        self.page_cache = page_cache
 
     def _own(self, arr: np.ndarray | None, dtype, fill) -> np.ndarray:
         if arr is None:
@@ -174,11 +172,6 @@ class MicroVM:
 
     # -- queries ---------------------------------------------------------------
 
-    @property
-    def resident_pages(self) -> int:
-        """Pages whose first touch already happened."""
-        return int(self._resident.sum())
-
     def tier_pages(self, tier: Tier | int) -> int:
         """Guest pages placed in a tier."""
         return int(np.count_nonzero(self.placement == int(tier)))
@@ -187,16 +180,6 @@ class MicroVM:
     def slow_fraction(self) -> float:
         """Fraction of guest memory placed in the slow tier."""
         return self.tier_pages(Tier.SLOW) / self.n_pages
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def reset_residency(self) -> None:
-        """Forget all first touches (fresh cold start of the same VM) and
-        drop the host page cache, as the evaluation does between
-        invocations (Section VI-A)."""
-        self._resident = self.backing == int(Backing.RESIDENT)
-        if self.page_cache is not None:
-            self.page_cache.drop()
 
     # -- execution ------------------------------------------------------------------
 

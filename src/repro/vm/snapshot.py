@@ -24,7 +24,6 @@ import numpy as np
 
 from .. import config
 from ..errors import SnapshotCorruptionError, SnapshotError
-from ..memsim.tiers import Tier
 from .layout import MemoryLayout
 
 __all__ = [
@@ -41,16 +40,17 @@ _CHECKSUM_SHIFT = np.uint64(7)
 _MAX_LISTED_PAGES = 10
 
 
-def format_page_indices(pages: np.ndarray, limit: int = _MAX_LISTED_PAGES) -> str:
+def format_page_indices(pages: np.ndarray) -> str:
     """A bounded rendering of a page-index array for error messages.
 
-    Lists at most ``limit`` indices and summarises the rest, so an error
-    over a million-page corruption stays a one-line message instead of a
-    megabyte repr; the caller keeps the full array on the exception.
+    Lists at most ``_MAX_LISTED_PAGES`` indices and summarises the rest,
+    so an error over a million-page corruption stays a one-line message
+    instead of a megabyte repr; the caller keeps the full array on the
+    exception.
     """
-    shown = ", ".join(str(int(p)) for p in pages[:limit])
-    if pages.size > limit:
-        return f"{shown}, ... ({pages.size - limit} more)"
+    shown = ", ".join(str(int(p)) for p in pages[:_MAX_LISTED_PAGES])
+    if pages.size > _MAX_LISTED_PAGES:
+        return f"{shown}, ... ({pages.size - _MAX_LISTED_PAGES} more)"
     return shown
 
 
@@ -123,15 +123,6 @@ class SingleTierSnapshot:
     def page_checksums(self) -> np.ndarray:
         """The captured (trusted) per-page checksums (read-only)."""
         return _frozen(checksum_pages(self._image))
-
-    @property
-    def size_bytes(self) -> int:
-        """Memory-file size."""
-        return self.n_pages * config.PAGE_SIZE
-
-    def creation_time_s(self) -> float:
-        """Simulated cost of writing the memory file to the SSD."""
-        return self.size_bytes / config.SSD_SEQ_WRITE_BPS
 
     def _indices(self, pages) -> np.ndarray:
         pages = np.asarray(pages, dtype=np.int64).reshape(-1)
@@ -287,27 +278,9 @@ class TieredSnapshot:
         """Fraction of guest memory in the slow tier (Table II)."""
         return self.layout.slow_fraction
 
-    @property
-    def fast_fraction(self) -> float:
-        """Fraction of guest memory kept in DRAM."""
-        return 1.0 - self.slow_fraction
-
     def placement(self) -> np.ndarray:
         """Dense per-page tier array."""
         return self.layout.placement()
-
-    def generation_time_s(self) -> float:
-        """Simulated cost of partitioning the single-tier file serially
-        into the two tier files (Section V-D).
-
-        The paper reports several hundred ms for a 128 MB snapshot up to a
-        couple of seconds at 1 GB; a ~1 GB/s copy reproduces that range.
-        """
-        return self.base.size_bytes / config.SNAPSHOT_COPY_BPS
-
-    def tier_bytes(self, tier: Tier | int) -> int:
-        """Size of one tier's snapshot file."""
-        return self.layout.pages_in_tier(tier) * config.PAGE_SIZE
 
     def verify(self) -> None:
         """Checksum-verify the per-tier memory files (raises on corruption)."""

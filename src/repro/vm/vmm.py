@@ -86,15 +86,15 @@ class VMM:
         self,
         function: FunctionModel,
         snapshot_input: int,
-        invocation_seed: int = 0,
     ) -> ReapSnapshot:
-        """Record a REAP snapshot: run once, capture memory + working set.
+        """Record a REAP snapshot: run once (invocation seed 0), capture
+        memory + working set.
 
         The working set is every page touched during the recording
         invocation, captured with ``userfaultfd`` as REAP does; all later
         restores prefetch exactly this set (Section II-C).
         """
-        boot = self.boot_and_run(function, snapshot_input, invocation_seed)
+        boot = self.boot_and_run(function, snapshot_input, 0)
         ws_mask = np.zeros(function.n_pages, dtype=bool)
         ws_mask[boot.trace.working_set] = True
         base = self.capture_snapshot(

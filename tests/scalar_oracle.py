@@ -35,7 +35,7 @@ def scalar_execute(vm: MicroVM, trace: InvocationTrace) -> ExecutionResult:
     """Replay a trace, charging tier latencies and fault costs.
 
     Residency is sticky across calls (a second execute on the same VM
-    runs warm); use :meth:`MicroVM.reset_residency` between cold runs.
+    runs warm); build a fresh VM for each cold run.
 
     One loop serves every chain: each epoch's accesses are tallied per
     tier id (0 fast, 1 slow, ``2 + i`` middle tier ``i``), and a

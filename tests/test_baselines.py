@@ -39,7 +39,7 @@ class TestVanillaLazy:
 
 class TestReap:
     def test_same_input_executes_fault_free(self, tiny_function):
-        sys = ReapSystem(tiny_function, snapshot_input=3, recording_seed=0)
+        sys = ReapSystem(tiny_function, snapshot_input=3)
         out = sys.invoke(3, 0)
         # Allocation jitter causes only a tiny miss set between two runs
         # of the same input.

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AnalysisError
-from repro.binpack import bin_weights, to_constant_bin_number
+from repro.binpack import to_constant_bin_number
+
+
+def bin_weights(bins, key=float):
+    """Total weight per bin."""
+    return [sum(float(key(item)) for item in b) for b in bins]
 
 
 class TestPacking:

@@ -64,6 +64,11 @@ class TestPlaceSuite:
             placement.place_suite([FLEET_SUITE[0]])
 
 
+def replacements_for(placement, name):
+    """The repair records ``placement`` holds for one function."""
+    return [r for r in placement._replacements if r.function == name]
+
+
 class TestReplacements:
     def placement(self):
         placement = SnapshotPlacement(3, replication_factor=1)
@@ -77,7 +82,7 @@ class TestReplacements:
         )
         assert placement.holders_at("a", 4.9) == [0]
         assert placement.holders_at("a", 5.0) == [0, 2]
-        assert placement.replacements_for("a")[0].source == 0
+        assert replacements_for(placement, "a")[0].source == 0
 
     def test_add_replacement_is_idempotent(self):
         placement = self.placement()
@@ -85,7 +90,7 @@ class TestReplacements:
         placement.add_replacement(rep)
         placement.add_replacement(rep)
         assert placement.holders_at("a", 9.0) == [0, 2]
-        assert len(placement.replacements_for("a")) == 1
+        assert len(replacements_for(placement, "a")) == 1
 
     def test_idempotency_keys_on_function_and_host(self):
         # Two distinct records for the same (function, host) — a crash
@@ -98,13 +103,13 @@ class TestReplacements:
         placement.add_replacement(
             Replacement(effective_s=7.0, function="a", host=2, source=None)
         )
-        assert len(placement.replacements_for("a")) == 1
-        assert placement.replacements_for("a")[0].effective_s == 5.0
+        assert len(replacements_for(placement, "a")) == 1
+        assert replacements_for(placement, "a")[0].effective_s == 5.0
         # A different host is a different repair, not a duplicate.
         placement.add_replacement(
             Replacement(effective_s=6.0, function="a", host=1)
         )
-        assert len(placement.replacements_for("a")) == 2
+        assert len(replacements_for(placement, "a")) == 2
 
     def test_replacement_for_unknown_function_rejected(self):
         placement = self.placement()
@@ -151,7 +156,7 @@ class TestReplacements:
         repaired = [
             (name, rep)
             for name in cluster.placement.functions
-            for rep in cluster.placement.replacements_for(name)
+            for rep in replacements_for(cluster.placement, name)
         ]
         assert repaired, "the crash must have scheduled repairs"
         for name, rep in repaired:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.core.cost import (
     CostPoint,
-    memory_cost,
     normalized_cost,
     normalized_cost_tiers,
 )
@@ -36,20 +35,16 @@ def _free_slow_system() -> MemorySystem:
 
 class TestMemoryCost:
     def test_equation_1_verbatim(self):
-        # SDown * (MB_fast * Cost_fast + MB_slow * Cost_slow)
-        cost = memory_cost(1.2, fast_mb=100, slow_mb=400)
-        assert cost == pytest.approx(1.2 * (100 * 2.5 + 400 * 1.0))
-
-    def test_all_fast_reference(self):
-        assert memory_cost(1.0, 512, 0) == pytest.approx(512 * 2.5)
+        # SDown * (MB_fast * Cost_fast + MB_slow * Cost_slow), over the
+        # all-fast bill of the same 500 MB.
+        cost = normalized_cost(1.2, fast_fraction=0.2)
+        assert cost == pytest.approx(1.2 * (100 * 2.5 + 400 * 1.0) / (500 * 2.5))
 
     def test_invalid(self):
         with pytest.raises(AnalysisError):
-            memory_cost(0.9, 1, 1)
+            normalized_cost(0.9, 0.5)
         with pytest.raises(AnalysisError):
-            memory_cost(1.0, -1, 1)
-        with pytest.raises(AnalysisError):
-            memory_cost(1.0, 0, 0)
+            normalized_cost(1.0, -0.1)
 
 
 class TestNormalizedCost:

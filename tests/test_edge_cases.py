@@ -11,7 +11,7 @@ from repro.core.toss import Phase, TossConfig, TossController
 from repro.functions.base import FunctionModel, InputSpec
 from repro.memsim.page_cache import HostPageCache
 from repro.memsim.tiers import Tier
-from repro.pricing import GCP_CLOUD_FUNCTIONS, bill_invocation
+from repro.pricing import VendorPlan
 from repro.profiling.damon import DamonConfig, DamonProfiler
 from repro.trace.synth import Band
 from repro.vm.microvm import Backing, MicroVM
@@ -110,29 +110,24 @@ class TestDegenerateWorkloads:
         assert res.counters.minor_faults == 256  # first epoch only
 
 
+PER_100MS = VendorPlan("per-100ms", rate_per_mb_ms=1.0, billing_quantum_ms=100.0)
+"""A plan billed per 100 ms, as Cloud Functions is."""
+
+
 class TestPricingQuanta:
     def test_gcp_quantum_dominates_short_invocations(self):
-        """With 100 ms billing quanta, a 5 ms function pays for 100 ms —
-        tiering savings still apply to the rate."""
-        bill = bill_invocation(
-            guest_mb=128,
-            duration_s=0.005,
-            slow_fraction=1.0,
-            slowdown=1.0,
-            plan=GCP_CLOUD_FUNCTIONS,
-        )
-        assert bill.dram_cost == pytest.approx(128 * 100.0)
-        assert bill.savings_fraction == pytest.approx(0.6, abs=0.01)
+        """With 100 ms billing quanta, a 5 ms function pays for 100 ms."""
+        assert PER_100MS.invocation_cost(128, 0.005) == pytest.approx(128 * 100.0)
 
     def test_zero_duration_bills_one_quantum(self):
-        assert GCP_CLOUD_FUNCTIONS.billable_ms(0.0) == 100.0
+        assert PER_100MS.billable_ms(0.0) == 100.0
 
 
 class TestPageCacheBoundaries:
     def test_fault_at_last_page(self):
         cache = HostPageCache(16, readahead_pages=8)
         assert cache.fault_in(np.array([15])) == 1
-        assert cache.resident_pages == 1  # no readahead past the end
+        assert cache.resident_mask().sum() == 1  # no readahead past the end
 
     def test_interleaved_faults_share_readahead(self):
         cache = HostPageCache(64, readahead_pages=8)

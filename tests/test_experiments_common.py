@@ -12,7 +12,7 @@ from repro.experiments.common import (
     vanilla_cached,
     warm_time_cached,
 )
-from repro.functions.extended import get_extended_function
+from repro.functions.extended import WEB_RENDER
 
 
 class TestCaches:
@@ -43,8 +43,7 @@ class TestCaches:
 class TestExtendedSuiteEndToEnd:
     def test_web_render_tiers(self):
         """An extended-suite function runs the whole pipeline."""
-        func = get_extended_function("web_render")
-        system = TossSystem(func, convergence_window=4)
+        system = TossSystem(WEB_RENDER, convergence_window=4)
         assert system.slow_fraction > 0.8
         assert system.analysis.cost < 0.6
         out = system.invoke(3, 0)

@@ -230,14 +230,19 @@ class TestRetries:
         assert outcome.retries == 5  # one retry per faulted read
 
 
+def at(inj: FaultInjector, t_s: float) -> FaultInjector:
+    inj.advance_to(t_s)
+    return inj
+
+
 class TestTierWindows:
     def test_outage_window_bounds(self):
         plan = FaultPlan(tier=TierFaultSpec(outage_windows=((10.0, 20.0),)))
         inj = FaultInjector(plan)
-        assert inj.slow_tier_available(9.99)
-        assert not inj.slow_tier_available(10.0)
-        assert not inj.slow_tier_available(19.99)
-        assert inj.slow_tier_available(20.0)
+        assert at(inj, 9.99).slow_tier_available()
+        assert not at(inj, 10.0).slow_tier_available()
+        assert not at(inj, 19.99).slow_tier_available()
+        assert at(inj, 20.0).slow_tier_available()
 
     def test_clock_advancing(self):
         plan = FaultPlan(tier=TierFaultSpec(outage_windows=((10.0, 20.0),)))
@@ -253,9 +258,9 @@ class TestTierWindows:
             )
         )
         inj = FaultInjector(plan)
-        assert inj.slow_latency_multiplier(5.0) == 2.0
-        assert inj.slow_latency_multiplier(15.0) == 5.0
-        assert inj.slow_latency_multiplier(60.0) == 1.0
+        assert at(inj, 5.0).slow_latency_multiplier() == 2.0
+        assert at(inj, 15.0).slow_latency_multiplier() == 5.0
+        assert at(inj, 60.0).slow_latency_multiplier() == 1.0
 
 
 class TestSnapshotCorruption:

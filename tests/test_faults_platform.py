@@ -61,7 +61,7 @@ class TestChaosSweep:
 
         # The outage window was actually crossed and absorbed.
         assert platform.memory.fault_hook.counters["outages_hit"] > 0
-        assert platform.total_failures() > 0
+        assert sum(e.failures for e in log) > 0
 
         # Telemetry agrees with the request log, event for event.
         absorbed = [
@@ -69,20 +69,12 @@ class TestChaosSweep:
             for e in milestones(tracer, kind=EventKind.FALLBACK_RESTORE)
             if not e.attrs.get("unserved")
         ]
-        assert len(absorbed) == platform.total_failures()
+        assert len(absorbed) == sum(e.failures for e in log)
         retried = milestones(tracer, kind=EventKind.RESTORE_RETRIED)
         assert sum(e.attrs["retries"] for e in retried) == (
             platform.total_retries()
         )
 
-        # Reliability metrics agree with the accounting in the log.
-        expected_degraded = sum(
-            e.setup_time_s + e.exec_time_s for e in log if e.degraded
-        )
-        assert platform.degraded_time_s() == pytest.approx(expected_degraded)
-        assert 0.0 <= platform.degraded_fraction() <= 1.0
-        if expected_degraded > 0:
-            assert platform.degraded_fraction() > 0.0
 
     def test_heavy_error_rate_forces_retries(self, tiny_function):
         plan = FaultPlan(
@@ -91,10 +83,10 @@ class TestChaosSweep:
         )
         platform, _ = chaos_platform(plan)
         platform.deploy(tiny_function)
-        platform.serve([(0.05 * i, "tiny", 3) for i in range(60)])
+        log = platform.serve([(0.05 * i, "tiny", 3) for i in range(60)])
         assert platform.availability() == 1.0
         # At 1e-2 over a long tiered stream some reads fault and recover.
-        assert platform.total_retries() + platform.total_failures() > 0
+        assert platform.total_retries() + sum(e.failures for e in log) > 0
 
     def test_outage_degrades_then_recovers_to_tiered(self, tiny_function):
         plan = FaultPlan(tier=TierFaultSpec(outage_windows=((1.0, 2.0),)))
@@ -195,6 +187,6 @@ class TestZeroFaultPlatformIdentity:
         assert clean.total_billed() == zeroed.total_billed()
         assert clean.savings_fraction() == zeroed.savings_fraction()
         assert zeroed.availability() == 1.0
-        assert zeroed.degraded_time_s() == 0.0
+        assert not any(e.degraded for e in zeroed.log)
         assert zeroed.total_retries() == 0
         assert zeroed.memory.fault_hook._draws == {}  # the RNG was never touched

@@ -8,11 +8,9 @@ import pytest
 from repro import config
 from repro.errors import ConfigError
 from repro.functions import (
-    INPUT_LABELS,
     SUITE,
     FunctionModel,
     InputSpec,
-    evaluation_grid,
     get_function,
     table1,
 )
@@ -88,7 +86,7 @@ class TestFunctionModel:
 
     def test_trace_ws_matches_spec(self, tiny_function):
         trace = tiny_function.trace(2, 0)
-        assert trace.working_set_pages == tiny_function.ws_pages(2)
+        assert trace.working_set.size == tiny_function.ws_pages(2)
 
     def test_trace_accesses_match_spec(self, tiny_function):
         trace = tiny_function.trace(3, 0)
@@ -153,11 +151,6 @@ class TestSuite:
         assert len(rows) == 10
         assert rows[0].inputs == ("N=10", "N=100", "N=1000", "N=10000")
         assert all(len(r.inputs) == 4 for r in rows)
-
-    def test_evaluation_grid_size(self):
-        grid = list(evaluation_grid())
-        assert len(grid) == 40
-        assert grid[0][2] == INPUT_LABELS[0]
 
     def test_suite_traces_build(self):
         # Smallest input of each function builds quickly and correctly.

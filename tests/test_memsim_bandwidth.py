@@ -9,6 +9,7 @@ from repro.errors import ConfigError
 from repro.memsim.bandwidth import ContentionModel, TierDemand
 from repro.memsim.storage import OPTANE_SSD_SPEC
 from repro.memsim.tiers import DEFAULT_MEMORY_SYSTEM
+from repro.sim.contention import EventScheduler
 
 
 def model() -> ContentionModel:
@@ -113,12 +114,12 @@ class TestContention:
         d = TierDemand(
             cpu_time_s=0.1, slow_write_stall_s=0.5, slow_write_ops=ops
         )
-        factors = model().inflation_factors([d] * 4)
+        _, factors = model()._solve([d] * 4)
         assert factors["slow_write"] > 1.5
         assert factors["fast"] == pytest.approx(1.0)
 
     def test_inflation_factors_empty(self):
-        assert model().inflation_factors([]) == {
+        assert EventScheduler(model()).run_synchronized([])[1] == {
             "fast": 1.0,
             "slow_read": 1.0,
             "slow_write": 1.0,
@@ -132,6 +133,6 @@ class TestContention:
             ssd_stall_s=1.0,
             ssd_ops=config.SSD_RANDOM_READ_IOPS * 100,
         )
-        factors = model().inflation_factors([d] * 20)
+        _, factors = model()._solve([d] * 20)
         assert factors["ssd"] <= config.MAX_QUEUE_INFLATION
 

@@ -11,12 +11,17 @@ from repro.errors import AddressSpaceError
 from repro.memsim.page_cache import HostPageCache
 
 
+def prefetched_pages(cache: HostPageCache) -> int:
+    """Resident pages that readahead alone populated."""
+    return int((cache.resident_mask() & ~cache.demand_loaded_mask()).sum())
+
+
 class TestFaultIn:
     def test_first_fault_misses(self):
         cache = HostPageCache(100, readahead_pages=0)
         misses = cache.fault_in(np.array([5, 6, 7]))
         assert misses == 3
-        assert cache.resident_pages == 3
+        assert cache.resident_mask().sum() == 3
 
     def test_second_fault_hits(self):
         cache = HostPageCache(100, readahead_pages=0)
@@ -28,10 +33,10 @@ class TestFaultIn:
         misses = cache.fault_in(np.array([10]))
         assert misses == 1
         # Pages 11..14 prefetched.
-        assert cache.resident_pages == 5
-        assert cache.prefetched_pages == 4
+        assert cache.resident_mask().sum() == 5
+        assert prefetched_pages(cache) == 4
         np.testing.assert_array_equal(
-            cache.is_resident(np.array([10, 11, 14, 15])),
+            cache.resident_mask()[[10, 11, 14, 15]],
             [True, True, True, False],
         )
 
@@ -40,12 +45,12 @@ class TestFaultIn:
         cache.fault_in(np.array([10]))
         assert cache.fault_in(np.array([12])) == 0
         # Demand-faulting clears the prefetched flag (it is a real touch).
-        assert cache.prefetched_pages == 3
+        assert prefetched_pages(cache) == 3
 
     def test_readahead_clipped_at_end(self):
         cache = HostPageCache(10, readahead_pages=8)
         cache.fault_in(np.array([8]))
-        assert cache.resident_pages == 2  # 8 + readahead 9 only
+        assert cache.resident_mask().sum() == 2  # 8 + readahead 9 only
 
     def test_mincore_inflation_vs_demand_mask(self):
         cache = HostPageCache(64, readahead_pages=8)
@@ -67,20 +72,6 @@ class TestFaultIn:
             cache.fault_in(np.array([-1]))
 
 
-class TestPopulateAndDrop:
-    def test_drop_clears_everything(self):
-        cache = HostPageCache(50, readahead_pages=4)
-        cache.fault_in(np.array([0, 20]))
-        cache.drop()
-        assert cache.resident_pages == 0
-        assert cache.fault_in(np.array([0])) == 1
-
-    def test_resident_bytes(self):
-        cache = HostPageCache(50, readahead_pages=0)
-        cache.fault_in(np.array([1, 2]))
-        assert cache.resident_bytes == 2 * 4096
-
-
 class TestProperties:
     @given(
         st.lists(
@@ -93,7 +84,7 @@ class TestProperties:
         cache = HostPageCache(200, readahead_pages=ra)
         arr = np.asarray(pages, dtype=np.int64)
         cache.fault_in(arr)
-        assert cache.is_resident(arr).all()
+        assert cache.resident_mask()[arr].all()
         # Demand mask is a subset of residency.
         assert not np.any(cache.demand_loaded_mask() & ~cache.resident_mask())
 

@@ -61,7 +61,7 @@ class TestNTierLayout:
         placement[50:100] = int(Tier.SLOW)
         layout = MemoryLayout.from_placement(placement)
         np.testing.assert_array_equal(layout.placement(), placement)
-        assert layout.pages_by_tier() == {0: 30, 1: 50, 2: 20}
+        assert [layout.pages_in_tier(t) for t in (0, 1, 2)] == [30, 50, 20]
 
     def test_negative_tier_id_rejected(self):
         with pytest.raises(LayoutError, match="unknown tier id"):
@@ -74,7 +74,7 @@ class TestNTierLayout:
         placement[32:] = 1
         layout = MemoryLayout.from_placement(placement)
         assert layout.n_mappings == 2
-        assert layout.pages_by_tier() == {0: 32, 1: 32}
+        assert [layout.pages_in_tier(t) for t in (0, 1, 2)] == [32, 32, 0]
 
 
 class TestNTierRestore:

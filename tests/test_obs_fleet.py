@@ -21,11 +21,11 @@ FIXTURES = Path(__file__).parent / "fixtures"
 class TestHostObservations:
     def test_children_are_lazy_and_cached(self):
         agg = FleetAggregator()
-        assert agg.host_ids() == []
+        assert agg.host_tracer_items() == []
         child = agg.host_observation(2)
         assert agg.host_observation(2) is child
         agg.host_observation(0)
-        assert agg.host_ids() == [0, 2]
+        assert [hid for hid, _ in agg.host_tracer_items()] == [0, 2]
 
     def test_children_cannot_recurse(self):
         # A host's child observation must not carry an slo feed or a
@@ -138,7 +138,9 @@ class TestFleetReport:
         assert alerts and all(a["slo"] == "availability" for a in alerts)
         assert any(a["resolved_at_s"] is not None for a in alerts)
         # Per-host Perfetto traces exist for every host that served.
-        assert sorted(result.host_perfetto) == result.aggregator.host_ids()
+        assert sorted(result.host_perfetto) == [
+            hid for hid, _ in result.aggregator.host_tracer_items()
+        ]
         for text in result.host_perfetto.values():
             json.loads(text)
         # The markdown summary names the scenario and tabulates hosts.

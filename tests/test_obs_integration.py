@@ -26,13 +26,23 @@ def drive_to_tiered(ctl: TossController, max_iter: int = 60) -> None:
 CFG = TossConfig(convergence_window=3, min_profiling_invocations=3)
 
 
+def named(tracer, prefix):
+    """Closed spans whose name starts with ``prefix``, in export order."""
+    return [s for s in tracer.finished() if s.name.startswith(prefix)]
+
+
+def children(tracer, span):
+    """Closed direct children of ``span``, in export order."""
+    return [s for s in tracer.finished() if s.parent_id == span.span_id]
+
+
 class TestControllerSpans:
     def test_lifecycle_phases_become_spans(self, tiny_function):
         with observing() as obs:
             ctl = TossController(tiny_function, cfg=CFG)
             drive_to_tiered(ctl)
             ctl.invoke(3)
-        names = [s.name for s in obs.tracer.finished("invoke/")]
+        names = [s.name for s in named(obs.tracer, "invoke/")]
         assert names[0] == "invoke/initial"
         assert "invoke/profiling" in names
         assert names[-1] == "invoke/tiered"
@@ -43,11 +53,11 @@ class TestControllerSpans:
             drive_to_tiered(ctl)
             outcome = ctl.invoke(3)
         restore = [
-            s for s in obs.tracer.finished("restore/toss") if s.name == "restore/toss"
+            s for s in named(obs.tracer, "restore/toss") if s.name == "restore/toss"
         ][-1]
         phases = [
             s
-            for s in obs.tracer.children_of(restore)
+            for s in children(obs.tracer, restore)
             if s.name.startswith("restore/toss/")
         ]
         assert phases, "tiered restore produced no phase spans"
@@ -122,7 +132,7 @@ class TestPlatformSpans:
     def test_each_served_request_gets_a_root_span(self, tiny_function):
         with observing() as obs:
             log = self.serve(tiny_function)
-        roots = obs.tracer.finished("request/tiny")
+        roots = named(obs.tracer, "request/tiny")
         assert len(roots) == len(log)
         for span, entry in zip(roots, log):
             assert span.start_s == entry.arrival_s
@@ -132,8 +142,8 @@ class TestPlatformSpans:
     def test_request_spans_parent_the_controller_spans(self, tiny_function):
         with observing() as obs:
             self.serve(tiny_function)
-        root = obs.tracer.finished("request/tiny")[0]
-        kids = obs.tracer.children_of(root)
+        root = named(obs.tracer, "request/tiny")[0]
+        kids = children(obs.tracer, root)
         assert any(s.name.startswith("invoke/") for s in kids)
 
     def test_shed_requests_become_aborted_spans(self, tiny_function):
@@ -143,7 +153,7 @@ class TestPlatformSpans:
         assert shed_entries, "overload config shed nothing"
         aborted = [
             s
-            for s in obs.tracer.finished("request/tiny")
+            for s in named(obs.tracer, "request/tiny")
             if s.status is SpanStatus.ABORTED
         ]
         assert len(aborted) == len(shed_entries)

@@ -38,7 +38,8 @@ class TestScheduler:
         t1 = sched.run_concurrent(reap, 3, 1).mean_exec_s
         t20 = sched.run_concurrent(reap, 3, 20).mean_exec_s
         assert t20 > 1.5 * t1
-        assert sched.run_concurrent(reap, 3, 20).saturated_resource in (
+        inflation = sched.run_concurrent(reap, 3, 20).inflation
+        assert max(inflation, key=inflation.get) in (
             "uffd",
             "ssd",
         )
@@ -62,7 +63,7 @@ class TestScheduler:
         assert len(result.exec_times_s) == 5
         assert len(result.setup_times_s) == 5
         assert result.concurrency == 5
-        assert result.max_exec_s >= result.mean_exec_s
+        assert max(result.exec_times_s) >= result.mean_exec_s
 
 
 

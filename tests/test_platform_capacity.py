@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchedulerError
-from repro.functions.extended import EXTENDED_SUITE, get_extended_function
+from repro.functions.extended import DNA_ALIGNMENT, EXTENDED_SUITE
 from repro.platform.capacity import HostCapacity, ResidentVM, packing_density
 
 
@@ -17,7 +17,7 @@ class TestHostCapacity:
         assert host.admit(ResidentVM("a", 512, 1024))
         assert host.admit(ResidentVM("b", 512, 1024))
         assert not host.admit(ResidentVM("c", 1, 0))
-        assert host.resident_count == 2
+        assert len(host._resident) == 2
 
     def test_slow_budget_enforced_independently(self):
         host = HostCapacity(10_000, 100)
@@ -71,7 +71,7 @@ class TestHostCapacity:
         host = HostCapacity(1024, 8192)
         assert host.fill_count(ResidentVM("f", 128, 896)) == 8  # 8 * 128 MB
         assert host.fill_count(ResidentVM("f", 128, 896), limit=3) == 3
-        assert host.resident_count == 0 and host.used_fast_mb == 0.0
+        assert not host._resident and host.used_fast_mb == 0.0
 
     @given(
         budget=st.tuples(
@@ -105,9 +105,9 @@ class TestHostCapacity:
         for i in admitted_residents:
             if i in released:
                 host.release(f"r{i}")
-        used = (host.used_fast_mb, host.used_slow_mb, host.resident_count)
+        used = (host.used_fast_mb, host.used_slow_mb, len(host._resident))
         count = host.fill_count(ResidentVM("f", *vm), limit=limit)
-        assert (host.used_fast_mb, host.used_slow_mb, host.resident_count) == used
+        assert (host.used_fast_mb, host.used_slow_mb, len(host._resident)) == used
         admitted = 0
         while admitted < limit and host.admit(
             ResidentVM(f"f#{admitted}", *vm)
@@ -153,15 +153,14 @@ class TestPackingDensity:
 class TestExtendedSuite:
     def test_catalogue(self):
         assert len(EXTENDED_SUITE) == 4
-        assert get_extended_function("dna_alignment").guest_mb == 1024
-        with pytest.raises(KeyError):
-            get_extended_function("nope")
+        assert DNA_ALIGNMENT in EXTENDED_SUITE
+        assert DNA_ALIGNMENT.guest_mb == 1024
 
     def test_traces_build(self):
         for func in EXTENDED_SUITE:
             trace = func.trace(0, 0)
             assert trace.total_accesses > 0
-            assert trace.working_set_pages == func.ws_pages(0)
+            assert trace.working_set.size == func.ws_pages(0)
 
     def test_names_disjoint_from_table1(self):
         from repro.functions import SUITE

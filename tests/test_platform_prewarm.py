@@ -9,6 +9,12 @@ from repro.platform.arrival import fixed_arrivals, poisson_arrivals
 from repro.platform.prewarm import ArrivalPredictor, PrewarmPolicy
 
 
+def hit_rate(policy: PrewarmPolicy) -> float:
+    """Fraction of arrivals whose setup was hidden."""
+    total = policy.hits + policy.misses
+    return policy.hits / total if total else 0.0
+
+
 class TestArrivalPredictor:
     def test_needs_two_samples(self):
         p = ArrivalPredictor()
@@ -51,21 +57,21 @@ class TestPrewarmPolicy:
     def test_timer_functions_prewarm_perfectly(self):
         policy = self.drive(fixed_arrivals(1.0, 30.0))
         # After the warm-up samples, every arrival is predicted.
-        assert policy.hit_rate > 0.85
+        assert hit_rate(policy) > 0.85
 
     def test_poisson_prewarms_partially(self, rng):
         times = poisson_arrivals(2.0, 60.0, rng)
         policy = self.drive(times)
-        assert 0.0 < policy.hit_rate < 0.95
+        assert 0.0 < hit_rate(policy) < 0.95
 
     def test_timer_beats_poisson(self, rng):
         timer = self.drive(fixed_arrivals(0.5, 30.0))
         poisson = self.drive(poisson_arrivals(2.0, 30.0, rng))
-        assert timer.hit_rate > poisson.hit_rate
+        assert hit_rate(timer) > hit_rate(poisson)
 
     def test_huge_setup_cannot_hide(self):
         policy = self.drive(fixed_arrivals(1.0, 20.0), setup_s=10.0)
-        assert policy.hit_rate == 0.0
+        assert hit_rate(policy) == 0.0
 
     def test_platform_integration_timer_workload(self, tiny_function):
         """Timer-driven tiered invocations see zero setup latency."""
@@ -125,7 +131,7 @@ class TestHorizonSparseTraffic:
         for t in fixed_arrivals(200.0, 2000.0):
             policy.would_hide_setup("f", float(t), 0.005)
             policy.observe("f", float(t))
-        assert policy.hit_rate == 0.0
+        assert hit_rate(policy) == 0.0
 
     def test_gap_within_horizon_still_hits(self):
         policy = PrewarmPolicy(horizon_s=120.0)

@@ -8,11 +8,13 @@ from repro.errors import ConfigError
 from repro.memsim.tiers import DRAM_SPEC, MemorySystem
 from repro.pricing import (
     AWS_LAMBDA,
-    GCP_CLOUD_FUNCTIONS,
     VendorPlan,
     bill_invocation,
     bundle_mb,
 )
+
+GCP_STYLE = VendorPlan("gcp-style", rate_per_mb_ms=1.0, billing_quantum_ms=100.0)
+"""A plan billed per 100 ms, as Cloud Functions is."""
 
 
 class TestBundles:
@@ -33,8 +35,8 @@ class TestVendorPlan:
         assert AWS_LAMBDA.billable_ms(0.0123) == pytest.approx(13.0)
 
     def test_gcp_bills_per_100ms(self):
-        assert GCP_CLOUD_FUNCTIONS.billable_ms(0.0123) == pytest.approx(100.0)
-        assert GCP_CLOUD_FUNCTIONS.billable_ms(0.250) == pytest.approx(300.0)
+        assert GCP_STYLE.billable_ms(0.0123) == pytest.approx(100.0)
+        assert GCP_STYLE.billable_ms(0.250) == pytest.approx(300.0)
 
     def test_invocation_cost_uses_bundle(self):
         cost_129 = AWS_LAMBDA.invocation_cost(129, 0.01)

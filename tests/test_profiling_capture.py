@@ -5,11 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import config
 from repro.errors import ProfilingError
 from repro.memsim.page_cache import HostPageCache
 from repro.profiling.mincore import mincore_working_set
-from repro.profiling.uffd import uffd_capture_overhead_s, uffd_working_set
+from repro.profiling.uffd import uffd_working_set
 
 from conftest import make_trace
 
@@ -27,14 +26,6 @@ class TestUffd:
         trace = make_trace(pages=(1, 2), counts=(1, 1000))
         mask = uffd_working_set(trace)
         assert mask[1] == mask[2]
-
-    def test_overhead_scales_with_ws(self):
-        small = make_trace(pages=(0,), counts=(1,))
-        large = make_trace(pages=tuple(range(100)), counts=tuple([1] * 100))
-        assert uffd_capture_overhead_s(large) == pytest.approx(
-            100 * config.UFFD_FAULT_LATENCY_S
-        )
-        assert uffd_capture_overhead_s(large) > uffd_capture_overhead_s(small)
 
 
 class TestMincore:

@@ -67,11 +67,8 @@ class TestConfig:
 class TestRegionInvariants:
     def test_initial_regions_partition_space(self):
         p = profiler()
-        regions = p.region_list()
-        assert regions[0].start_page == 0
-        assert regions[-1].end_page == p.n_pages
-        for a, b in zip(regions, regions[1:]):
-            assert a.end_page == b.start_page
+        assert p._bounds[0] == 0 and p._bounds[-1] == p.n_pages
+        assert (np.diff(p._bounds) > 0).all()
 
     def test_regions_partition_after_profiling(self):
         p = profiler()
@@ -80,17 +77,9 @@ class TestRegionInvariants:
             p.profile(
                 [record(8192, hot, [200] * len(hot))]
             )
-        regions = p.region_list()
-        assert regions[0].start_page == 0
-        assert regions[-1].end_page == p.n_pages
-        assert all(a.end_page == b.start_page for a, b in zip(regions, regions[1:]))
+        assert p._bounds[0] == 0 and p._bounds[-1] == p.n_pages
+        assert (np.diff(p._bounds) > 0).all()
         assert p.n_regions <= DamonConfig().max_nr_regions
-
-    def test_reset_restores_initial(self):
-        p = profiler()
-        p.profile([record(8192, [1], [1000])])
-        p.reset()
-        assert p.n_regions <= DamonConfig().min_nr_regions
 
 
 class TestObservation:

@@ -124,7 +124,7 @@ class TestExecutionInvariants:
     def test_fault_counts_bounded_by_working_set(self, trace):
         backing = np.full(N_PAGES, int(Backing.UFFD_SSD), dtype=np.uint8)
         res = MicroVM(N_PAGES, backing=backing).execute(trace)
-        assert res.counters.major_faults == trace.working_set_pages
+        assert res.counters.major_faults == trace.working_set.size
 
     @given(trace=traces(), placement=placements())
     @settings(max_examples=40, deadline=None)

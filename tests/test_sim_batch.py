@@ -604,8 +604,8 @@ class TestCohortTallies:
                 memory=memory,
                 placement=placement,
                 backing=backing,
-                page_cache=copy.deepcopy(cache),
             )
+            vm.page_cache = copy.deepcopy(cache)
             vm._resident = resident.copy()
             return vm
 

@@ -129,7 +129,7 @@ class TestEquilibriumIdentity:
         engine = EventScheduler(model)
         times, inflation = engine.run_synchronized(demands)
         assert times == model.contended_times(demands)
-        assert inflation == model.inflation_factors(demands)
+        assert inflation == self.model()._solve(demands)[1]
 
     def test_single_job_timeline_matches_single_demand_equilibrium(self):
         model = self.model()
@@ -140,7 +140,8 @@ class TestEquilibriumIdentity:
         # The timeline's quasi-static rates are pinned at the nominal time
         # while the analytic fixed point iterates them at the contended
         # time, so a self-inflating job agrees closely, not bit-exactly.
-        assert result.jobs[0].contended_time_s == pytest.approx(analytic, rel=1e-3)
+        job = result.jobs[0]
+        assert job.finish_s - job.start_s == pytest.approx(analytic, rel=1e-3)
 
     def test_staggered_jobs_contend_only_while_overlapping(self):
         model = self.model()
@@ -152,8 +153,8 @@ class TestEquilibriumIdentity:
         spread = engine.run_timeline(
             [TimelineJob(10.0 * i, heavy, label=f"j{i}") for i in range(4)]
         )
-        mean_overlapped = sum(j.contended_time_s for j in overlapped.jobs) / 4
-        mean_spread = sum(j.contended_time_s for j in spread.jobs) / 4
+        mean_overlapped = sum(j.finish_s - j.start_s for j in overlapped.jobs) / 4
+        mean_spread = sum(j.finish_s - j.start_s for j in spread.jobs) / 4
         assert mean_overlapped > mean_spread * 1.05
 
     def test_empty_batch_reports_idle_utilization(self):

@@ -33,7 +33,7 @@ class TestTraceCache:
         assert cache.hits == 1
         assert cache.misses == 1
         assert len(cache) == 1
-        assert cache.used_bytes == nbytes(trace)
+        assert cache._bytes == nbytes(trace)
 
     def test_byte_budget_evicts_lru(self):
         one = sized_trace(64)
@@ -46,7 +46,7 @@ class TestTraceCache:
         assert cache.get("a") is None  # least recently used went first
         assert cache.get("b") is not None
         assert cache.get("c") is not None
-        assert cache.used_bytes <= budget
+        assert cache._bytes <= budget
 
     def test_get_refreshes_recency(self):
         one = sized_trace(64)
@@ -74,7 +74,7 @@ class TestTraceCache:
         replacement = sized_trace(8)
         cache.put("k", replacement)
         assert len(cache) == 1
-        assert cache.used_bytes == nbytes(replacement)
+        assert cache._bytes == nbytes(replacement)
 
     def test_clear_drops_entries_keeps_counters(self):
         cache = TraceCache(1 << 20)
@@ -82,7 +82,7 @@ class TestTraceCache:
         cache.get("k")
         cache.clear()
         assert len(cache) == 0
-        assert cache.used_bytes == 0
+        assert cache._bytes == 0
         assert cache.hits == 1
         assert cache.get("k") is None
 

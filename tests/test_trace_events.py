@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import config
 from repro.errors import AddressSpaceError, ConfigError, ReproError
 from repro.functions.base import FunctionModel, InputSpec
 from repro.trace.events import AccessEpoch, InvocationTrace
@@ -18,7 +17,6 @@ class TestAccessEpoch:
     def test_totals(self):
         e = AccessEpoch(0.1, np.array([1, 5]), np.array([10, 20]))
         assert e.total_accesses == 30
-        assert e.touched_pages == 2
 
     def test_empty_epoch_allowed(self):
         e = AccessEpoch(0.1, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
@@ -60,8 +58,7 @@ class TestInvocationTrace:
     def test_working_set(self):
         trace = make_trace(pages=(0, 2, 9), counts=(1, 1, 1))
         np.testing.assert_array_equal(trace.working_set, [0, 2, 9])
-        assert trace.working_set_pages == 3
-        assert trace.working_set_bytes == 3 * config.PAGE_SIZE
+        assert trace.working_set.size == 3
 
     def test_cpu_time_sums(self):
         trace = make_trace(cpu_time_s=0.03, n_epochs=3)
@@ -76,22 +73,6 @@ class TestInvocationTrace:
         t = trace.nominal_time_s(80e-9)
         assert t == pytest.approx(0.01 + 1000 * 80e-9)
 
-    def test_first_touch_order(self):
-        e1 = AccessEpoch(0.1, np.array([5, 9]), np.array([1, 1]))
-        e2 = AccessEpoch(0.1, np.array([2, 5]), np.array([1, 1]))
-        trace = InvocationTrace(n_pages=16, epochs=(e1, e2))
-        np.testing.assert_array_equal(trace.first_touch_order(), [5, 9, 2])
-
-    def test_mean_random_fraction_weighted(self):
-        e1 = AccessEpoch(0.1, np.array([0]), np.array([30]), random_fraction=1.0)
-        e2 = AccessEpoch(0.1, np.array([0]), np.array([10]), random_fraction=0.0)
-        trace = InvocationTrace(n_pages=4, epochs=(e1, e2))
-        assert trace.mean_random_fraction == pytest.approx(0.75)
-
-    def test_mean_random_fraction_empty(self):
-        e = AccessEpoch(0.1, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-        trace = InvocationTrace(n_pages=4, epochs=(e,))
-        assert trace.mean_random_fraction == 0.0
 
 
 # -- flat column layout --------------------------------------------------------
@@ -137,26 +118,22 @@ class TestFlatLayout:
             np.testing.assert_array_equal(epoch.counts, any_trace.counts[lo:hi])
 
     def test_column_views_match_per_epoch_reference(self, any_trace):
-        """total_accesses, histogram and first-touch order read the
-        columns; they must equal the per-epoch definitions."""
+        """total_accesses and histogram read the columns; they must
+        equal the per-epoch definitions."""
         assert any_trace.total_accesses == sum(
             int(e.counts.sum()) for e in any_trace.epochs
         )
         hist = np.zeros(any_trace.n_pages, dtype=np.int64)
-        seen: dict[int, None] = {}
         for epoch in any_trace.epochs:
             hist[epoch.pages] += epoch.counts
-            seen.update(dict.fromkeys(epoch.pages.tolist()))
         assert any_trace.histogram.dtype == np.int64
         np.testing.assert_array_equal(any_trace.histogram, hist)
-        np.testing.assert_array_equal(any_trace.first_touch_order(), list(seen))
 
     def test_empty_trace_has_empty_columns(self):
         trace = InvocationTrace(n_pages=4, epochs=())
         assert trace.pages.size == trace.counts.size == 0
         np.testing.assert_array_equal(trace.epoch_ptr, [0])
         assert trace.total_accesses == 0
-        assert trace.first_touch_order().size == 0
 
 
 class TestInt32Columns:

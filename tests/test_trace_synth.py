@@ -12,8 +12,6 @@ from repro.trace.synth import (
     Band,
     _largest,
     banded_histogram,
-    uniform_histogram,
-    zipf_histogram,
 )
 
 
@@ -78,33 +76,6 @@ class TestBandedHistogram:
         hist = banded_histogram(ws, total, bands, rng)
         assert hist.sum() == total
         assert (hist >= 0).all()
-
-
-class TestZipfAndUniform:
-    def test_zipf_monotone_without_shuffle(self, rng):
-        hist = zipf_histogram(100, 100_000, alpha=1.2, rng=rng, noise=0.0)
-        assert hist[0] > hist[10] > hist[99]
-
-    def test_zipf_shuffle_scatters(self):
-        rng = np.random.default_rng(0)
-        hist = zipf_histogram(1000, 100_000, alpha=1.2, rng=rng, shuffle=True)
-        # The hottest page should (almost surely) not be page 0 after shuffle.
-        top = np.argsort(hist)[::-1][:10]
-        assert not np.array_equal(np.sort(top), np.arange(10))
-
-    def test_uniform_is_flat(self, rng):
-        hist = uniform_histogram(1000, 1_000_000, rng, noise=0.0)
-        assert hist.max() - hist.min() <= 1
-
-    def test_exact_totals(self, rng):
-        assert zipf_histogram(77, 999, 0.8, rng).sum() == 999
-        assert uniform_histogram(77, 999, rng).sum() == 999
-
-    def test_invalid_params(self, rng):
-        with pytest.raises(ConfigError):
-            zipf_histogram(0, 10, 1.0, rng)
-        with pytest.raises(ConfigError):
-            zipf_histogram(10, 10, -1.0, rng)
 
 
 def _argsort_normalize(weights: np.ndarray, total: int) -> np.ndarray:

@@ -21,7 +21,7 @@ class TestConstruction:
     def test_defaults_all_fast_resident(self):
         vm = vm_with()
         assert vm.tier_pages(Tier.FAST) == 4096
-        assert vm.resident_pages == 4096
+        assert vm._resident.sum() == 4096
         assert vm.slow_fraction == 0.0
 
     def test_shape_mismatch_rejected(self):
@@ -160,15 +160,6 @@ class TestFaults:
         assert first.counters.major_faults > 0
         assert second.counters.major_faults == 0
         assert second.time_s < first.time_s
-
-    def test_reset_residency_restores_cold(self):
-        backing = np.full(4096, int(Backing.SSD_FILE), dtype=np.uint8)
-        vm = vm_with(backing=backing)
-        trace = make_trace(pages=(0,), counts=(1,))
-        first = vm.execute(trace)
-        vm.reset_residency()
-        again = vm.execute(trace)
-        assert again.counters.major_faults == first.counters.major_faults
 
 
 class TestDemandVector:

@@ -53,7 +53,7 @@ class TestWarm:
     def test_zero_setup_everything_resident(self, base_snapshot):
         r = warm_restore(base_snapshot)
         assert r.setup_time_s == 0.0
-        assert r.vm.resident_pages == N_PAGES
+        assert r.vm._resident.sum() == N_PAGES
 
     def test_versions_restored(self, base_snapshot):
         r = warm_restore(base_snapshot)
@@ -72,7 +72,7 @@ class TestLazy:
     def test_pages_ssd_backed(self, base_snapshot):
         r = lazy_restore(base_snapshot)
         assert (r.vm.backing == int(Backing.SSD_FILE)).all()
-        assert r.vm.resident_pages == 0
+        assert r.vm._resident.sum() == 0
 
     def test_execution_pays_major_faults(self, base_snapshot):
         r = lazy_restore(base_snapshot)
@@ -94,7 +94,7 @@ class TestReap:
 
     def test_ws_resident_rest_uffd(self, reap_snapshot):
         r = reap_restore(reap_snapshot)
-        assert r.vm.resident_pages == 512
+        assert r.vm._resident.sum() == 512
         assert (r.vm.backing[512:] == int(Backing.UFFD_SSD)).all()
 
     def test_in_ws_execution_fault_free(self, reap_snapshot):

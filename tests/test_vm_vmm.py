@@ -38,7 +38,7 @@ class TestSnapshotCapture:
         assert snap.page_versions[0] != boot.vm.page_versions[0]
 
     def test_reap_capture_records_ws(self, vmm, tiny_function):
-        snap = vmm.capture_reap_snapshot(tiny_function, 2, 0)
+        snap = vmm.capture_reap_snapshot(tiny_function, 2)
         assert isinstance(snap, ReapSnapshot)
         assert snap.ws_pages == tiny_function.ws_pages(2)
         assert snap.snapshot_input == 2
@@ -48,7 +48,7 @@ class TestRestoreDispatch:
     def test_named_strategies(self, vmm, tiny_function):
         boot = vmm.boot_and_run(tiny_function, 0, 0)
         base = vmm.capture_snapshot(boot.vm)
-        reap = vmm.capture_reap_snapshot(tiny_function, 0, 0)
+        reap = vmm.capture_reap_snapshot(tiny_function, 0)
         assert vmm.restore(base, "warm").strategy == "warm"
         assert vmm.restore(base, "lazy").strategy == "lazy"
         assert vmm.restore(reap, "reap").strategy == "reap"
@@ -66,6 +66,6 @@ class TestRestoreDispatch:
             vmm.restore(base, "bogus")
 
     def test_warm_on_reap_unwraps_base(self, vmm, tiny_function):
-        reap = vmm.capture_reap_snapshot(tiny_function, 0, 0)
+        reap = vmm.capture_reap_snapshot(tiny_function, 0)
         r = vmm.restore(reap, "warm")
         assert r.setup_time_s == 0.0

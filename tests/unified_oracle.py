@@ -138,16 +138,6 @@ class PerPagePattern:
         values[values < NOISE_FLOOR] = 0.0
         return values
 
-    def observed_mask(self) -> np.ndarray:
-        """Pages classified as accessed (non-zero quantised mean)."""
-        if self.invocations == 0:
-            raise ProfilingError("no DAMON files folded in yet")
-        return self._quantise_round(self.page_values()) > 0
-
-    def zero_fraction(self) -> float:
-        """Fraction of guest pages classified as never accessed."""
-        return 1.0 - self.observed_mask().mean()
-
     def regions(
         self,
         *,
